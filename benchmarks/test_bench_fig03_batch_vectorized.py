@@ -1,18 +1,22 @@
 """Batch simulate() reproduces the Figure 3 preset in vectorised passes.
 
 The fig3 campaign preset evaluates a 45-point grid (L in {1, 2, 4, 8, 16}
-x nine loss-event rates) by running the basic control point by point, one
-Python loop iteration per loss event.  The ``repro.api.simulate_batch``
-facade evaluates the same grid in shared numpy passes, reusing each
-sampled interval block across the whole grid and all formula variants.
-This benchmark checks the redesign's contract twice over:
+x nine loss-event rates) point by point: each point is one
+``api.simulate`` call, a one-row pass through the vectorised kernel.  The
+``repro.api.simulate_batch`` facade evaluates the same grid in shared
+numpy passes, reusing each sampled interval block across the whole grid
+and all formula variants.  The per-event loop
+(``repro.core.control.BasicControl.run``, one Python iteration per loss
+event) is kept as the reference semantics.  This benchmark checks:
 
 * with ``share_noise=False`` the batch derives the preset's own per-point
   seeds and reproduces every normalized throughput to numerical
-  precision (tolerance 1e-9 -- same draws, vectorised arithmetic);
+  precision (tolerance 1e-9 -- same draws, vectorised arithmetic), and
+  so does the loop run over the same 45 sampled sequences;
 * with ``share_noise=True`` (one unit-exponential block rescaled per
   point, common random numbers) the qualitative Figure 3 shape holds;
-* both vectorised paths are far faster than the per-point loop.
+* both vectorised batch paths are far faster than the per-event loop
+  over those 45 sequences.
 """
 
 import time
@@ -20,7 +24,9 @@ import time
 import numpy as np
 
 from repro import api
+from repro.core.control import BasicControl
 from repro.experiments import ExperimentRunner, preset
+from repro.lossprocess import make_rng
 from repro.montecarlo import FIGURE3_CV
 
 from conftest import print_table
@@ -42,11 +48,35 @@ def run_preset_and_batches():
     started = time.perf_counter()
     campaign = ExperimentRunner().run(spec)
     campaign.raise_errors()
-    scalar_seconds = time.perf_counter() - started
+    campaign_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     exact = api.simulate_batch(api.BatchConfig(share_noise=False, **common))
     exact_seconds = time.perf_counter() - started
+
+    # The per-event loop over the same 45 sampled sequences (each point's
+    # derived seed, one draw of num_events + L intervals); only the
+    # control runs are timed.
+    formula = api.FORMULAS.from_config(spec.base["formula"])
+    runs = []
+    for result in exact.results:
+        weights = api.WEIGHT_PROFILES.from_config(
+            {"kind": "tfrc", "history_length": result.history_length}
+        ).weights()
+        intervals = api.LOSS_PROCESSES.from_config(
+            result.loss_process
+        ).sample_intervals(
+            result.num_events + result.history_length, make_rng(result.seed)
+        )
+        runs.append((result, BasicControl(formula, weights=weights), intervals))
+    started = time.perf_counter()
+    traces = [control.run(intervals) for _, control, intervals in runs]
+    loop_seconds = time.perf_counter() - started
+    loop = {
+        (result.history_length, result.loss_event_rate):
+            trace.normalized_throughput(formula)
+        for (result, _, _), trace in zip(runs, traces)
+    }
 
     started = time.perf_counter()
     shared = api.simulate_batch(api.BatchConfig(share_noise=True, **common))
@@ -69,7 +99,9 @@ def run_preset_and_batches():
         },
         "exact": as_table(exact.results),
         "shared": as_table(shared.results),
-        "scalar_seconds": scalar_seconds,
+        "loop": loop,
+        "campaign_seconds": campaign_seconds,
+        "loop_seconds": loop_seconds,
         "exact_seconds": exact_seconds,
         "shared_seconds": shared_seconds,
     }
@@ -79,6 +111,7 @@ def test_fig03_batch_matches_preset(run_once):
     data = run_once(run_preset_and_batches)
     loss_rates, lengths = data["loss_rates"], data["lengths"]
     scalar, exact, shared = data["scalar"], data["exact"], data["shared"]
+    loop = data["loop"]
 
     rows = []
     for length in lengths:
@@ -92,17 +125,22 @@ def test_fig03_batch_matches_preset(run_once):
         ["window"] + [f"p={p}" for p in loss_rates],
         rows,
     )
-    print(f"per-point campaign: {data['scalar_seconds']:.2f} s | vectorised "
-          f"batch: {data['exact_seconds']:.2f} s (matched seeds, "
-          f"x{data['scalar_seconds'] / data['exact_seconds']:.0f}), "
+    loop_seconds = data["loop_seconds"]
+    print(f"per-event loop: {loop_seconds:.2f} s | per-point campaign: "
+          f"{data['campaign_seconds']:.2f} s | vectorised batch: "
+          f"{data['exact_seconds']:.3f} s (matched seeds, "
+          f"x{loop_seconds / data['exact_seconds']:.0f}), "
           f"{data['shared_seconds']:.3f} s (shared noise, "
-          f"x{data['scalar_seconds'] / data['shared_seconds']:.0f})")
+          f"x{loop_seconds / data['shared_seconds']:.0f})")
 
-    # Matched-seed batch reproduces the preset to numerical precision.
-    assert set(scalar) == set(exact) == set(shared)
+    # Matched-seed batch and the loop oracle reproduce the preset to
+    # numerical precision.
+    assert set(scalar) == set(exact) == set(shared) == set(loop)
     for key, value in scalar.items():
         assert np.isclose(exact[key], value, rtol=1e-9, atol=1e-12), (
             key, value, exact[key])
+        assert np.isclose(loop[key], value, rtol=1e-9, atol=1e-12), (
+            key, value, loop[key])
 
     # The shared-noise fast path preserves the Figure 3 shape.
     assert shared[(1, 0.4)] < 0.3 * shared[(1, 0.01)]
@@ -111,6 +149,6 @@ def test_fig03_batch_matches_preset(run_once):
     for length in lengths:
         assert shared[(length, 0.4)] < shared[(length, 0.01)]
 
-    # The vectorised grid must beat the per-point loop decisively.
-    assert data["exact_seconds"] < data["scalar_seconds"] / 5.0
-    assert data["shared_seconds"] < data["scalar_seconds"] / 5.0
+    # The vectorised grid must beat the per-event loop decisively.
+    assert data["exact_seconds"] < loop_seconds / 5.0
+    assert data["shared_seconds"] < loop_seconds / 5.0

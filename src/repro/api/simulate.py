@@ -3,7 +3,8 @@
 One entry point covers the package's Monte-Carlo evaluation paths:
 
 * :func:`simulate` takes a :class:`SimConfig` (or its dict/JSON form) and
-  dispatches to the basic / comprehensive control simulation or to the
+  dispatches to the basic / comprehensive control simulation (a one-row
+  call into the same vectorised kernel the batch path uses) or to the
   Proposition 1/3 analytic integration, over *any* registered loss
   process and weight profile;
 * :func:`simulate_batch` takes a :class:`BatchConfig` describing a whole

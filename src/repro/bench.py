@@ -162,8 +162,8 @@ def _bench_kernel_montecarlo_matched() -> Dict[str, Any]:
 
 @register_benchmark(
     "scalar-montecarlo",
-    "scalar reference: one simulate() point through the per-event "
-    "Monte-Carlo control loop (20k events)",
+    "scalar reference: one simulate() point, a one-row call into the "
+    "vectorised Monte-Carlo control kernel (20k events)",
 )
 def _bench_scalar_montecarlo() -> Dict[str, Any]:
     from .api import SimConfig, simulate

@@ -6,7 +6,8 @@ stable SHA-256 of the point's ``(runner, params, seed)`` payload (see
 append-only — re-running a point appends a fresh record and the newest
 record for a key wins — so concurrent campaigns can share a store without
 rewriting each other's history, and a partially-written last line (e.g.
-from a killed run) is skipped rather than poisoning the file.
+from a killed run) is skipped rather than poisoning the file; the next
+append starts on a fresh line, so it is not lost with the fragment.
 
 The store is what makes campaigns restartable: the runner consults it
 before executing a point and reuses any stored successful record (a
@@ -157,6 +158,7 @@ class ResultStore:
         self.misses = 0
         self.retries = 0
         self.puts = 0
+        self._torn_tail = False
         self._load()
 
     @property
@@ -172,9 +174,10 @@ class ResultStore:
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
+        raw = "\n"
         with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
+            for raw in handle:
+                line = raw.strip()
                 if not line:
                     continue
                 try:
@@ -184,6 +187,9 @@ class ResultStore:
                 key = record.get("key")
                 if key:
                     self._records[key] = record
+        # A last line without its newline is a torn write: the next put
+        # starts on a fresh line instead of gluing its record onto it.
+        self._torn_tail = not raw.endswith("\n")
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -224,8 +230,10 @@ class ResultStore:
         record.setdefault("schema_version", RECORD_SCHEMA_VERSION)
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
+        line = json.dumps(record, default=str, allow_nan=False) + "\n"
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, default=str, allow_nan=False) + "\n")
+            handle.write("\n" + line if self._torn_tail else line)
+        self._torn_tail = False
         self._records[key] = dict(record)
         self.puts += 1
         telemetry.incr("store.put")

@@ -9,8 +9,11 @@ estimator window lengths ``L in {1, 2, 4, 8, 16}``.
 
 Two evaluation paths are provided:
 
-* :func:`simulate_basic_control` -- run the actual control over a sampled
-  interval sequence (exercises :class:`~repro.core.control.BasicControl`);
+* :func:`simulate_basic_control` -- run the control over one sampled
+  interval sequence, as a one-row call into the vectorised kernel of
+  :mod:`repro.montecarlo.vectorized` (the per-event loop
+  :class:`~repro.core.control.BasicControl` is the test oracle it
+  matches to numerical precision);
 * :func:`analytic_basic_throughput` -- evaluate Proposition 1's expectation
   directly by Monte-Carlo integration over independent draws of the
   estimator window, which converges faster because it does not carry the
@@ -23,14 +26,14 @@ assert their agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..core.control import BasicControl, ControlTrace
 from ..core.estimator import tfrc_weights
 from ..core.formulas import LossThroughputFormula
 from ..lossprocess.base import LossProcess, make_rng
+from .vectorized import vectorized_control_summaries
 
 __all__ = [
     "BasicControlResult",
@@ -68,21 +71,6 @@ class BasicControlResult:
     num_events: int
 
 
-def _summarize(trace: ControlTrace, formula: LossThroughputFormula) -> BasicControlResult:
-    estimator_mean = float(np.mean(trace.estimates))
-    estimator_cv = (
-        float(np.std(trace.estimates) / estimator_mean) if estimator_mean > 0 else 0.0
-    )
-    return BasicControlResult(
-        throughput=trace.throughput,
-        normalized_throughput=trace.normalized_throughput(formula),
-        loss_event_rate=trace.loss_event_rate,
-        interval_estimate_covariance=trace.interval_estimate_covariance(),
-        estimator_cv=estimator_cv,
-        num_events=len(trace),
-    )
-
-
 def simulate_basic_control(
     formula: LossThroughputFormula,
     loss_process: LossProcess,
@@ -110,18 +98,40 @@ def simulate_basic_control(
     seed:
         Random seed for reproducibility.
     """
+    return BasicControlResult(
+        num_events=num_events,
+        **_simulate_control(
+            formula, loss_process, num_events, weights, history_length, seed,
+            comprehensive=False,
+        ),
+    )
+
+
+def _resolve_weights(weights, history_length) -> Sequence[float]:
+    """The given weights, or the TFRC profile of ``history_length`` (8)."""
+    if weights is None:
+        return tfrc_weights(history_length if history_length is not None else 8)
+    if history_length is not None:
+        raise ValueError("pass either weights or history_length, not both")
+    return weights
+
+
+def _simulate_control(
+    formula, loss_process, num_events, weights, history_length, seed, comprehensive
+) -> Dict[str, float]:
+    """The body of both scalar entry points: one seeded draw of
+    ``num_events + L`` intervals (the first ``L`` warm up the estimator),
+    summarised by a one-row call into the vectorised kernel."""
     if num_events < 10:
         raise ValueError("num_events must be at least 10")
-    if weights is None:
-        weights = tfrc_weights(history_length if history_length is not None else 8)
-    elif history_length is not None:
-        raise ValueError("pass either weights or history_length, not both")
+    weights = _resolve_weights(weights, history_length)
     rng = make_rng(seed)
     window = len(list(weights))
     intervals = loss_process.sample_intervals(num_events + window, rng)
-    control = BasicControl(formula, weights=weights)
-    trace = control.run(intervals, warmup=window)
-    return _summarize(trace, formula)
+    summary = vectorized_control_summaries(
+        formula, [intervals], weights, comprehensive=comprehensive
+    )
+    return {name: float(row[0]) for name, row in summary.items()}
 
 
 def analytic_basic_throughput(
@@ -142,10 +152,7 @@ def analytic_basic_throughput(
     """
     if num_samples < 100:
         raise ValueError("num_samples must be at least 100")
-    if weights is None:
-        weights = tfrc_weights(history_length if history_length is not None else 8)
-    elif history_length is not None:
-        raise ValueError("pass either weights or history_length, not both")
+    weights = _resolve_weights(weights, history_length)
     weight_array = np.asarray(list(weights), dtype=float)
     weight_array = weight_array / weight_array.sum()
     window = weight_array.size

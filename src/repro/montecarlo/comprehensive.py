@@ -1,12 +1,14 @@
 """Monte-Carlo evaluation of the comprehensive control.
 
 Companion to :mod:`repro.montecarlo.basic` for the comprehensive control
-(equation (4) of the paper).  Provides both a simulation path (running
-:class:`~repro.core.control.ComprehensiveControl` over a sampled interval
-sequence) and an analytic path evaluating Proposition 3's exact throughput
-expression by Monte-Carlo integration over independent estimator windows,
-which is valid for i.i.d. loss processes with SQRT or PFTK-simplified
-formulas.
+(equation (4) of the paper).  Provides both a simulation path (the
+control over one sampled interval sequence, a one-row call into the
+vectorised kernel of :mod:`repro.montecarlo.vectorized`, with
+:class:`~repro.core.control.ComprehensiveControl` as its test oracle)
+and an analytic path evaluating Proposition 3's exact throughput
+expression by Monte-Carlo integration over independent estimator
+windows, which is valid for i.i.d. loss processes with SQRT or
+PFTK-simplified formulas.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.control import ComprehensiveControl, ControlTrace
-from ..core.estimator import tfrc_weights
 from ..core.formulas import (
     LossThroughputFormula,
     PftkSimplifiedFormula,
@@ -25,6 +25,7 @@ from ..core.formulas import (
 )
 from ..core.throughput import proposition3_correction
 from ..lossprocess.base import LossProcess, make_rng
+from .basic import BasicControlResult, _resolve_weights, _simulate_control
 
 __all__ = [
     "ComprehensiveControlResult",
@@ -34,15 +35,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ComprehensiveControlResult:
-    """Summary of one Monte-Carlo run of the comprehensive control."""
-
-    throughput: float
-    normalized_throughput: float
-    loss_event_rate: float
-    interval_estimate_covariance: float
-    estimator_cv: float
-    num_events: int
+class ComprehensiveControlResult(BasicControlResult):
+    """Summary of one Monte-Carlo run of the comprehensive control (same
+    fields as :class:`~repro.montecarlo.basic.BasicControlResult`)."""
 
 
 def simulate_comprehensive_control(
@@ -53,29 +48,17 @@ def simulate_comprehensive_control(
     history_length: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> ComprehensiveControlResult:
-    """Run the comprehensive control over a sampled interval sequence."""
-    if num_events < 10:
-        raise ValueError("num_events must be at least 10")
-    if weights is None:
-        weights = tfrc_weights(history_length if history_length is not None else 8)
-    elif history_length is not None:
-        raise ValueError("pass either weights or history_length, not both")
-    rng = make_rng(seed)
-    window = len(list(weights))
-    intervals = loss_process.sample_intervals(num_events + window, rng)
-    control = ComprehensiveControl(formula, weights=weights)
-    trace = control.run(intervals, warmup=window)
-    estimator_mean = float(np.mean(trace.estimates))
-    estimator_cv = (
-        float(np.std(trace.estimates) / estimator_mean) if estimator_mean > 0 else 0.0
-    )
+    """Run the comprehensive control over a sampled interval sequence.
+
+    Same parameters and sampling as
+    :func:`~repro.montecarlo.basic.simulate_basic_control`.
+    """
     return ComprehensiveControlResult(
-        throughput=trace.throughput,
-        normalized_throughput=trace.normalized_throughput(formula),
-        loss_event_rate=trace.loss_event_rate,
-        interval_estimate_covariance=trace.interval_estimate_covariance(),
-        estimator_cv=estimator_cv,
-        num_events=len(trace),
+        num_events=num_events,
+        **_simulate_control(
+            formula, loss_process, num_events, weights, history_length, seed,
+            comprehensive=True,
+        ),
     )
 
 
@@ -101,10 +84,7 @@ def analytic_comprehensive_throughput(
         )
     if num_samples < 100:
         raise ValueError("num_samples must be at least 100")
-    if weights is None:
-        weights = tfrc_weights(history_length if history_length is not None else 8)
-    elif history_length is not None:
-        raise ValueError("pass either weights or history_length, not both")
+    weights = _resolve_weights(weights, history_length)
     weight_array = np.asarray(list(weights), dtype=float)
     weight_array = weight_array / weight_array.sum()
     window = weight_array.size

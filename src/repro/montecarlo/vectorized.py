@@ -1,28 +1,22 @@
-"""Vectorised evaluation of the basic and comprehensive controls.
-
-The loop implementations in :mod:`repro.core.control` process one
-loss-event interval at a time through the
-:class:`~repro.core.estimator.MovingAverageEstimator`; that is the
-reference semantics but costs one Python iteration per loss event, which
-dominates the runtime of grid campaigns.  This module evaluates the same
-controls in whole-array numpy passes:
+"""The package's one control kernel: the basic and comprehensive controls
+evaluated in whole-array numpy passes.
 
 * the estimator trajectory is a sliding dot product of the weight vector
   over the interval sequence (one ``matmul`` per run),
 * the comprehensive control's provisional estimate
   ``max(w1 theta_n + sum_{l>=2} w_l theta_{n-l+1}, theta_hat_n)`` is the
   *same* sliding product shifted by one position, and
-* Proposition 3's closed-form duration correction (SQRT and
-  PFTK-simplified) is elementwise, so an entire run -- or a stack of
-  independent runs -- reduces to a handful of array expressions.
+* its duration correction is elementwise: Proposition 3's closed form for
+  SQRT and PFTK-simplified, otherwise ODE (16) integrated over fixed-size
+  chunks of the growing elements, so memory stays linear in run length.
 
-Semantics match the loop implementations exactly (same warm-up
-convention: the first ``L`` intervals seed the estimator history and are
-excluded from the reported trace); the equivalence is asserted to
-numerical precision by the test suite.  The batch facade
-:func:`repro.api.simulate_batch` stacks many (p, cv, L) grid points as
-rows of one interval matrix and amortises each pass across the whole
-grid.
+The scalar entry points (``simulate_basic_control``,
+``simulate_comprehensive_control``, hence :func:`repro.api.simulate`)
+make one-row calls; :func:`repro.api.simulate_batch` stacks many grid
+points as rows of one interval matrix.  The per-event loops of
+:mod:`repro.core.control` are the reference semantics and the test
+oracle: same warm-up convention (the first ``L`` intervals seed the
+estimator and are excluded from the trace), equal to numerical precision.
 """
 
 from __future__ import annotations
@@ -53,6 +47,10 @@ _GROWTH_EPSILON = 1e-15
 
 #: Duration floor, identical to the loop implementation's.
 _DURATION_FLOOR = 1e-12
+
+#: Growing elements integrated per pass of the generic-formula ODE
+#: fallback; bounds its ``(ode_steps, chunk)`` grids to a few MiB each.
+_ODE_CHUNK = 2048
 
 
 def _normalized_weights(weights: Sequence[float]) -> np.ndarray:
@@ -170,11 +168,19 @@ def _evaluate_control_arrays(
         ) / w1
     else:
         # Integrate the growth phase of ODE (16) with the same trapezoid
-        # rule as the loop implementation, one linspace axis for all
-        # elements at once.
-        grid = np.linspace(estimates, next_estimates, ode_steps, axis=0)
-        inverse_rate = 1.0 / np.asarray(formula.rate_of_interval(grid), dtype=float)
-        growth_time = np.trapezoid(inverse_rate, grid, axis=0) / w1
+        # rule as the loop implementation, only where the estimate grows
+        # and one linspace axis per chunk of those elements.
+        lower, upper = estimates[grows], next_estimates[grows]
+        integrals = np.empty_like(lower)
+        for start in range(0, lower.size, _ODE_CHUNK):
+            chunk = slice(start, start + _ODE_CHUNK)
+            grid = np.linspace(lower[chunk], upper[chunk], ode_steps, axis=0)
+            inverse_rate = 1.0 / np.asarray(
+                formula.rate_of_interval(grid), dtype=float
+            )
+            integrals[chunk] = np.trapezoid(inverse_rate, grid, axis=0)
+        growth_time = np.zeros_like(next_estimates)
+        growth_time[grows] = integrals / w1
     linear_time = (next_estimates - estimates) / (w1 * rates)
     corrected = np.maximum(durations - (linear_time - growth_time), _DURATION_FLOOR)
     durations = np.where(grows, corrected, durations)
@@ -243,9 +249,12 @@ def summarize_rows(
     estimates: np.ndarray,
     durations: np.ndarray,
 ) -> Dict[str, np.ndarray]:
-    """Per-row Palm summaries of evaluated control arrays."""
+    """Per-row Palm summaries; a zero total duration is rejected."""
     num_events = kept.shape[-1]
-    throughput = kept.sum(axis=-1) / durations.sum(axis=-1)
+    total_durations = durations.sum(axis=-1)
+    if np.any(total_durations <= 0.0):
+        raise ValueError("trace has zero total duration")
+    throughput = kept.sum(axis=-1) / total_durations
     loss_event_rate = 1.0 / kept.mean(axis=-1)
     normalized = throughput / np.asarray(formula.rate(loss_event_rate), dtype=float)
     kept_centered = kept - kept.mean(axis=-1, keepdims=True)

@@ -281,6 +281,21 @@ class TestStore:
         store = ResultStore(str(path))
         assert len(store) == 4
 
+    def test_put_after_a_torn_tail_starts_a_fresh_line(self, tmp_path):
+        # Fault injection: an interrupted write leaves a fragment with no
+        # newline; the next record must not be glued onto it.
+        path = tmp_path / "results.jsonl"
+        ResultStore(str(path)).put({"key": "a", "status": "ok", "value": {}})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "b", "status": "o')
+        reopened = ResultStore(str(path))
+        assert sorted(record["key"] for record in reopened.records()) == ["a"]
+        reopened.put({"key": "c", "status": "ok", "value": {}})
+        reopened.put({"key": "d", "status": "ok", "value": {}})
+        keys = sorted(record["key"] for record in ResultStore(str(path)).records())
+        assert keys == ["a", "c", "d"]
+        assert path.read_text().count("\n") == 4
+
     def test_load_frame_flattens_params_and_values(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
         ExperimentRunner(store=path).run(small_montecarlo_spec(name="frame"))
