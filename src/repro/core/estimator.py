@@ -144,8 +144,10 @@ class MovingAverageEstimator:
         if initial_interval <= 0.0:
             raise ValueError("initial_interval must be positive")
         self._weights = weight_array / weight_array.sum()
+        self._first_weight = float(self._weights[0])
         self._history: List[float] = [float(initial_interval)] * weight_array.size
         self._initial_interval = float(initial_interval)
+        self._refresh()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -168,9 +170,21 @@ class MovingAverageEstimator:
     # ------------------------------------------------------------------
     # Estimation
     # ------------------------------------------------------------------
+    def _refresh(self) -> None:
+        """Recompute the cached sums; every history change must call it.
+
+        A rate-based sender reads the estimate on every packet but the
+        history changes only at loss events, so both sums are kept as
+        plain floats.
+        """
+        self._estimate = float(np.dot(self._weights, self._history))
+        self._tail = float(
+            np.dot(self._weights[1:], self._history[: self.history_length - 1])
+        )
+
     def current_estimate(self) -> float:
         """Return ``theta_hat_n`` from the current history (equation (2))."""
-        return float(np.dot(self._weights, self._history))
+        return self._estimate
 
     def record_interval(self, interval: float) -> float:
         """Record a completed loss-event interval and return the new estimate.
@@ -182,7 +196,8 @@ class MovingAverageEstimator:
             raise ValueError(f"loss-event interval must be positive, got {interval}")
         self._history.insert(0, float(interval))
         del self._history[self.history_length:]
-        return self.current_estimate()
+        self._refresh()
+        return self._estimate
 
     def provisional_estimate(self, packets_since_last_loss: float) -> float:
         """Return the comprehensive-control estimate ``theta_hat(t)``.
@@ -194,12 +209,8 @@ class MovingAverageEstimator:
         """
         if packets_since_last_loss < 0.0:
             raise ValueError("packets_since_last_loss must be non-negative")
-        fixed_estimate = self.current_estimate()
-        tail_contribution = float(
-            np.dot(self._weights[1:], self._history[: self.history_length - 1])
-        )
-        candidate = self._weights[0] * packets_since_last_loss + tail_contribution
-        return max(candidate, fixed_estimate)
+        candidate = self._first_weight * packets_since_last_loss + self._tail
+        return max(candidate, self._estimate)
 
     def activation_threshold(self) -> float:
         """Return the packet count above which the estimate starts growing.
@@ -211,11 +222,7 @@ class MovingAverageEstimator:
         Below the threshold the comprehensive control sends at the fixed
         rate ``f(1/theta_hat_n)``; above it the rate increases.
         """
-        fixed_estimate = self.current_estimate()
-        tail_contribution = float(
-            np.dot(self._weights[1:], self._history[: self.history_length - 1])
-        )
-        return (fixed_estimate - tail_contribution) / self._weights[0]
+        return (self._estimate - self._tail) / self._first_weight
 
     def reset(self, initial_interval: Optional[float] = None) -> None:
         """Clear the history, optionally changing the seed interval."""
@@ -224,6 +231,7 @@ class MovingAverageEstimator:
                 raise ValueError("initial_interval must be positive")
             self._initial_interval = float(initial_interval)
         self._history = [self._initial_interval] * self.history_length
+        self._refresh()
 
     def seed_history(self, intervals: Iterable[float]) -> None:
         """Overwrite the history with the given intervals (most recent first).
@@ -238,6 +246,7 @@ class MovingAverageEstimator:
             raise ValueError("intervals must be strictly positive")
         padded = (values + [values[-1]] * self.history_length)[: self.history_length]
         self._history = padded
+        self._refresh()
 
 
 def estimate_series(

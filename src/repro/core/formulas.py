@@ -95,9 +95,11 @@ def _validate_loss_rate(p: np.ndarray) -> None:
     # uniformly across the formula zoo -- before this guard, a nan slipped
     # through every formula silently (nan fails the <= comparison) and an
     # inf produced a silent 0.0 rate instead of a clear domain error.
-    if not np.all(np.isfinite(p)):
+    # The ndarray methods, not the np.all/np.any wrappers: this runs on
+    # every scalar f evaluation of the packet-level senders.
+    if not np.isfinite(p).all():
         raise ValueError("loss-event rate p must be finite (got nan or inf)")
-    if np.any(p <= 0.0):
+    if (p <= 0.0).any():
         raise ValueError("loss-event rate p must be strictly positive")
 
 
@@ -137,7 +139,7 @@ class LossThroughputFormula(abc.ABC):
         loss-event interval estimator ``theta_hat`` into the formula.
         """
         x_arr = _as_array(x)
-        if np.any(x_arr <= 0.0):
+        if (x_arr <= 0.0).any():
             raise ValueError("loss-event interval x must be strictly positive")
         result = self.rate(1.0 / x_arr)
         return result if isinstance(x, np.ndarray) else float(result)
@@ -150,7 +152,7 @@ class LossThroughputFormula(abc.ABC):
         loss-event interval is ``x`` packets.
         """
         x_arr = _as_array(x)
-        if np.any(x_arr <= 0.0):
+        if (x_arr <= 0.0).any():
             raise ValueError("loss-event interval x must be strictly positive")
         result = 1.0 / self.rate(1.0 / x_arr)
         return result if isinstance(x, np.ndarray) else float(result)

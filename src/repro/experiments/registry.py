@@ -14,8 +14,7 @@ component API in :mod:`repro.api`:
     entry swaps the estimator weights.
 ``dumbbell``
     :func:`repro.simulator.run_dumbbell` on a registered scenario family
-    (a ``scenario`` config, or the legacy flat ``family`` form),
-    summarised per flow and per TFRC/TCP pair.
+    (a ``scenario`` config), summarised per flow and per TFRC/TCP pair.
 ``dumbbell-batch``
     One scenario family evaluated over several replications in a single
     point: the scenario config is resolved and its
@@ -53,7 +52,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..api.components import FORMULAS, LATENCY_MODELS, SCENARIOS
@@ -191,60 +189,14 @@ def _run_montecarlo(
 
 
 def _scenario_from_params(params: Dict[str, Any]):
-    """Build the scenario component from a point's parameters.
-
-    Either an explicit ``scenario`` config (any registered scenario kind)
-    or the legacy flat form (``family`` plus per-family keys), which maps
-    onto the same registered dataclasses.
-    """
-    from ..api.scenarios import InternetScenario, LabScenario, Ns2Scenario
-
-    if "scenario" in params:
-        return SCENARIOS.from_config(params["scenario"])
-
-    # The flat form predates the component registries and used to be
-    # accepted silently, leaving specs on a construction path with no
-    # schema and no round-trip guarantee.
-    warnings.warn(
-        "flat dumbbell parameters (family=/num_connections=/...) are "
-        "deprecated; pass a 'scenario' component config instead, e.g. "
-        "{'scenario': {'kind': 'ns2', 'num_connections': 2}}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    family = params.get("family", "ns2")
-    num_connections = int(params.get("num_connections", 1))
-    history_length = int(params.get("history_length", 8))
-    duration = float(params.get("duration", 200.0))
-    if family == "ns2":
-        return Ns2Scenario(
-            num_connections=num_connections,
-            history_length=history_length,
-            duration=duration,
-            capacity_mbps=float(params.get("capacity_mbps", 1.5)),
+    """Build the scenario component from a point's ``scenario`` config."""
+    if "scenario" not in params:
+        raise ValueError(
+            "dumbbell points need a 'scenario' component config, e.g. "
+            "{'scenario': {'kind': 'ns2', 'num_connections': 2}}; the flat "
+            "family=/num_connections=/... form is no longer accepted"
         )
-    if family == "lab":
-        buffer_packets = params.get("buffer_packets")
-        # LabScenario.build treats a None buffer as "100 packets for
-        # DropTail, bandwidth-delay-derived for RED", matching the lab
-        # setups of the paper.
-        return LabScenario(
-            num_connections=num_connections,
-            queue_type=params.get("queue_type", "droptail"),
-            buffer_packets=int(buffer_packets) if buffer_packets else None,
-            history_length=history_length,
-            duration=duration,
-            capacity_mbps=float(params.get("capacity_mbps", 1.0)),
-        )
-    if family == "internet":
-        return InternetScenario(
-            path_name=params["path_name"],
-            num_connections=num_connections,
-            history_length=history_length,
-            duration=duration,
-            capacity_mbps=float(params.get("capacity_mbps", 1.0)),
-        )
-    raise ValueError(f"unknown dumbbell family {family!r}")
+    return SCENARIOS.from_config(params["scenario"])
 
 
 def run_dumbbell_scenario(params: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
@@ -318,11 +270,11 @@ def run_dumbbell_scenario(params: Dict[str, Any], seed: Optional[int]) -> Dict[s
 def run_dumbbell_batch(params: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
     """One scenario family over several replications of its topology.
 
-    The point's ``scenario`` config (or legacy flat form) is resolved a
-    single time, and :meth:`~repro.api.scenarios.ScenarioFamily.build`
-    is called once -- every replication re-runs the simulator from that
-    shared :class:`~repro.simulator.scenarios.DumbbellConfig`, with only
-    the seed varying (derived per replication with the same hashed
+    The point's ``scenario`` config is resolved a single time, and
+    :meth:`~repro.api.scenarios.ScenarioFamily.build` is called once --
+    every replication re-runs the simulator from that shared
+    :class:`~repro.simulator.scenarios.DumbbellConfig`, with only the
+    seed varying (derived per replication with the same hashed
     scheme the campaign grid uses).  Returns per-replication
     friendliness ratios plus their mean over the finite values.
     """

@@ -10,8 +10,9 @@ and a 10k-concurrent-flow, 100-second scenario finishes in seconds.
 
 Layout (one module per concern, mirroring the exemplar):
 
-* :mod:`~repro.flowsim.core` -- heapq event loop with periodic
-  callbacks and deterministic tie-breaking;
+* :mod:`~repro.flowsim.core` -- the repo's one event loop
+  (:class:`repro.simulator.engine.EventLoop`) under ``flowsim.*``
+  telemetry names;
 * :mod:`~repro.flowsim.flowlet` -- the :class:`Flowlet` /
   :class:`FlowRecord` data model (exact JSON round-trip);
 * :mod:`~repro.flowsim.generators` -- pluggable traffic generators

@@ -1,95 +1,23 @@
 """Discrete-event core of the flow-level simulator.
 
-A deliberately small heapq scheduler in the style of
-:class:`repro.simulator.engine.Simulator` (and of the ``FsCore``
-scheduler in jsommers/fs, the flow-level exemplar the ROADMAP names):
-events are ``(time, sequence, callback)`` triples in a binary heap, ties
-are broken by insertion order, so a run is fully deterministic for a
-given seed.  On top of the one-shot ``schedule`` / ``schedule_at``
-primitives it adds :meth:`FlowSimCore.schedule_periodic` -- the per-RTT
-/ per-interval callback the flowlet emission loop is built on -- which
-returns a handle whose ``cancel()`` stops the recurrence.
-
-The core knows nothing about flows, formulas, or loss processes; the
-driver in :mod:`repro.flowsim.run` registers callbacks on it.  With
-:mod:`repro.telemetry` enabled each :meth:`run` reports the
-``flowsim.events_processed`` counter and an event-rate histogram; the
-per-event cost is a single local increment either way.
+:class:`FlowSimCore` is the repo's one event loop,
+:class:`repro.simulator.engine.EventLoop`, reporting under the
+``flowsim.*`` telemetry names.  It knows nothing about flows, formulas
+or loss processes; the driver in :mod:`repro.flowsim.run` registers
+callbacks on it.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import time
-from typing import Callable, List, Optional
-
 from .. import telemetry
+from ..simulator.engine import Event as FlowEvent
+from ..simulator.engine import EventLoop, PeriodicEvent
 
 __all__ = ["FlowEvent", "PeriodicEvent", "FlowSimCore"]
 
-Callback = Callable[[], None]
 
-
-class FlowEvent:
-    """A scheduled callback.  Cancelling sets a flag; the heap entry stays."""
-
-    __slots__ = ("time", "sequence", "callback", "cancelled")
-
-    def __init__(self, time: float, sequence: int, callback: Callback) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it is skipped when popped."""
-        self.cancelled = True
-
-    def __lt__(self, other: "FlowEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
-
-
-class PeriodicEvent:
-    """Handle for a recurring callback; ``cancel()`` stops the recurrence.
-
-    The underlying one-shot event re-arms itself after every firing, so
-    the handle tracks the *current* pending event rather than a fixed
-    one.
-    """
-
-    __slots__ = ("interval", "callback", "_core", "_pending", "cancelled")
-
-    def __init__(
-        self, core: "FlowSimCore", interval: float, callback: Callback
-    ) -> None:
-        self.interval = interval
-        self.callback = callback
-        self._core = core
-        self._pending: Optional[FlowEvent] = None
-        self.cancelled = False
-
-    def _arm(self, at_time: float) -> None:
-        self._pending = self._core.schedule_at(at_time, self._fire)
-
-    def _fire(self) -> None:
-        if self.cancelled:
-            return
-        self.callback()
-        if not self.cancelled:
-            self._arm(self._core.now + self.interval)
-
-    def cancel(self) -> None:
-        """Stop the recurrence; a pending firing is cancelled too."""
-        self.cancelled = True
-        if self._pending is not None:
-            self._pending.cancel()
-
-
-class FlowSimCore:
-    """Heapq event loop with deterministic tie-breaking.
+class FlowSimCore(EventLoop):
+    """The event loop of a flow-level run.
 
     Unlike the packet-level :class:`~repro.simulator.engine.Simulator`
     the core owns no random generator: the flow-level driver draws all
@@ -97,99 +25,9 @@ class FlowSimCore:
     the event loop stays a pure scheduler.
     """
 
-    def __init__(self) -> None:
-        self._heap: List[FlowEvent] = []
-        self._counter = itertools.count()
-        self._now = 0.0
-        self._stopped = False
-        #: Total non-cancelled events executed across all :meth:`run` calls.
-        self.events_processed = 0
-
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callback) -> FlowEvent:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0.0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self._now + delay, callback)
-
-    def schedule_at(self, time: float, callback: Callback) -> FlowEvent:
-        """Schedule ``callback`` at an absolute simulation time."""
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule in the past (now={self._now}, requested={time})"
-            )
-        event = FlowEvent(time, next(self._counter), callback)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def schedule_periodic(
-        self,
-        interval: float,
-        callback: Callback,
-        start: Optional[float] = None,
-    ) -> PeriodicEvent:
-        """Run ``callback`` every ``interval`` seconds until cancelled.
-
-        The first firing happens at ``start`` (absolute time, default
-        ``now + interval``); subsequent firings follow ``interval``
-        seconds after the previous one completes.
-        """
-        if interval <= 0.0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        periodic = PeriodicEvent(self, interval, callback)
-        periodic._arm(self._now + interval if start is None else start)
-        return periodic
-
-    def pending_events(self) -> int:
-        """Number of events still in the heap (including cancelled ones)."""
-        return len(self._heap)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run(self, until: float) -> None:
-        """Run the event loop until the clock reaches ``until`` seconds.
-
-        With :mod:`repro.telemetry` enabled, the run reports how many
-        events it executed (``flowsim.events_processed`` counter) and
-        its event rate (``flowsim.events_per_s`` histogram).
-        """
-        if until < self._now:
-            raise ValueError("cannot run to a time in the past")
-        self._stopped = False
-        instrumented = telemetry.enabled()
-        started = time.perf_counter() if instrumented else 0.0
-        processed = 0
-        while self._heap and not self._stopped:
-            event = self._heap[0]
-            if event.time > until:
-                break
-            heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            event.callback()
-            processed += 1
-        self._now = max(self._now, until)
-        self.events_processed += processed
-        if instrumented and processed:
-            wall = time.perf_counter() - started
-            telemetry.incr("flowsim.runs")
-            telemetry.incr("flowsim.events_processed", processed)
-            telemetry.observe("flowsim.run_wall", wall)
-            if wall > 0.0:
-                telemetry.observe("flowsim.events_per_s", processed / wall)
-
-    def stop(self) -> None:
-        """Stop the current :meth:`run` after the executing event returns."""
-        self._stopped = True
+    def _report(self, processed: int, wall: float) -> None:
+        telemetry.incr("flowsim.runs")
+        telemetry.incr("flowsim.events_processed", processed)
+        telemetry.observe("flowsim.run_wall", wall)
+        if wall > 0.0:
+            telemetry.observe("flowsim.events_per_s", processed / wall)

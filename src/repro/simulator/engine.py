@@ -1,13 +1,20 @@
-"""Discrete-event simulation engine.
+"""Discrete-event simulation engine: the one event loop of the repo.
 
-A small but complete event-driven kernel in the style of ns-2's scheduler:
-events are ``(time, sequence, callback)`` triples kept in a binary heap;
-the simulator pops them in time order and invokes the callbacks.  Ties are
-broken by insertion order so the simulation is fully deterministic for a
-given seed.
+:class:`EventLoop` is a small event-driven kernel in the style of ns-2's
+scheduler.  It serves both simulators: the packet-level
+:class:`Simulator` (links, queues and protocol agents in the sibling
+modules schedule callbacks on it, and it adds the run's random
+generator) and the flow-level :class:`repro.flowsim.core.FlowSimCore`.
 
-The engine is deliberately free of networking concepts; links, queues and
-protocol agents (in the sibling modules) schedule callbacks on it.
+Heap entries are ``(time, sequence, event)`` tuples.  ``heapq`` then
+orders them by comparing a float and, on equal times, a unique insertion
+counter -- both in C, never reaching the :class:`Event` -- so ties break
+by insertion order and a run is fully deterministic for a given seed.
+
+:meth:`EventLoop.stop` ends the current :meth:`~EventLoop.run` after the
+executing event returns and leaves the clock at that event's time, so
+the events still pending run later at their own times and the clock
+never goes backwards.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from .. import telemetry
 
-__all__ = ["Event", "Simulator"]
+__all__ = ["Event", "PeriodicEvent", "EventLoop", "Simulator"]
 
 Callback = Callable[[], None]
 
@@ -29,11 +36,10 @@ Callback = Callable[[], None]
 class Event:
     """A scheduled callback.  Cancelling sets a flag; the heap entry stays."""
 
-    __slots__ = ("time", "sequence", "callback", "cancelled")
+    __slots__ = ("time", "callback", "cancelled")
 
-    def __init__(self, time: float, sequence: int, callback: Callback) -> None:
+    def __init__(self, time: float, callback: Callback) -> None:
         self.time = time
-        self.sequence = sequence
         self.callback = callback
         self.cancelled = False
 
@@ -41,29 +47,52 @@ class Event:
         """Mark the event as cancelled; it will be skipped when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
 
+class PeriodicEvent:
+    """Handle for a recurring callback; ``cancel()`` stops the recurrence.
 
-class Simulator:
-    """Event-driven simulation kernel.
-
-    Parameters
-    ----------
-    seed:
-        Seed for the simulation-wide random generator.  All stochastic
-        components (RED dropping, Poisson sources, jitter) must draw from
-        :attr:`rng` so a run is reproducible from this single seed.
+    The underlying one-shot event re-arms itself after every firing, so
+    the handle tracks the *current* pending event rather than a fixed
+    one.
     """
 
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._heap: List[Event] = []
+    __slots__ = ("interval", "callback", "_loop", "_pending", "cancelled")
+
+    def __init__(self, loop: "EventLoop", interval: float, callback: Callback) -> None:
+        self.interval = interval
+        self.callback = callback
+        self._loop = loop
+        self._pending: Optional[Event] = None
+        self.cancelled = False
+
+    def _arm(self, at_time: float) -> None:
+        self._pending = self._loop.schedule_at(at_time, self._fire)
+
+    def _fire(self) -> None:
+        if self.cancelled:
+            return
+        self.callback()
+        if not self.cancelled:
+            self._arm(self._loop.now + self.interval)
+
+    def cancel(self) -> None:
+        """Stop the recurrence; a pending firing is cancelled too."""
+        self.cancelled = True
+        if self._pending is not None:
+            self._pending.cancel()
+
+
+class EventLoop:
+    """Heapq event loop with deterministic tie-breaking.
+
+    Subclasses name their telemetry instruments in :meth:`_report`.
+    """
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._stopped = False
-        self.rng = np.random.default_rng(seed)
         #: Total non-cancelled events executed across all :meth:`run` calls.
         self.events_processed = 0
 
@@ -80,19 +109,39 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callback) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0.0:
+        if not delay >= 0.0:  # NaN fails too
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callback) -> Event:
         """Schedule ``callback`` at an absolute simulation time."""
-        if time < self._now:
+        if not time >= self._now:  # NaN fails too
             raise ValueError(
-                f"cannot schedule in the past (now={self._now}, requested={time})"
+                "cannot schedule in the past or at NaN "
+                f"(now={self._now}, requested={time})"
             )
-        event = Event(time, next(self._counter), callback)
-        heapq.heappush(self._heap, event)
+        event = Event(time, callback)
+        heapq.heappush(self._heap, (time, next(self._counter), event))
         return event
+
+    def schedule_periodic(
+        self,
+        interval: float,
+        callback: Callback,
+        start: Optional[float] = None,
+    ) -> PeriodicEvent:
+        """Run ``callback`` every ``interval`` seconds until cancelled.
+
+        The first firing happens at ``start`` (absolute time, default
+        ``now + interval``); subsequent firings follow ``interval``
+        seconds after the previous one completes.  Each re-arm goes
+        through :meth:`schedule_at`.
+        """
+        if not interval > 0.0:
+            raise ValueError(f"interval must be positive, got {interval}")
+        periodic = PeriodicEvent(self, interval, callback)
+        periodic._arm(self._now + interval if start is None else start)
+        return periodic
 
     def pending_events(self) -> int:
         """Number of events still in the heap (including cancelled ones)."""
@@ -102,40 +151,69 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: float) -> None:
-        """Run the simulation until the clock reaches ``until`` seconds.
+        """Run the loop until the clock reaches ``until`` seconds.
 
-        With :mod:`repro.telemetry` enabled, the run reports how many
-        events it executed (``simulator.events`` counter) and its event
-        rate (``simulator.events_per_s`` histogram).  The per-event cost
-        is a single local increment either way -- the timing calls happen
+        With :mod:`repro.telemetry` enabled, the run reports its event
+        count and rate through :meth:`_report`.  The per-event cost is a
+        single local increment either way -- the timing calls happen
         once per :meth:`run`, never inside the loop.
         """
-        if until < self._now:
-            raise ValueError("cannot run to a time in the past")
+        if not until >= self._now:
+            raise ValueError(
+                f"cannot run to a time in the past (now={self._now}, until={until})"
+            )
         self._stopped = False
         instrumented = telemetry.enabled()
         started = time.perf_counter() if instrumented else 0.0
+        heap = self._heap
+        pop = heapq.heappop
         processed = 0
-        while self._heap and not self._stopped:
-            event = self._heap[0]
-            if event.time > until:
+        while heap and not self._stopped:
+            when, _, event = heap[0]
+            if when > until:
                 break
-            heapq.heappop(self._heap)
+            pop(heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = when
             event.callback()
             processed += 1
-        self._now = max(self._now, until)
+        if not self._stopped:
+            self._now = until
         self.events_processed += processed
         if instrumented and processed:
-            wall = time.perf_counter() - started
-            telemetry.incr("simulator.runs")
-            telemetry.incr("simulator.events", processed)
-            telemetry.observe("simulator.run_wall", wall)
-            if wall > 0.0:
-                telemetry.observe("simulator.events_per_s", processed / wall)
+            self._report(processed, time.perf_counter() - started)
 
     def stop(self) -> None:
-        """Stop the current :meth:`run` after the executing event returns."""
+        """Stop the current :meth:`run` after the executing event returns.
+
+        The clock stays at that event's time; pending events remain
+        scheduled for the next :meth:`run`.
+        """
         self._stopped = True
+
+    def _report(self, processed: int, wall: float) -> None:
+        """Publish one instrumented run's event count and wall time."""
+
+
+class Simulator(EventLoop):
+    """Packet-level event loop with the run's random generator.
+
+    Parameters
+    ----------
+    seed:
+        Seed for the simulation-wide random generator.  All stochastic
+        components (RED dropping, Poisson sources, jitter) must draw from
+        :attr:`rng` so a run is reproducible from this single seed.
+    """
+
+    def __init__(self, seed: Optional[int] = None) -> None:
+        super().__init__()
+        self.rng = np.random.default_rng(seed)
+
+    def _report(self, processed: int, wall: float) -> None:
+        telemetry.incr("simulator.runs")
+        telemetry.incr("simulator.events", processed)
+        telemetry.observe("simulator.run_wall", wall)
+        if wall > 0.0:
+            telemetry.observe("simulator.events_per_s", processed / wall)

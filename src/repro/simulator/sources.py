@@ -199,6 +199,9 @@ class AudioSource:
         self.comprehensive = bool(comprehensive)
         self.stats = FlowStats(flow_id=flow_id, label=self.label)
         self.estimator = MovingAverageEstimator(tfrc_weights(history_length))
+        # One-entry memo of f: (estimate, f(1/estimate)).
+        self._memo_estimate: Optional[float] = None
+        self._memo_rate = 0.0
 
         self._packets_since_loss = 0
         self._had_first_loss = False
@@ -217,7 +220,13 @@ class AudioSource:
             estimate = self.estimator.provisional_estimate(
                 float(self._packets_since_loss)
             )
-        return float(self.formula.rate_of_interval(max(estimate, 1e-9)))
+        estimate = max(estimate, 1e-9)
+        # The estimate repeats exactly between loss events whenever the
+        # open interval does not raise it; f is a pure function of it.
+        if estimate != self._memo_estimate:
+            self._memo_rate = float(self.formula.rate_of_interval(estimate))
+            self._memo_estimate = estimate
+        return self._memo_rate
 
     def _emit_packet(self) -> None:
         rate = self._current_rate()

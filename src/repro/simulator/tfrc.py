@@ -91,6 +91,9 @@ class TfrcSender:
 
         self.estimator = MovingAverageEstimator(tfrc_weights(history_length))
         self.history_length = int(history_length)
+        # One-entry memo of f: (loss rate, f(loss rate)).
+        self._memo_loss_rate: Optional[float] = None
+        self._memo_formula_rate = 0.0
 
         # Rate state.
         self.rate = 1.0 / max(self.access_delay, 1e-3)  # ~1 packet per RTT.
@@ -160,8 +163,12 @@ class TfrcSender:
     def _formula_rate(self) -> float:
         """Rate from ``f(p, r)`` rescaled to the live RTT estimate."""
         loss_rate = self._loss_event_rate()
-        base = float(self.formula.rate(loss_rate))
-        return base * self.formula.rtt / self.current_rtt
+        # Between loss events p often repeats exactly (about half the
+        # evaluations in the ns-2 scenario); f is a pure function of p.
+        if loss_rate != self._memo_loss_rate:
+            self._memo_formula_rate = float(self.formula.rate(loss_rate))
+            self._memo_loss_rate = loss_rate
+        return self._memo_formula_rate * self.formula.rtt / self.current_rtt
 
     def _update_rate(self) -> None:
         if self.in_slow_start:

@@ -685,19 +685,21 @@ class TestDumbbellBatchRunner:
 
 
 class TestFlatDumbbellDeprecation:
-    """The pre-registry flat dumbbell parameter form is deprecated."""
+    """The pre-registry flat dumbbell parameter form is gone."""
 
-    def test_flat_parameters_warn(self):
-        import warnings
+    def test_flat_parameters_rejected(self):
+        from repro.experiments.registry import run_dumbbell_batch, run_dumbbell_scenario
 
-        from repro.experiments.registry import run_dumbbell_scenario
+        flat = {"family": "ns2", "num_connections": 1, "duration": 15.0}
+        for runner in (run_dumbbell_scenario, run_dumbbell_batch):
+            with pytest.raises(ValueError, match="'scenario' component config"):
+                runner(dict(flat), seed=5)
 
-        with pytest.warns(DeprecationWarning, match="scenario"):
-            value = run_dumbbell_scenario(
-                {"family": "ns2", "num_connections": 1, "duration": 15.0},
-                seed=5,
-            )
-        assert value["family"] == "ns2"  # still runs, just noisily
+        spec = ExperimentSpec(name="flat-dumbbell", runner="dumbbell",
+                              base=flat, grid={}, seed=5)
+        campaign = ExperimentRunner(workers=1).run(spec)
+        assert [result.status for result in campaign.results] == ["error"]
+        assert "'scenario' component config" in campaign.results[0].error
 
     def test_scenario_config_does_not_warn(self):
         import warnings

@@ -1,11 +1,11 @@
 """Tests for the flow-level simulator (repro.flowsim).
 
-Covers the discrete-event core (ordering, periodic events, cancellation),
-seed determinism of whole runs, the JSONL export round-trip, generator
+Covers seed determinism of whole runs, the JSONL export round-trip, generator
 validation and behaviour, agreement between the sampled mean flow rate
 and the formula's steady-state prediction, and the ``flowsim-scale``
 campaign preset's acceptance criteria (10k concurrent flows, 100
-simulated seconds, seconds of wall-clock).
+simulated seconds, seconds of wall-clock).  The discrete-event core is
+the shared event loop; its contract is in ``test_engine_contract.py``.
 """
 
 import time
@@ -19,7 +19,6 @@ from repro.flowsim import (
     FixedPopulationGenerator,
     FlowRecord,
     FlowSimConfig,
-    FlowSimCore,
     Flowlet,
     OnOffGenerator,
     PoissonArrivalsGenerator,
@@ -29,83 +28,6 @@ from repro.flowsim import (
     write_flow_records,
     write_flowlets,
 )
-
-
-# ----------------------------------------------------------------------
-# Discrete-event core
-# ----------------------------------------------------------------------
-class TestFlowSimCore:
-    def test_events_run_in_time_order(self):
-        core = FlowSimCore()
-        order = []
-        core.schedule(3.0, lambda: order.append("c"))
-        core.schedule(1.0, lambda: order.append("a"))
-        core.schedule(2.0, lambda: order.append("b"))
-        core.run(until=10.0)
-        assert order == ["a", "b", "c"]
-        assert core.now == 10.0
-        assert core.events_processed == 3
-
-    def test_ties_break_by_insertion_order(self):
-        core = FlowSimCore()
-        order = []
-        for label in ("first", "second", "third"):
-            core.schedule(5.0, lambda label=label: order.append(label))
-        core.run(until=5.0)
-        assert order == ["first", "second", "third"]
-
-    def test_cancelled_event_is_skipped(self):
-        core = FlowSimCore()
-        fired = []
-        event = core.schedule(1.0, lambda: fired.append("cancelled"))
-        core.schedule(2.0, lambda: fired.append("kept"))
-        event.cancel()
-        core.run(until=5.0)
-        assert fired == ["kept"]
-        assert core.events_processed == 1
-
-    def test_events_beyond_horizon_stay_pending(self):
-        core = FlowSimCore()
-        fired = []
-        core.schedule(1.0, lambda: fired.append("near"))
-        core.schedule(100.0, lambda: fired.append("far"))
-        core.run(until=10.0)
-        assert fired == ["near"]
-        assert core.pending_events() == 1
-        core.run(until=100.0)
-        assert fired == ["near", "far"]
-
-    def test_periodic_event_fires_every_interval(self):
-        core = FlowSimCore()
-        times = []
-        core.schedule_periodic(2.0, lambda: times.append(core.now))
-        core.run(until=10.0)
-        assert times == [2.0, 4.0, 6.0, 8.0, 10.0]
-
-    def test_periodic_cancel_stops_recurrence(self):
-        core = FlowSimCore()
-        times = []
-        handle = core.schedule_periodic(1.0, lambda: times.append(core.now))
-        core.schedule(3.5, handle.cancel)
-        core.run(until=10.0)
-        assert times == [1.0, 2.0, 3.0]
-
-    def test_rejects_scheduling_in_the_past(self):
-        core = FlowSimCore()
-        core.schedule(1.0, lambda: core.stop())
-        core.run(until=1.0)
-        with pytest.raises(ValueError):
-            core.schedule_at(0.5, lambda: None)
-        with pytest.raises(ValueError):
-            core.schedule(-1.0, lambda: None)
-
-    def test_stop_halts_the_loop(self):
-        core = FlowSimCore()
-        fired = []
-        core.schedule(1.0, lambda: (fired.append("a"), core.stop()))
-        core.schedule(2.0, lambda: fired.append("b"))
-        core.run(until=10.0)
-        assert fired == ["a"]
 
 
 # ----------------------------------------------------------------------

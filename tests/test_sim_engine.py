@@ -1,4 +1,4 @@
-"""Unit tests for the discrete-event engine and queue disciplines."""
+"""Unit tests for the packet-level simulator's RNG and queue disciplines."""
 
 import numpy as np
 import pytest
@@ -12,77 +12,8 @@ def make_packet(flow_id=0, sequence=0, size=1000, time=0.0):
 
 
 class TestSimulator:
-    def test_events_run_in_time_order(self):
-        simulator = Simulator(seed=1)
-        order = []
-        simulator.schedule(2.0, lambda: order.append("late"))
-        simulator.schedule(1.0, lambda: order.append("early"))
-        simulator.schedule(1.5, lambda: order.append("middle"))
-        simulator.run(until=3.0)
-        assert order == ["early", "middle", "late"]
-
-    def test_ties_broken_by_insertion_order(self):
-        simulator = Simulator(seed=1)
-        order = []
-        simulator.schedule(1.0, lambda: order.append("first"))
-        simulator.schedule(1.0, lambda: order.append("second"))
-        simulator.run(until=2.0)
-        assert order == ["first", "second"]
-
-    def test_clock_advances_to_until(self):
-        simulator = Simulator(seed=1)
-        simulator.run(until=5.0)
-        assert simulator.now == pytest.approx(5.0)
-
-    def test_events_beyond_until_not_run(self):
-        simulator = Simulator(seed=1)
-        fired = []
-        simulator.schedule(10.0, lambda: fired.append(True))
-        simulator.run(until=5.0)
-        assert not fired
-        simulator.run(until=15.0)
-        assert fired
-
-    def test_cancelled_event_skipped(self):
-        simulator = Simulator(seed=1)
-        fired = []
-        event = simulator.schedule(1.0, lambda: fired.append(True))
-        event.cancel()
-        simulator.run(until=2.0)
-        assert not fired
-
-    def test_events_can_schedule_events(self):
-        simulator = Simulator(seed=1)
-        times = []
-
-        def chain():
-            times.append(simulator.now)
-            if len(times) < 3:
-                simulator.schedule(1.0, chain)
-
-        simulator.schedule(1.0, chain)
-        simulator.run(until=10.0)
-        assert times == pytest.approx([1.0, 2.0, 3.0])
-
-    def test_stop_halts_run(self):
-        simulator = Simulator(seed=1)
-        fired = []
-        simulator.schedule(1.0, simulator.stop)
-        simulator.schedule(2.0, lambda: fired.append(True))
-        simulator.run(until=5.0)
-        assert not fired
-
-    def test_negative_delay_rejected(self):
-        simulator = Simulator(seed=1)
-        with pytest.raises(ValueError):
-            simulator.schedule(-1.0, lambda: None)
-
-    def test_scheduling_in_the_past_rejected(self):
-        simulator = Simulator(seed=1)
-        simulator.run(until=5.0)
-        with pytest.raises(ValueError):
-            simulator.schedule_at(1.0, lambda: None)
-
+    # The event-loop contract shared with FlowSimCore is in
+    # test_engine_contract.py.
     def test_seeded_rng_is_reproducible(self):
         values_a = Simulator(seed=42).rng.random(5)
         values_b = Simulator(seed=42).rng.random(5)
