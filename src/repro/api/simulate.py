@@ -43,11 +43,8 @@ import numpy as np
 from .. import telemetry
 from ..lossprocess.base import make_rng
 from ..lossprocess.iid import ShiftedExponentialIntervals
-from ..montecarlo.basic import analytic_basic_throughput, simulate_basic_control
-from ..montecarlo.comprehensive import (
-    analytic_comprehensive_throughput,
-    simulate_comprehensive_control,
-)
+from ..montecarlo.basic import simulate_basic_control
+from ..montecarlo.comprehensive import simulate_comprehensive_control
 from ..montecarlo.sweeps import derive_point_seed
 from ..montecarlo.vectorized import (
     evaluate_control_arrays,
@@ -151,6 +148,10 @@ class SimConfig:
             )
         if self.num_events < 10:
             raise ValueError("num_events must be at least 10")
+        if self.method == "analytic" and self.num_events < 100:
+            raise ValueError(
+                "method='analytic' needs num_events of at least 100"
+            )
 
     # ------------------------------------------------------------------
     # Component resolution
@@ -261,20 +262,23 @@ def _simulate_resolved(config: SimConfig) -> SimResult:
         estimator_cv = float(outcome.estimator_cv)
     else:
         _require_iid(process)
-        integrate = (
-            analytic_comprehensive_throughput
-            if comprehensive
-            else analytic_basic_throughput
+        normalized_weights = _normalized_weight_array(weights)
+        draws, intervals = _analytic_point_samples(
+            process, config.num_events, normalized_weights.size, config.seed
         )
-        throughput = float(
-            integrate(
-                formula,
-                process,
-                num_samples=config.num_events,
-                weights=weights,
-                seed=config.seed,
+        if comprehensive:
+            estimates, next_estimates = analytic_window_estimates(
+                draws, intervals, weights
             )
-        )
+            throughputs = comprehensive_throughput_rows(
+                formula, intervals, estimates, next_estimates,
+                float(normalized_weights[0]),
+            )
+        else:
+            throughputs = basic_throughput_rows(
+                formula, intervals, draws @ normalized_weights
+            )
+        throughput = float(throughputs)
         nominal = process.loss_event_rate
         normalized = throughput / float(formula.rate(nominal))
         empirical = float("nan")
@@ -352,9 +356,8 @@ class BatchConfig:
         if self.num_events < 10:
             raise ValueError("num_events must be at least 10")
         if self.method == "analytic" and self.num_events < 100:
-            # The scalar analytic entry points reject num_samples < 100;
-            # the batch must not accept grids its scalar equivalent
-            # would fail point for point.
+            # Same floor as SimConfig: the batch must not accept grids
+            # its scalar equivalent would fail point for point.
             raise ValueError(
                 "method='analytic' needs num_events of at least 100"
             )
@@ -606,7 +609,7 @@ def _per_point_arrays(
 
 
 def _normalized_weight_array(weights: np.ndarray) -> np.ndarray:
-    """The scalar analytic entry points' weight normalisation, verbatim."""
+    """The analytic paths' weight normalisation: unit sum."""
     weight_array = np.asarray(list(weights), dtype=float)
     return weight_array / weight_array.sum()
 
@@ -614,11 +617,12 @@ def _normalized_weight_array(weights: np.ndarray) -> np.ndarray:
 def _analytic_point_samples(
     process: Any, num_samples: int, window: int, seed: Optional[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw one point's integration sample exactly as the scalar path.
+    """Draw one point's integration sample, shared by both analytic paths.
 
-    Same generator, same draw order (``num_samples * window`` window
+    One generator, one draw order (``num_samples * window`` window
     entries first, then ``num_samples`` next intervals), so a matched
-    seed reproduces the scalar result.
+    seed gives :func:`simulate` and :func:`simulate_batch` the same
+    sample.
     """
     rng = make_rng(seed)
     draws = process.sample_intervals(num_samples * window, rng).reshape(

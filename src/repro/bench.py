@@ -295,11 +295,12 @@ def _bench_prediction_service() -> Dict[str, Any]:
 
 @register_benchmark(
     "shortflow-batch",
-    "vectorised CSA00 short-flow latency surface through the batched "
-    "campaign path (40 sizes x 30 loss rates x 2 RTTs)",
+    "CSA00 short-flow latency surface through the experiments runner, "
+    "one in-process closed-form point each (40 sizes x 30 loss rates x "
+    "2 RTTs)",
 )
 def _bench_shortflow_batch() -> Dict[str, Any]:
-    from .experiments import ExperimentSpec, run_campaign_batched
+    from .experiments import ExperimentRunner, ExperimentSpec
 
     spec = ExperimentSpec(
         name="bench-shortflow",
@@ -314,9 +315,9 @@ def _bench_shortflow_batch() -> Dict[str, Any]:
             "rtt": [0.05, 0.2],
         },
         seed=2000,
-        description="shortflow batched-path benchmark grid",
+        description="shortflow campaign benchmark grid",
     )
-    campaign = run_campaign_batched(spec)
+    campaign = ExperimentRunner().run(spec)
     campaign.raise_errors()
     return {"rows": campaign.num_points}
 

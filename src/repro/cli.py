@@ -75,7 +75,6 @@ from .experiments import (
     ExperimentSpec,
     preset,
     preset_names,
-    run_campaign_batched,
 )
 from .montecarlo import sweep_loss_event_rate
 from .simulator import AudioSource, Simulator, ns2_config, run_dumbbell
@@ -416,26 +415,17 @@ def _command_experiments_run(arguments: argparse.Namespace) -> int:
     if arguments.telemetry:
         telemetry.enable(fresh=True)
 
-    runner = None
-    if arguments.batched:
-        if arguments.store:
-            raise SystemExit(
-                "experiments run --batched does not take --store; result "
-                "caching stays with the per-point runner"
+    def progress(completed: int, total: int, result) -> None:
+        if not arguments.quiet:
+            print(
+                f"[{completed}/{total}] point {result.point.index} "
+                f"{result.point.axes} -> {result.status}"
             )
-        campaign = run_campaign_batched(spec, workers=arguments.workers)
-    else:
-        def progress(completed: int, total: int, result) -> None:
-            if not arguments.quiet:
-                print(
-                    f"[{completed}/{total}] point {result.point.index} "
-                    f"{result.point.axes} -> {result.status}"
-                )
 
-        runner = ExperimentRunner(
-            workers=arguments.workers, store=arguments.store, progress=progress
-        )
-        campaign = runner.run(spec, force=arguments.force)
+    runner = ExperimentRunner(
+        workers=arguments.workers, store=arguments.store, progress=progress
+    )
+    campaign = runner.run(spec, force=arguments.force)
 
     rows = []
     for result in campaign.results:
@@ -463,11 +453,12 @@ def _command_experiments_run(arguments: argparse.Namespace) -> int:
         f"{campaign.num_failed} failed "
         f"({campaign.num_executed} fresh, {campaign.num_cached} cached)"
     )
-    if runner is not None and runner.store is not None:
+    if runner.store is not None:
         stats = runner.store.stats
         print(
             f"store: {stats['hits']} hits, {stats['misses']} misses, "
-            f"{stats['retries']} retries, {stats['puts']} puts"
+            f"{stats['retries']} retries, {stats['puts']} puts, "
+            f"{stats['skipped']} skipped"
         )
     if arguments.telemetry:
         counters = telemetry.snapshot().get("counters", {})
@@ -589,15 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
     experiments_run.add_argument("--spec", default=None,
                                  help="path to a spec JSON file")
     experiments_run.add_argument("--workers", type=int, default=None,
-                                 help="process count (default: serial)")
+                                 help="process count (default: serial); "
+                                      "montecarlo and shortflow campaigns "
+                                      "always run in-process")
     experiments_run.add_argument("--store", default=None,
                                  help="JSONL result store path (enables caching)")
     experiments_run.add_argument("--force", action="store_true",
                                  help="re-run points even when cached")
-    experiments_run.add_argument("--batched", action="store_true",
-                                 help="route eligible grids through the "
-                                      "vectorised kernels (matched seeds); "
-                                      "others fall back to the process pool")
     experiments_run.add_argument("--quiet", action="store_true",
                                  help="suppress per-point progress lines")
     experiments_run.add_argument("--telemetry", action="store_true",

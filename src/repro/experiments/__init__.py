@@ -5,7 +5,9 @@ data: an :class:`ExperimentSpec` names a runner kind and a parameter
 grid, :class:`ExperimentRunner` expands and executes it (serially or on a
 process pool, with per-point failure isolation), and :class:`ResultStore`
 persists every point under a content-addressed key so re-runs are cache
-hits.  Named presets reproduce the paper's figure scenarios::
+hits.  Montecarlo and shortflow campaigns always run in-process: their
+points cost less than a pool's start-up and pickling.  Named presets
+reproduce the paper's figure scenarios::
 
     from repro.experiments import ExperimentRunner, preset
 
@@ -22,9 +24,7 @@ from .registry import (
     preset_names,
     register_runner,
     resolve_runner,
-    run_campaign_batched,
     runner_kinds,
-    spec_to_batch_config,
 )
 from .runner import CampaignResult, ExperimentRunner, PointResult, execute_point
 from .spec import ExperimentPoint, ExperimentSpec, grid
@@ -54,8 +54,6 @@ __all__ = [
     "register_runner",
     "resolve_runner",
     "runner_kinds",
-    "spec_to_batch_config",
-    "run_campaign_batched",
     "preset",
     "preset_names",
     "PRESETS",

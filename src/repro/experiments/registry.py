@@ -37,27 +37,24 @@ component API in :mod:`repro.api`:
 
 Custom kinds can be registered with :func:`register_runner`; the function
 must live at module level so it survives pickling into worker processes.
+:data:`IN_PROCESS_KINDS` names the built-in kinds whose points are too
+cheap for a process pool; the runner keeps those in the calling process.
 
 :func:`preset` returns ready-made :class:`~repro.experiments.spec.
-ExperimentSpec` campaigns for the paper's figure scenarios, and
-:func:`run_campaign_batched` is the batched campaign front-end: specs
-whose grid is expressible as an :class:`~repro.api.simulate.BatchConfig`
-(the montecarlo / analytic numerical-experiment grids) are fanned
-through the vectorised kernels of :func:`repro.api.simulate_batch`,
-everything else falls back to the :class:`~repro.experiments.runner.
-ExperimentRunner` process pool.
+ExperimentSpec` campaigns for the paper's figure scenarios.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..api.components import FORMULAS, LATENCY_MODELS, SCENARIOS
-from ..api.simulate import BatchConfig, SimConfig
+from ..api.simulate import SimConfig
 from ..api.simulate import simulate as _simulate_point
-from ..api.simulate import simulate_batch as _simulate_batch
+# Unused here; bound so perfbench's traced pass can still wrap it by name.
+from ..api.simulate import simulate_batch as _simulate_batch  # noqa: F401
 from ..core.formulas import PftkStandardFormula
 from ..montecarlo.sweeps import (
     FIGURE3_CV,
@@ -72,8 +69,7 @@ __all__ = [
     "register_runner",
     "resolve_runner",
     "runner_kinds",
-    "spec_to_batch_config",
-    "spec_to_shortflow_axes",
+    "IN_PROCESS_KINDS",
     "run_campaign_batched",
     "preset",
     "preset_names",
@@ -489,328 +485,20 @@ register_runner("flowsim", run_flowsim_scenario)
 register_runner("shortflow", run_shortflow_point)
 
 
-# ----------------------------------------------------------------------
-# Batched campaign front-end
-# ----------------------------------------------------------------------
-_BATCHABLE_RUNNERS = {
-    "montecarlo-basic": "basic",
-    "montecarlo-comprehensive": "comprehensive",
-}
-_BATCH_AXIS_NAMES = frozenset(
-    {"history_length", "loss_event_rate", "coefficient_of_variation",
-     "loss_process"}
+#: Kinds whose points cost less than a process pool's start-up and
+#: pickling: a Monte-Carlo point is one kernel call, a short-flow point a
+#: closed form.  :class:`~repro.experiments.runner.ExperimentRunner` runs
+#: them serially in the calling process whatever its ``workers`` says.
+IN_PROCESS_KINDS = frozenset(
+    {"montecarlo-basic", "montecarlo-comprehensive", "shortflow"}
 )
-_BATCH_BASE_KEYS = frozenset(
-    {"formula", "num_events", "method", "history_length", "loss_event_rate",
-     "coefficient_of_variation", "loss_process"}
-)
-
-
-def spec_to_batch_config(spec: ExperimentSpec) -> Optional[BatchConfig]:
-    """Translate an eligible campaign spec into a matched-seed batch.
-
-    Returns a ``share_noise=False`` :class:`~repro.api.simulate.
-    BatchConfig` whose per-point seeds equal the spec expansion's (so the
-    vectorised grid reproduces the process-pool campaign point for
-    point), or ``None`` when the spec is not batchable: non-montecarlo
-    runners, axes or base parameters outside the numerical-experiment
-    set, or axis values whose types the batch would coerce (an integer
-    ``1`` where the batch derives from ``1.0`` canonicalises differently
-    inside ``derive_point_seed``, silently reseeding the point).
-    Single-valued *grid* axes batch too: the returned config pins its
-    ``seed_axes`` to the spec's grid keys, so they keep entering seed
-    derivation exactly as the spec expansion does.
-    """
-    control = _BATCHABLE_RUNNERS.get(spec.runner)
-    if control is None:
-        return None
-    if set(spec.grid) - _BATCH_AXIS_NAMES:
-        return None
-    if set(spec.base) - _BATCH_BASE_KEYS:
-        return None
-    if "formula" not in spec.base:
-        return None
-
-    def axis(name: str) -> Optional[List[Any]]:
-        if name in spec.grid:
-            return list(spec.grid[name])
-        if name in spec.base:
-            return [spec.base[name]]
-        return None
-
-    processes = axis("loss_process")
-    rates = axis("loss_event_rate")
-    cvs = axis("coefficient_of_variation")
-    if processes is not None and (rates is not None or cvs is not None):
-        return None  # the montecarlo runner rejects this combination
-    if processes is None and (rates is None or cvs is None):
-        return None  # the classic form requires both axes, like the runner
-    lengths = axis("history_length") or [8]
-
-    # Seed fidelity: the batch derives seeds from int window lengths and
-    # float rate/cv values.  A *grid* value of a different type (e.g. the
-    # int 1 a JSON spec naturally carries for cv) canonicalises
-    # differently inside derive_point_seed, so such specs must fall back
-    # to the per-point runner rather than silently reseed.  Base values
-    # are single-valued axes, excluded from both derivations.
-    expected_types = {
-        "history_length": lambda v: isinstance(v, int)
-        and not isinstance(v, bool),
-        "loss_event_rate": lambda v: isinstance(v, float),
-        "coefficient_of_variation": lambda v: isinstance(v, float),
-        # Process *instances* canonicalise via str() in the spec path but
-        # via their canonical config dict in the batch path; only data
-        # configs derive identically on both sides.
-        "loss_process": lambda v: isinstance(v, (str, Mapping)),
-    }
-    for name, values in spec.grid.items():
-        check = expected_types.get(name)
-        if check is not None and not all(check(value) for value in values):
-            return None
-    try:
-        return BatchConfig(
-            formulas=[spec.base["formula"]],
-            history_lengths=list(lengths),
-            loss_event_rates=None if processes is not None else list(rates),
-            coefficients_of_variation=(
-                None if processes is not None else list(cvs)
-            ),
-            loss_processes=processes,
-            control=control,
-            method=str(spec.base.get("method", "montecarlo")),
-            num_events=int(spec.base.get("num_events", 40_000)),
-            seed=spec.seed,
-            share_noise=False,
-            seed_axes=sorted(spec.grid),
-        )
-    except ValueError:
-        # Config-level validation failures (e.g. an analytic spec whose
-        # num_events is below the scalar floor) go to the per-point
-        # runner, which records them as error rows point by point.
-        return None
-
-
-_SHORTFLOW_AXIS_NAMES = frozenset({"transfer_size", "loss_event_rate", "rtt"})
-_SHORTFLOW_BASE_KEYS = _SHORTFLOW_AXIS_NAMES | {"latency_model", "formula"}
-
-
-def spec_to_shortflow_axes(
-    spec: ExperimentSpec,
-) -> Optional[Dict[str, List[float]]]:
-    """Translate an eligible shortflow campaign into vectorisable axes.
-
-    The latency models are closed-form and seedless, so -- unlike
-    :func:`spec_to_batch_config` -- there is no seed-fidelity constraint:
-    any ``shortflow`` spec whose grid stays on the (transfer size,
-    loss-event rate, RTT) axes is batchable, and the vectorised grid
-    reproduces the per-point runner exactly.  Returns the expanded axis
-    values (``rtt`` defaults to ``[nan]`` meaning "whatever the configs
-    carry"), or ``None`` when the spec needs the process pool.
-    """
-    if spec.runner != "shortflow":
-        return None
-    if set(spec.grid) - _SHORTFLOW_AXIS_NAMES:
-        return None
-    if set(spec.base) - _SHORTFLOW_BASE_KEYS:
-        return None
-
-    def axis(name: str) -> Optional[List[float]]:
-        if name in spec.grid:
-            return [float(value) for value in spec.grid[name]]
-        if name in spec.base:
-            return [float(spec.base[name])]
-        return None
-
-    sizes = axis("transfer_size")
-    rates = axis("loss_event_rate")
-    if sizes is None or rates is None:
-        return None
-    rtts = axis("rtt")
-    return {
-        "transfer_size": sizes,
-        "loss_event_rate": rates,
-        # None means "whatever RTT the component configs carry"; nan
-        # would break the row lookup (nan != nan as a dict key).
-        "rtt": rtts if rtts is not None else [None],
-    }
-
-
-def _run_shortflow_batched(spec: ExperimentSpec, axes: Dict[str, List[float]]):
-    """Evaluate a shortflow campaign as vectorised numpy grids.
-
-    One ``components`` call per RTT value covers the whole (transfer
-    size, loss-event rate) plane; the rows are then re-emitted in
-    spec-expansion order.  Raises on any model/formula construction or
-    domain error -- the caller falls back to the pool, which records the
-    failure point by point.
-    """
-    import numpy as np
-
-    from .. import telemetry
-    from .runner import CampaignResult, PointResult
-
-    sizes = np.asarray(axes["transfer_size"], dtype=float)
-    rates = np.asarray(axes["loss_event_rate"], dtype=float)
-
-    with telemetry.span("shortflow.batch", rtts=len(axes["rtt"])) as span:
-        rows: Dict[Any, Dict[str, Any]] = {}
-        for rtt in axes["rtt"]:
-            params = dict(spec.base)
-            if rtt is not None:
-                params["rtt"] = rtt
-            model, formula = _shortflow_model_and_formula(params)
-            components = (
-                model.components(sizes[:, None], rates[None, :])
-                if hasattr(model, "components")
-                else {"latency": model.latency(sizes[:, None], rates[None, :])}
-            )
-            steady_state = (
-                formula.rate(rates) if formula is not None else None
-            )
-            for i, size in enumerate(axes["transfer_size"]):
-                for j, rate in enumerate(axes["loss_event_rate"]):
-                    value: Dict[str, Any] = {
-                        "transfer_size": size,
-                        "loss_event_rate": rate,
-                        "rtt": float(model.rtt),
-                        "transfer_rate": float(
-                            size / components["latency"][i, j]
-                        ),
-                    }
-                    for name, component in components.items():
-                        value[name] = float(component[i, j])
-                    if steady_state is not None:
-                        value["steady_state_rate"] = float(steady_state[j])
-                        value["rate_ratio"] = (
-                            value["transfer_rate"] / value["steady_state_rate"]
-                            if value["steady_state_rate"] > 0
-                            else float("nan")
-                        )
-                    rows[(size, rate, rtt)] = value
-
-        campaign = CampaignResult(spec=spec)
-        for point in spec.expand():
-            key = (
-                float(point.params["transfer_size"]),
-                float(point.params["loss_event_rate"]),
-                float(point.params["rtt"]) if "rtt" in point.params else None,
-            )
-            campaign.results.append(
-                PointResult(point=point, status="ok", value=rows[key])
-            )
-        span.set("items", len(campaign.results))
-        telemetry.incr("shortflow.points", len(campaign.results))
-    return campaign
 
 
 def run_campaign_batched(spec: ExperimentSpec, workers: Optional[int] = None):
-    """Run a campaign through the vectorised kernels where eligible.
+    """Alias of ``ExperimentRunner(workers=workers).run(spec)``."""
+    from .runner import ExperimentRunner
 
-    Specs that :func:`spec_to_batch_config` can express are evaluated in
-    one :func:`repro.api.simulate_batch` call (montecarlo or analytic
-    kernels, matched per-point seeds); anything else -- dumbbell /
-    dumbbell-batch / audio campaigns, custom runners, grids outside the
-    batch axes -- falls back to the
-    :class:`~repro.experiments.runner.ExperimentRunner` process pool
-    with ``workers`` processes.  Returns a
-    :class:`~repro.experiments.runner.CampaignResult` either way, in
-    grid-expansion order.  Result caching stays with the pool path: pass
-    a store to :class:`ExperimentRunner` directly when persistence
-    matters more than batch speed.
-    """
-    from .runner import CampaignResult, ExperimentRunner, PointResult
-
-    shortflow_axes = spec_to_shortflow_axes(spec)
-    if shortflow_axes is not None:
-        try:
-            return _run_shortflow_batched(spec, shortflow_axes)
-        # noqa: BLE001 - any grid failure falls back to the pool
-        except Exception:
-            # Same contract as the montecarlo batch below: a whole-grid
-            # evaluation has no per-point isolation (one out-of-domain
-            # loss rate would abort every point), so re-run through the
-            # pool, which records bad points as error rows.
-            return ExperimentRunner(workers=workers).run(spec)
-
-    config = spec_to_batch_config(spec)
-    if config is None:
-        return ExperimentRunner(workers=workers).run(spec)
-
-    try:
-        batch = _simulate_batch(config)
-    # noqa: BLE001 - any grid-kernel failure falls back to the pool
-    except Exception:
-        # A whole-grid evaluation has no per-point isolation: one bad
-        # point (a correlated process under method="analytic", a
-        # Prop-3-incompatible formula, ...) would abort every point.
-        # Re-run through the pool, which records that point as an
-        # error row and completes the rest -- the campaign contract.
-        return ExperimentRunner(workers=workers).run(spec)
-    points = spec.expand()
-    # simulate_batch iterates history lengths, then formulas (one here),
-    # then grid points in _batch_points order; index the results by
-    # (history length, point) to re-emit them in spec-expansion order.
-    num_points = (
-        len(config.loss_processes)
-        if config.loss_processes is not None
-        else len(config.loss_event_rates) * len(config.coefficients_of_variation)
-    )
-    by_axes: Dict[Any, Any] = {}
-    for index, result in enumerate(batch.results):
-        length_index = index // num_points
-        point_index = index % num_points
-        if config.loss_processes is not None:
-            point_key = ("loss_process", point_index)
-        else:
-            rate_index = point_index // len(config.coefficients_of_variation)
-            cv_index = point_index % len(config.coefficients_of_variation)
-            point_key = (
-                config.loss_event_rates[rate_index],
-                config.coefficients_of_variation[cv_index],
-            )
-        by_axes[(config.history_lengths[length_index], point_key)] = result
-
-    campaign = CampaignResult(spec=spec)
-    for point in points:
-        length = int(point.params.get("history_length", 8))
-        if config.loss_processes is not None:
-            point_key = (
-                "loss_process",
-                config.loss_processes.index(point.params["loss_process"]),
-            )
-        else:
-            point_key = (
-                float(point.params["loss_event_rate"]),
-                float(point.params["coefficient_of_variation"]),
-            )
-        result = by_axes[(length, point_key)]
-        value = {
-            "loss_event_rate": (
-                float(point.params["loss_event_rate"])
-                if "loss_event_rate" in point.params
-                else result.loss_event_rate
-            ),
-            "coefficient_of_variation": (
-                float(point.params["coefficient_of_variation"])
-                if "coefficient_of_variation" in point.params
-                else None
-            ),
-            "history_length": int(result.history_length),
-            "normalized_throughput": float(result.normalized_throughput),
-            "throughput": float(result.throughput),
-            "interval_estimate_covariance": float(
-                result.interval_estimate_covariance
-            ),
-            "estimator_cv": float(result.estimator_cv),
-            "empirical_loss_event_rate": float(
-                result.empirical_loss_event_rate
-            ),
-            "num_events": int(result.num_events),
-        }
-        campaign.results.append(
-            PointResult(point=point, status="ok", value=value)
-        )
-    return campaign
+    return ExperimentRunner(workers=workers).run(spec)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,10 @@
 :class:`ExperimentRunner` executes the points of an
 :class:`~repro.experiments.spec.ExperimentSpec` either serially (in
 process) or in parallel through a
-:class:`concurrent.futures.ProcessPoolExecutor`.  Three guarantees hold in
-both modes:
+:class:`concurrent.futures.ProcessPoolExecutor`.  Campaigns of the
+:data:`~repro.experiments.registry.IN_PROCESS_KINDS` (montecarlo and
+shortflow, whose points cost less than the pool's start-up and pickling)
+always run serially in process.  Three guarantees hold in both modes:
 
 * **deterministic ordering** — the returned
   :class:`CampaignResult` lists one :class:`PointResult` per grid point,
@@ -32,6 +34,7 @@ counters.  All instrumentation is no-op when telemetry is off.
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from .. import telemetry
-from .registry import resolve_runner
+from .registry import IN_PROCESS_KINDS, resolve_runner
 from .spec import ExperimentPoint, ExperimentSpec
 from .store import ResultStore
 
@@ -146,9 +149,11 @@ class ExperimentRunner:
     ----------
     workers:
         Process count; ``None``, 0 or 1 run serially in-process.
+        Campaigns of the in-process kinds (montecarlo, shortflow) run
+        serially whatever the count.
     store:
-        Optional :class:`ResultStore` (or path to one) for caching and
-        persistence.
+        Optional :class:`ResultStore` (or a ``str`` or path-like path to
+        one) for caching and persistence.
     progress:
         Optional callback invoked after every point with
         ``(completed, total, point_result)``.
@@ -163,7 +168,9 @@ class ExperimentRunner:
         if workers is not None and workers < 0:
             raise ValueError("workers must be non-negative")
         self.workers = workers
-        self.store = ResultStore(store) if isinstance(store, str) else store
+        self.store = (
+            ResultStore(store) if isinstance(store, (str, os.PathLike)) else store
+        )
         self.progress = progress
 
     # ------------------------------------------------------------------
@@ -173,13 +180,14 @@ class ExperimentRunner:
         total = len(points)
         slots: List[Optional[PointResult]] = [None] * total
         completed = 0
+        workers = 1 if spec.runner in IN_PROCESS_KINDS else self.workers or 1
 
         with telemetry.span(
             "experiments.campaign",
             spec=spec.name,
             runner=spec.runner,
             points=total,
-            workers=self.workers or 1,
+            workers=workers,
         ) as campaign_span:
             pending: List[ExperimentPoint] = []
             for point in points:
@@ -193,7 +201,7 @@ class ExperimentRunner:
                     pending.append(point)
 
             if pending:
-                if self.workers and self.workers > 1:
+                if workers > 1:
                     completed = self._run_parallel(
                         spec, pending, slots, completed, total
                     )

@@ -8,6 +8,8 @@ record for a key wins — so concurrent campaigns can share a store without
 rewriting each other's history, and a partially-written last line (e.g.
 from a killed run) is skipped rather than poisoning the file; the next
 append starts on a fresh line, so it is not lost with the fragment.
+Every skipped line -- unparsable, keyless or not a JSON object, anywhere
+in the file -- is counted in ``stats["skipped"]``.
 
 The store is what makes campaigns restartable: the runner consults it
 before executing a point and reuses any stored successful record (a
@@ -158,17 +160,20 @@ class ResultStore:
         self.misses = 0
         self.retries = 0
         self.puts = 0
+        self.skipped = 0
         self._torn_tail = False
         self._load()
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Lifetime cache-lookup counts for this store instance."""
+        """Lifetime cache-lookup counts for this store instance, plus the
+        lines the load skipped."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "retries": self.retries,
             "puts": self.puts,
+            "skipped": self.skipped,
         }
 
     def _load(self) -> None:
@@ -183,10 +188,12 @@ class ResultStore:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError:
-                    continue  # torn trailing write from an interrupted run
-                key = record.get("key")
+                    record = None  # e.g. a torn write from an interrupted run
+                key = record.get("key") if isinstance(record, dict) else None
                 if key:
                     self._records[key] = record
+                else:
+                    self.skipped += 1
         # A last line without its newline is a torn write: the next put
         # starts on a fresh line instead of gluing its record onto it.
         self._torn_tail = not raw.endswith("\n")
@@ -365,7 +372,9 @@ class MemoisingStore:
         store: Optional[Any] = None,
     ) -> None:
         self.memory = LRUCache(capacity)
-        self.store = ResultStore(store) if isinstance(store, str) else store
+        self.store = (
+            ResultStore(store) if isinstance(store, (str, os.PathLike)) else store
+        )
         self.hits = 0
         self.store_hits = 0
         self.misses = 0

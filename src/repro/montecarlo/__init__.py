@@ -5,12 +5,8 @@ controls under i.i.d. loss processes, plus the parameter sweeps that
 reproduce Figures 3 and 4.
 """
 
-from .basic import BasicControlResult, analytic_basic_throughput, simulate_basic_control
-from .comprehensive import (
-    ComprehensiveControlResult,
-    analytic_comprehensive_throughput,
-    simulate_comprehensive_control,
-)
+from .basic import BasicControlResult, simulate_basic_control
+from .comprehensive import ComprehensiveControlResult, simulate_comprehensive_control
 from .sweeps import (
     FIGURE3_CV,
     FIGURE3_HISTORY_LENGTHS,
@@ -46,10 +42,8 @@ __all__ = [
     "affine_basic_throughput_rows",
     "BasicControlResult",
     "simulate_basic_control",
-    "analytic_basic_throughput",
     "ComprehensiveControlResult",
     "simulate_comprehensive_control",
-    "analytic_comprehensive_throughput",
     "SweepPoint",
     "derive_point_seed",
     "sweep_loss_event_rate",

@@ -7,28 +7,21 @@ throughput ``x_bar / f(p)`` is reported as a function of ``p`` (Figure 3)
 and of the coefficient of variation ``cv[theta_0]`` (Figure 4), for
 estimator window lengths ``L in {1, 2, 4, 8, 16}``.
 
-Two evaluation paths are provided:
-
-* :func:`simulate_basic_control` -- run the control over one sampled
-  interval sequence, as a one-row call into the vectorised kernel of
-  :mod:`repro.montecarlo.vectorized` (the per-event loop
-  :class:`~repro.core.control.BasicControl` is the test oracle it
-  matches to numerical precision);
-* :func:`analytic_basic_throughput` -- evaluate Proposition 1's expectation
-  directly by Monte-Carlo integration over independent draws of the
-  estimator window, which converges faster because it does not carry the
-  sequential dependence of the moving average.
-
-For i.i.d. intervals both estimates converge to the same value; the tests
-assert their agreement.
+:func:`simulate_basic_control` runs the control over one sampled
+interval sequence, as a one-row call into the vectorised kernel of
+:mod:`repro.montecarlo.vectorized` (the per-event loop
+:class:`~repro.core.control.BasicControl` is the test oracle it matches
+to numerical precision).  Proposition 1's expectation itself is
+evaluated by ``repro.api.simulate(SimConfig(method="analytic", ...))``
+over the row kernels of :mod:`repro.montecarlo.vectorized_analytic`; for
+i.i.d. intervals both converge to the same value, and the tests assert
+their agreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
-
-import numpy as np
 
 from ..core.estimator import tfrc_weights
 from ..core.formulas import LossThroughputFormula
@@ -38,7 +31,6 @@ from .vectorized import vectorized_control_summaries
 __all__ = [
     "BasicControlResult",
     "simulate_basic_control",
-    "analytic_basic_throughput",
 ]
 
 
@@ -133,37 +125,3 @@ def _simulate_control(
     )
     return {name: float(row[0]) for name, row in summary.items()}
 
-
-def analytic_basic_throughput(
-    formula: LossThroughputFormula,
-    loss_process: LossProcess,
-    num_samples: int = 200_000,
-    weights: Optional[Sequence[float]] = None,
-    history_length: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> float:
-    """Evaluate Proposition 1 by direct Monte-Carlo integration.
-
-    For an i.i.d. loss process the estimator window
-    ``(theta_{n-1}, ..., theta_{n-L})`` is independent of ``theta_n``, so
-    the expectation ``E[theta_0 / f(1/theta_hat_0)]`` factorises and can be
-    estimated from independent draws of windows and intervals.  Returns the
-    normalized throughput denominator's reciprocal, i.e. ``E[X(0)]``.
-    """
-    if num_samples < 100:
-        raise ValueError("num_samples must be at least 100")
-    weights = _resolve_weights(weights, history_length)
-    weight_array = np.asarray(list(weights), dtype=float)
-    weight_array = weight_array / weight_array.sum()
-    window = weight_array.size
-    rng = make_rng(seed)
-    # Draw windows of L intervals for the estimator and one interval for theta_0.
-    window_draws = loss_process.sample_intervals(num_samples * window, rng).reshape(
-        num_samples, window
-    )
-    estimates = window_draws @ weight_array
-    intervals = loss_process.sample_intervals(num_samples, rng)
-    rates = np.asarray(formula.rate_of_interval(estimates), dtype=float)
-    mean_interval = float(np.mean(intervals))
-    mean_duration = float(np.mean(intervals / rates))
-    return mean_interval / mean_duration

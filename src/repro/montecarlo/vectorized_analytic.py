@@ -1,17 +1,15 @@
 """Vectorised analytic (Proposition 1/3) evaluation over parameter grids.
 
-The scalar entry points :func:`repro.montecarlo.basic.analytic_basic_throughput`
-and :func:`repro.montecarlo.comprehensive.analytic_comprehensive_throughput`
-evaluate the Proposition 1/3 throughput expressions by Monte-Carlo
-integration over independent draws of the estimator window -- one numpy
-pass per grid point.  This module evaluates whole grids of points in
-shared passes, the analytic counterpart of
-:mod:`repro.montecarlo.vectorized`:
+The Proposition 1/3 throughput expressions are evaluated by Monte-Carlo
+integration over independent draws of the estimator window.  This module
+is the one implementation of those integrals, the analytic counterpart
+of :mod:`repro.montecarlo.vectorized`: ``simulate(method="analytic")``
+makes a one-row call, ``simulate_batch`` evaluates whole grids of points
+in shared passes.
 
 * :func:`analytic_window_estimates` turns stacked window draws into the
-  ``(theta_hat_0, theta_hat_1)`` sample arrays with the same arithmetic
-  as the scalar paths, so a matched-seed batch reproduces ``simulate()``
-  to numerical precision;
+  ``(theta_hat_0, theta_hat_1)`` sample arrays, so a matched-seed batch
+  reproduces ``simulate()`` to numerical precision;
 * :func:`basic_throughput_rows` / :func:`comprehensive_throughput_rows`
   evaluate Proposition 1 / Proposition 3 for every row of a
   ``(points, samples)`` stack at once;
@@ -125,9 +123,7 @@ def analytic_window_estimates(
     ``intervals`` shape ``(..., samples)`` (the matching draws of
     ``theta_0``).  ``estimates`` is ``theta_hat_0``; ``next_estimates``
     is ``theta_hat_1``, obtained by shifting ``theta_0`` into the
-    window -- the same concatenate-and-matmul arithmetic as the scalar
-    :func:`~repro.montecarlo.comprehensive.analytic_comprehensive_throughput`,
-    so matched draws give matched values.
+    window.
     """
     draws = np.asarray(window_draws, dtype=float)
     theta = np.asarray(intervals, dtype=float)
@@ -153,9 +149,7 @@ def basic_throughput_rows(
 ) -> np.ndarray:
     """Proposition 1 for every row of a ``(points, samples)`` stack.
 
-    Same arithmetic as the scalar
-    :func:`~repro.montecarlo.basic.analytic_basic_throughput` applied
-    along the last axis: ``E[theta_0] / E[theta_0 / f(1/theta_hat_0)]``.
+    ``E[theta_0] / E[theta_0 / f(1/theta_hat_0)]`` along the last axis.
     """
     theta = np.asarray(intervals, dtype=float)
     with telemetry.span(
@@ -179,9 +173,9 @@ def comprehensive_throughput_rows(
     """Proposition 3 for every row of a ``(points, samples)`` stack.
 
     Applies the closed-form correction ``V_0 1{theta_hat_1 >
-    theta_hat_0}`` per sample (valid for SQRT / PFTK-simplified, like
-    the scalar path, which the underlying
-    :func:`~repro.core.throughput.proposition3_correction` enforces).
+    theta_hat_0}`` per sample (valid for SQRT / PFTK-simplified, which
+    the underlying :func:`~repro.core.throughput.proposition3_correction`
+    enforces with a ``TypeError``).
     """
     theta = np.asarray(intervals, dtype=float)
     now = np.asarray(estimates, dtype=float)

@@ -48,9 +48,6 @@ CATALOG: Dict[str, str] = {
     "experiments.campaign": "span: one campaign run (all points)",
     "experiments.point": "span: one serial campaign point",
     "flowsim.run": "span: one flow-level simulation run",
-    "shortflow.batch": (
-        "span: one vectorised short-flow latency campaign evaluation"
-    ),
     "service.compute": "span: one prediction-service kernel call",
     # -- counters ------------------------------------------------------
     "simulator.runs": "counter: packet-level Simulator.run() calls",
@@ -64,9 +61,6 @@ CATALOG: Dict[str, str] = {
     "flowsim.flowlets_dropped": (
         "counter: flows finalised having emitted zero flowlets (lifetime "
         "shorter than one sampling interval)"
-    ),
-    "shortflow.points": (
-        "counter: short-flow latency points evaluated by the batched path"
     ),
     "api.batch.calls": "counter: simulate_batch() invocations",
     "api.batch.rows": "counter: grid points evaluated by simulate_batch()",

@@ -111,3 +111,33 @@ def rng():
 def tfrc8_weights():
     """TFRC weight profile of length 8."""
     return tfrc_weights(8)
+
+
+@pytest.fixture
+def pool_run():
+    """``(spec, workers=2) -> CampaignResult`` on a real process pool.
+
+    Clears ``IN_PROCESS_KINDS`` for the one call, so montecarlo and
+    shortflow campaigns reach the pool they otherwise skip, and fails the
+    test if no pool was started.
+    """
+    from repro.experiments import ExperimentRunner
+    from repro.experiments import runner as runner_module
+
+    real_pool = runner_module.ProcessPoolExecutor
+
+    def run(spec, workers=2):
+        started = []
+
+        def spy_pool(*args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            return real_pool(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner_module, "IN_PROCESS_KINDS", frozenset())
+            patch.setattr(runner_module, "ProcessPoolExecutor", spy_pool)
+            campaign = ExperimentRunner(workers=workers).run(spec)
+        assert started, "the campaign never reached the process pool"
+        return campaign
+
+    return run

@@ -123,6 +123,8 @@ class TestExperimentsCommands:
         assert len(records) == 4
         assert all(record["status"] == "ok" for record in records)
 
+        with open(store_path, "a", encoding="utf-8") as handle:
+            handle.write("not json\n")
         exit_code = main([
             "experiments", "run", "smoke",
             "--store", str(store_path), "--quiet",
@@ -130,6 +132,7 @@ class TestExperimentsCommands:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "0 run, 4 cached, 0 failed" in captured.out
+        assert "store: 4 hits, 0 misses, 0 retries, 0 puts, 1 skipped" in captured.out
 
     def test_run_spec_file(self, capsys, tmp_path):
         from repro.experiments import preset
@@ -176,18 +179,6 @@ class TestExperimentsCommands:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "summary: 4/4 points succeeded, 0 failed" in captured.out
-
-    def test_run_batched_eligible_grid(self, capsys):
-        exit_code = main(["experiments", "run", "smoke", "--batched",
-                          "--quiet"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "summary: 4/4 points succeeded, 0 failed" in captured.out
-
-    def test_run_batched_rejects_store(self):
-        with pytest.raises(SystemExit):
-            main(["experiments", "run", "smoke", "--batched",
-                  "--store", "out.jsonl"])
 
     def test_dumbbell_batch_spec_file_ships(self):
         from pathlib import Path

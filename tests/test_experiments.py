@@ -1,5 +1,6 @@
 """Tests for the campaign subsystem: specs, runner, registry and store."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.core import PftkSimplifiedFormula, SqrtFormula
 from repro.experiments import (
     ExperimentRunner,
     ExperimentSpec,
+    MemoisingStore,
     ResultStore,
     execute_point,
     grid,
@@ -17,10 +19,10 @@ from repro.experiments import (
     preset_names,
     register_runner,
     resolve_runner,
-    run_campaign_batched,
     runner_kinds,
-    spec_to_batch_config,
 )
+from repro.experiments import runner as runner_module
+from repro.experiments.registry import IN_PROCESS_KINDS, run_campaign_batched
 from repro.montecarlo import derive_point_seed, sweep_loss_event_rate
 
 
@@ -36,6 +38,26 @@ def small_montecarlo_spec(name="unit", seed=5):
         grid=grid(history_length=[2, 8], loss_event_rate=[0.05, 0.2]),
         seed=seed,
     )
+
+
+def small_audio_spec(seed=9):
+    """A 4-point pool-kind campaign: seeded packet-level audio runs."""
+    return ExperimentSpec(
+        name="unit-audio",
+        runner="audio",
+        base={
+            "formula": {"kind": "pftk-simplified", "rtt": 1.0},
+            "history_length": 4,
+            "duration": 10.0,
+        },
+        grid={"loss_probability": [0.05, 0.1, 0.2, 0.3]},
+        seed=seed,
+    )
+
+
+def canonical_values(campaign):
+    """Each point's value as canonical JSON: bit-exact, and NaN-safe."""
+    return [json.dumps(r.value, sort_keys=True) for r in campaign.results]
 
 
 def failing_runner(params, seed):
@@ -178,11 +200,43 @@ class TestRunner:
             assert 0.0 < result.value["normalized_throughput"] < 1.1
 
     def test_parallel_equals_serial_point_for_point(self):
-        spec = small_montecarlo_spec(seed=9)
+        spec = small_audio_spec(seed=9)
         serial = ExperimentRunner().run(spec)
         parallel = ExperimentRunner(workers=4).run(spec)
+        serial.raise_errors()
         assert [r.point.index for r in parallel.results] == [0, 1, 2, 3]
         assert [r.value for r in serial.results] == [r.value for r in parallel.results]
+
+    def test_in_process_kinds_never_start_a_pool(self, monkeypatch):
+        """Montecarlo and shortflow points cost less than a pool's
+        start-up, so those kinds run in process whatever ``workers``
+        says; every other kind still goes to the pool."""
+
+        class PoolStarted(Exception):
+            pass
+
+        def refuse_pool(*args, **kwargs):
+            raise PoolStarted
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", refuse_pool)
+        montecarlo = small_montecarlo_spec()
+        specs = [
+            montecarlo,
+            dataclasses.replace(montecarlo, runner="montecarlo-comprehensive"),
+            ExperimentSpec(
+                name="unit-shortflow",
+                runner="shortflow",
+                grid={"transfer_size": [4.0, 64.0],
+                      "loss_event_rate": [0.02, 0.1]},
+            ),
+        ]
+        assert {spec.runner for spec in specs} == IN_PROCESS_KINDS
+        for spec in specs:
+            campaign = ExperimentRunner(workers=4).run(spec)
+            campaign.raise_errors()
+            assert campaign.num_executed == 4
+        with pytest.raises(PoolStarted):
+            ExperimentRunner(workers=4).run(small_audio_spec())
 
     def test_failed_point_is_isolated(self):
         exploding = ExperimentSpec(
@@ -272,6 +326,32 @@ class TestStore:
         assert "boom at 7" in record["error"]
         assert "RuntimeError" in record["traceback"]
 
+    def test_path_like_store_arguments(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        spec = small_montecarlo_spec(seed=6)
+        first = ExperimentRunner(store=path).run(spec)
+        assert first.num_executed == 4
+        assert ExperimentRunner(store=path).run(spec).num_cached == 4
+        memo = MemoisingStore(store=tmp_path / "memo.jsonl")
+        memo.put("k", {"value": 1.0})
+        assert MemoisingStore(store=tmp_path / "memo.jsonl").get("k") == {
+            "value": 1.0}
+
+    @pytest.mark.parametrize(
+        "corrupt", ['{"key": "x", "sta', '{"status": "ok"}', "[1, 2]"]
+    )
+    def test_corrupt_middle_line_is_skipped_and_counted(self, tmp_path, corrupt):
+        # Fault injection: an unparsable, keyless or non-object line in
+        # the middle of the file costs no other record.
+        path = tmp_path / "results.jsonl"
+        lines = [json.dumps({"key": key, "status": "ok", "value": {}})
+                 for key in "abc"]
+        path.write_text("\n".join([lines[0], corrupt] + lines[1:]) + "\n")
+        store = ResultStore(str(path))
+        assert sorted(record["key"] for record in store.records()) == [
+            "a", "b", "c"]
+        assert store.stats["skipped"] == 1
+
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         path = tmp_path / "results.jsonl"
         spec = small_montecarlo_spec(seed=4)
@@ -280,6 +360,7 @@ class TestStore:
             handle.write('{"key": "truncated', )
         store = ResultStore(str(path))
         assert len(store) == 4
+        assert store.stats["skipped"] == 1
 
     def test_put_after_a_torn_tail_starts_a_fresh_line(self, tmp_path):
         # Fault injection: an interrupted write leaves a fragment with no
@@ -290,10 +371,12 @@ class TestStore:
             handle.write('{"key": "b", "status": "o')
         reopened = ResultStore(str(path))
         assert sorted(record["key"] for record in reopened.records()) == ["a"]
+        assert reopened.stats["skipped"] == 1
         reopened.put({"key": "c", "status": "ok", "value": {}})
         reopened.put({"key": "d", "status": "ok", "value": {}})
-        keys = sorted(record["key"] for record in ResultStore(str(path)).records())
-        assert keys == ["a", "c", "d"]
+        final = ResultStore(str(path))
+        assert sorted(record["key"] for record in final.records()) == ["a", "c", "d"]
+        assert final.stats["skipped"] == 1
         assert path.read_text().count("\n") == 4
 
     def test_load_frame_flattens_params_and_values(self, tmp_path):
@@ -326,7 +409,8 @@ class TestSweepIntegration:
 
     def test_figure3_campaign_parallel_equals_serial_sweep(self, tmp_path):
         """The acceptance check: a Figure-3-sized campaign (5 window lengths
-        x 9 loss rates) run through ``ExperimentRunner(workers=4)`` produces
+        x 9 loss rates) run through ``ExperimentRunner(workers=4)`` -- in
+        process, since montecarlo is an in-process kind -- produces
         point-for-point identical SweepPoint values to the serial sweep on
         the same seeds, and an immediate re-run is pure cache hits.
 
@@ -479,24 +563,23 @@ class TestMatchedSeeds:
 
 
 class TestBatchedCampaignFrontend:
-    def test_eligible_montecarlo_spec_matches_pool(self):
+    """``run_campaign_batched`` is an alias of the per-point runner.
+
+    Its montecarlo campaigns run in process; each must equal, value for
+    value, the same spec forced through the process pool (``pool_run``).
+    """
+
+    def test_eligible_montecarlo_spec_matches_pool(self, pool_run):
         spec = small_montecarlo_spec(seed=31)
-        pool = ExperimentRunner().run(spec)
+        pool = pool_run(spec)
         pool.raise_errors()
-        batched = run_campaign_batched(spec)
+        batched = run_campaign_batched(spec, workers=2)
         assert [r.point.index for r in batched.results] == [0, 1, 2, 3]
         for a, b in zip(pool.results, batched.results):
             assert a.point.axes == b.point.axes
-            assert np.isclose(
-                a.value["normalized_throughput"],
-                b.value["normalized_throughput"],
-                rtol=1e-9,
-            )
-            assert np.isclose(
-                a.value["throughput"], b.value["throughput"], rtol=1e-9
-            )
+        assert canonical_values(batched) == canonical_values(pool)
 
-    def test_analytic_spec_goes_through_batch(self):
+    def test_analytic_spec_goes_through_batch(self, pool_run):
         spec = ExperimentSpec(
             name="batched-analytic",
             runner="montecarlo-basic",
@@ -509,23 +592,16 @@ class TestBatchedCampaignFrontend:
             grid={"history_length": [2, 8], "loss_event_rate": [0.05, 0.2]},
             seed=7,
         )
-        config = spec_to_batch_config(spec)
-        assert config is not None and config.method == "analytic"
-        pool = ExperimentRunner().run(spec)
+        pool = pool_run(spec)
         pool.raise_errors()
         batched = run_campaign_batched(spec)
-        for a, b in zip(pool.results, batched.results):
-            assert np.isclose(
-                a.value["normalized_throughput"],
-                b.value["normalized_throughput"],
-                rtol=1e-9,
-            )
+        assert batched.num_executed == 4
+        assert canonical_values(batched) == canonical_values(pool)
 
-    def test_single_valued_grid_axis_batches_and_matches_pool(self):
+    def test_single_valued_grid_axis_batches_and_matches_pool(self, pool_run):
         """A single-valued grid axis enters the spec's seed derivation;
-        spec_to_batch_config pins ``seed_axes`` to the spec's grid keys so
-        the batch path derives identical per-point seeds and the results
-        match the per-point runner exactly."""
+        the in-process run derives the same per-point seeds as the pool
+        and so returns identical values."""
         spec = ExperimentSpec(
             name="single-axis",
             runner="montecarlo-basic",
@@ -537,23 +613,19 @@ class TestBatchedCampaignFrontend:
             },
             seed=2,
         )
-        config = spec_to_batch_config(spec)
-        assert config is not None
-        assert config.seed_axes == sorted(spec.grid)
-        pool = ExperimentRunner().run(spec)
+        pool = pool_run(spec)
         pool.raise_errors()
-        batched = run_campaign_batched(spec)
-        assert len(pool.results) == len(batched.results)
+        batched = run_campaign_batched(spec, workers=2)
+        assert len(pool.results) == len(batched.results) == 4
         for a, b in zip(pool.results, batched.results):
             assert a.point.params == b.point.params
-            assert np.isclose(
-                a.value["throughput"], b.value["throughput"], rtol=1e-9)
+            assert a.point.seed == b.point.seed
+        assert canonical_values(batched) == canonical_values(pool)
 
-    def test_integer_typed_grid_values_are_not_batchable(self):
+    def test_integer_typed_grid_values_match_pool(self, pool_run):
         """An int grid value (the 1 a JSON spec naturally carries for cv)
-        canonicalises differently from the batch's float inside
-        derive_point_seed; batching it would silently reseed the point,
-        so such specs must fall back to the per-point runner."""
+        seeds its point from the spec expansion on both paths, so the
+        in-process run equals the pool."""
         spec = ExperimentSpec(
             name="int-cv",
             runner="montecarlo-basic",
@@ -565,21 +637,15 @@ class TestBatchedCampaignFrontend:
             },
             seed=2,
         )
-        assert spec_to_batch_config(spec) is None
-        # With a float-typed grid the same spec is batchable and matches.
-        spec.grid["coefficient_of_variation"] = [0.5, 1.0]
-        assert spec_to_batch_config(spec) is not None
-        pool = ExperimentRunner().run(spec)
+        pool = pool_run(spec)
         pool.raise_errors()
         batched = run_campaign_batched(spec)
-        for a, b in zip(pool.results, batched.results):
-            assert np.isclose(
-                a.value["throughput"], b.value["throughput"], rtol=1e-9)
+        assert canonical_values(batched) == canonical_values(pool)
 
-    def test_loss_process_instance_grid_is_not_batchable(self):
-        """Process instances canonicalise via str() in the spec path but
-        via their canonical config in the batch path -- different seeds,
-        so instance grids must fall back to the per-point runner."""
+    def test_loss_process_instance_grid_matches_pool(self, pool_run):
+        """Process instances in a grid run in process unpickled and on
+        the pool pickled; both canonicalise via str() into the same
+        seeds and return the same values."""
         instance = api.LOSS_PROCESSES.from_config(
             {"kind": "gamma", "mean": 12.0, "cv": 0.8})
         spec = ExperimentSpec(
@@ -594,17 +660,14 @@ class TestBatchedCampaignFrontend:
             },
             seed=19,
         )
-        assert spec_to_batch_config(spec) is None
-        pool = ExperimentRunner().run(spec)
+        pool = pool_run(spec)
         pool.raise_errors()
-        batched = run_campaign_batched(spec)  # pool fallback
-        assert [r.value for r in batched.results] == [
-            r.value for r in pool.results]
+        batched = run_campaign_batched(spec)
+        assert canonical_values(batched) == canonical_values(pool)
 
     def test_failing_point_falls_back_to_pool_isolation(self):
-        """A grid whose batch evaluation raises (here: one correlated
-        process under method='analytic') must degrade to the per-point
-        runner's error isolation instead of crashing the campaign."""
+        """One correlated process under method='analytic' fails its
+        points only; the rest of the grid completes."""
         spec = ExperimentSpec(
             name="mixed-iid",
             runner="montecarlo-basic",
@@ -620,7 +683,6 @@ class TestBatchedCampaignFrontend:
             },
             seed=3,
         )
-        assert spec_to_batch_config(spec) is not None
         campaign = run_campaign_batched(spec)
         assert campaign.num_points == 4
         assert campaign.num_executed == 2   # the gamma points succeed
@@ -634,7 +696,6 @@ class TestBatchedCampaignFrontend:
             runner="unit-failing",
             grid={"explode": [False, False], "value": [1, 2]},
         )
-        assert spec_to_batch_config(spec) is None
         campaign = run_campaign_batched(spec)
         assert campaign.num_points == 4
         assert campaign.num_executed == 4
@@ -654,7 +715,7 @@ class TestDumbbellBatchRunner:
             },
             seed=3,
         )
-        campaign = run_campaign_batched(spec)
+        campaign = ExperimentRunner().run(spec)
         campaign.raise_errors()
         assert campaign.num_points == 2
         for result, connections in zip(campaign.results, (1, 2)):

@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core.formulas import PftkSimplifiedFormula, SqrtFormula
 from repro.lossprocess import DeterministicIntervals, ShiftedExponentialIntervals
 from repro.montecarlo import (
-    analytic_basic_throughput,
-    analytic_comprehensive_throughput,
     simulate_basic_control,
     simulate_comprehensive_control,
     sweep_coefficient_of_variation,
     sweep_history_length,
     sweep_loss_event_rate,
 )
+
+
+def analytic_throughput(formula, process, num_events, seed=None, control="basic"):
+    """Proposition 1 (basic) or 3 (comprehensive) through the facade, L = 8."""
+    return api.simulate(api.SimConfig(
+        formula=formula, loss_process=process, history_length=8,
+        control=control, method="analytic", num_events=num_events, seed=seed,
+    )).throughput
 
 
 class TestBasicControlMonteCarlo:
@@ -24,8 +31,8 @@ class TestBasicControlMonteCarlo:
         simulated = simulate_basic_control(
             pftk_simplified, process, num_events=60_000, history_length=8, seed=1
         )
-        analytic = analytic_basic_throughput(
-            pftk_simplified, process, num_samples=200_000, history_length=8, seed=2
+        analytic = analytic_throughput(
+            pftk_simplified, process, num_events=200_000, seed=2
         )
         assert simulated.throughput == pytest.approx(analytic, rel=0.03)
 
@@ -74,15 +81,18 @@ class TestComprehensiveControlMonteCarlo:
         simulated = simulate_comprehensive_control(
             pftk_simplified, process, num_events=60_000, history_length=8, seed=6
         )
-        analytic = analytic_comprehensive_throughput(
-            pftk_simplified, process, num_samples=200_000, history_length=8, seed=7
+        analytic = analytic_throughput(
+            pftk_simplified, process, num_events=200_000, seed=7,
+            control="comprehensive",
         )
         assert simulated.throughput == pytest.approx(analytic, rel=0.05)
 
     def test_analytic_rejects_pftk_standard(self, pftk_standard):
         process = ShiftedExponentialIntervals.from_loss_rate_and_cv(0.1, 0.999)
         with pytest.raises(TypeError):
-            analytic_comprehensive_throughput(pftk_standard, process, num_samples=1_000)
+            analytic_throughput(
+                pftk_standard, process, num_events=1_000, control="comprehensive"
+            )
 
 
 class TestSweeps:

@@ -395,6 +395,19 @@ class TestHttpFrontend:
 
         run(lambda: self._with_server(body))
 
+    def test_analytic_request_below_the_sample_floor_is_a_400(self):
+        async def body(service, host, port):
+            status, payload = await _post_json(
+                host,
+                port,
+                "/predict",
+                dict(PREDICT_PAYLOAD, method="analytic", num_events=50),
+            )
+            assert status == 400 and "at least 100" in payload["error"]
+            assert service.counters["computes_predict"] == 0
+
+        run(lambda: self._with_server(body))
+
     def test_unknown_routes_and_methods(self):
         async def body(service, host, port):
             status, payload = await _http_request(host, port, "GET", "/nope")

@@ -4,9 +4,9 @@ Covers the :class:`repro.core.shortflow.Csa00LatencyModel` against an
 independent plain-``math`` re-derivation of the documented equations
 (and against frozen literal references to 1e-9), the p-domain and
 constructor validation, the ``LATENCY_MODELS`` registry round-trip, the
-``shortflow`` experiment runner with its ``fig-shortflow`` preset and
-batched-vs-pooled equivalence, the analysis-layer friendliness-vs-size
-curves, and the ``shortflow`` CLI command.
+``shortflow`` experiment runner with its ``fig-shortflow`` preset (whose
+in-process run equals a process-pool run), the analysis-layer
+friendliness-vs-size curves, and the ``shortflow`` CLI command.
 """
 
 import json
@@ -24,11 +24,10 @@ from repro.analysis import (
 from repro.cli import main as cli_main
 from repro.core.formulas import PftkStandardFormula
 from repro.core.shortflow import Csa00LatencyModel, LatencyModel
-from repro.experiments import ExperimentRunner, ExperimentSpec, preset
+from repro.experiments import preset
 from repro.experiments.registry import (
     run_campaign_batched,
     run_shortflow_point,
-    spec_to_shortflow_axes,
 )
 
 
@@ -238,7 +237,7 @@ class TestLatencyModelRegistry:
 
 
 # ----------------------------------------------------------------------
-# Experiments: the shortflow runner, preset, and batched path
+# Experiments: the shortflow runner and preset
 # ----------------------------------------------------------------------
 class TestShortflowRunner:
     def test_point_matches_model(self):
@@ -285,47 +284,20 @@ class TestShortflowRunner:
         assert spec.runner == "shortflow"
         assert len(points) == 50  # 5 sizes x 5 loss rates x 2 RTTs
 
-    def test_spec_to_shortflow_axes_eligibility(self):
+    def test_batched_equals_pooled(self, pool_run):
+        # Shortflow runs in process; forcing the same spec through the
+        # process pool must not change a single value.
         spec = preset("fig-shortflow")
-        axes = spec_to_shortflow_axes(spec)
-        assert axes is not None
-        assert len(axes["transfer_size"]) == 5
-        assert len(axes["loss_event_rate"]) == 5
-        assert axes["rtt"] == [0.05, 0.2]
-        # A grid axis outside the numeric set disqualifies the spec.
-        widened = ExperimentSpec(
-            name=spec.name,
-            runner=spec.runner,
-            base=spec.base,
-            grid={**spec.grid, "initial_window": [2, 4]},
-            seed=spec.seed,
-        )
-        assert spec_to_shortflow_axes(widened) is None
-        # Missing rtt axis falls back to the component configs' RTTs.
-        no_rtt = ExperimentSpec(
-            name=spec.name,
-            runner=spec.runner,
-            base=spec.base,
-            grid={key: values for key, values in spec.grid.items()
-                  if key != "rtt"},
-            seed=spec.seed,
-        )
-        assert spec_to_shortflow_axes(no_rtt)["rtt"] == [None]
-
-    def test_batched_equals_pooled(self):
-        spec = preset("fig-shortflow")
-        batched = run_campaign_batched(spec)
-        pooled = ExperimentRunner(workers=2).run(spec)
+        batched = run_campaign_batched(spec, workers=2)
+        pooled = pool_run(spec)
         batched.raise_errors()
         pooled.raise_errors()
         assert len(batched.results) == len(pooled.results) == 50
         for fast, slow in zip(batched.results, pooled.results):
             assert fast.point.params == slow.point.params
-            assert set(fast.value) == set(slow.value)
-            for key in fast.value:
-                assert fast.value[key] == pytest.approx(
-                    slow.value[key], abs=1e-12
-                ), key
+            assert json.dumps(fast.value, sort_keys=True) == json.dumps(
+                slow.value, sort_keys=True
+            )
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +397,7 @@ class TestShortflowCli:
 
     def test_fig_shortflow_runs_from_the_cli(self, capsys):
         exit_code = cli_main([
-            "experiments", "run", "fig-shortflow", "--batched", "--quiet",
+            "experiments", "run", "fig-shortflow", "--quiet",
         ])
         captured = capsys.readouterr()
         assert exit_code == 0

@@ -166,7 +166,7 @@ class TestStoreCounters:
         assert store.get_ok("good") is not None   # second hit
 
         assert store.stats == {
-            "hits": 2, "misses": 1, "retries": 1, "puts": 2,
+            "hits": 2, "misses": 1, "retries": 1, "puts": 2, "skipped": 0,
         }
         registry = fresh_telemetry
         assert registry.counter("store.hit") == 2.0
