@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from repro import api
-from repro.montecarlo import (
+from repro.experiments.registry import (
     FIGURE3_CV,
     FIGURE3_HISTORY_LENGTHS,
     FIGURE3_LOSS_RATES,

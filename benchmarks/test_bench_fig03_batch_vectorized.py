@@ -26,8 +26,8 @@ import numpy as np
 from repro import api
 from repro.core.control import BasicControl
 from repro.experiments import ExperimentRunner, preset
+from repro.experiments.registry import FIGURE3_CV
 from repro.lossprocess import make_rng
-from repro.montecarlo import FIGURE3_CV
 
 from conftest import print_table
 

@@ -7,8 +7,10 @@ PFTK-simplified the normalized throughput drops sharply as p grows and the
 drop is worse for small L; for SQRT it is essentially flat in p.
 """
 
+from repro import api
 from repro.core import PftkSimplifiedFormula, SqrtFormula
-from repro.montecarlo import FIGURE3_CV, sweep_loss_event_rate
+from repro.experiments import ExperimentRunner, ExperimentSpec
+from repro.experiments.registry import FIGURE3_CV
 
 from conftest import print_table
 
@@ -23,19 +25,29 @@ def generate_figure3():
         ("SQRT", SqrtFormula(rtt=1.0)),
         ("PFTK-simplified", PftkSimplifiedFormula(rtt=1.0)),
     ):
-        points = sweep_loss_event_rate(
-            formula,
-            loss_event_rates=LOSS_RATES,
-            history_lengths=HISTORY_LENGTHS,
-            coefficient_of_variation=FIGURE3_CV,
-            num_events=NUM_EVENTS,
-            seed=17,
-        )
-        table = {}
-        for point in points:
-            table.setdefault(point.history_length, {})[point.loss_event_rate] = (
-                point.normalized_throughput
+        campaign = ExperimentRunner().run(
+            ExperimentSpec(
+                name=f"fig3-{name}",
+                runner="montecarlo-basic",
+                base={
+                    "formula": api.FORMULAS.to_config(formula),
+                    "coefficient_of_variation": FIGURE3_CV,
+                    "num_events": NUM_EVENTS,
+                },
+                grid={
+                    "history_length": list(HISTORY_LENGTHS),
+                    "loss_event_rate": list(LOSS_RATES),
+                },
+                seed=17,
             )
+        )
+        campaign.raise_errors()
+        table = {}
+        for result in campaign.results:
+            point = result.value
+            table.setdefault(point["history_length"], {})[
+                point["loss_event_rate"]
+            ] = point["normalized_throughput"]
         results[name] = table
     return results
 

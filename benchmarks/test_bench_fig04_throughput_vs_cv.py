@@ -7,8 +7,9 @@ Expected shape: the larger the variability of the loss-event intervals
 mitigates the effect.
 """
 
+from repro import api
 from repro.core import PftkSimplifiedFormula
-from repro.montecarlo import sweep_coefficient_of_variation
+from repro.experiments import ExperimentRunner, ExperimentSpec
 
 from conftest import print_table
 
@@ -21,19 +22,29 @@ def generate_figure4():
     formula = PftkSimplifiedFormula(rtt=1.0)
     results = {}
     for loss_rate in (0.01, 0.1):
-        points = sweep_coefficient_of_variation(
-            formula,
-            loss_event_rate=loss_rate,
-            coefficients_of_variation=CVS,
-            history_lengths=HISTORY_LENGTHS,
-            num_events=NUM_EVENTS,
-            seed=19,
+        campaign = ExperimentRunner().run(
+            ExperimentSpec(
+                name=f"fig4-{loss_rate}",
+                runner="montecarlo-basic",
+                base={
+                    "formula": api.FORMULAS.to_config(formula),
+                    "loss_event_rate": loss_rate,
+                    "num_events": NUM_EVENTS,
+                },
+                grid={
+                    "history_length": list(HISTORY_LENGTHS),
+                    "coefficient_of_variation": list(CVS),
+                },
+                seed=19,
+            )
         )
+        campaign.raise_errors()
         table = {}
-        for point in points:
-            table.setdefault(point.history_length, {})[
-                point.coefficient_of_variation
-            ] = point.normalized_throughput
+        for result in campaign.results:
+            point = result.value
+            table.setdefault(point["history_length"], {})[
+                point["coefficient_of_variation"]
+            ] = point["normalized_throughput"]
         results[loss_rate] = table
     return results
 

@@ -18,16 +18,28 @@ Run with::
 
 import argparse
 
+from repro import api
 from repro.core import PftkSimplifiedFormula, SqrtFormula
-from repro.montecarlo import (
-    FIGURE3_CV,
-    sweep_coefficient_of_variation,
-    sweep_loss_event_rate,
-)
+from repro.experiments import ExperimentRunner, ExperimentSpec
+from repro.experiments.registry import FIGURE3_CV
 
 LOSS_RATES = (0.01, 0.1, 0.2, 0.4)
 CVS = (0.2, 0.6, 0.999)
 WINDOWS = (1, 4, 16)
+
+
+def run_grid(formula, grid, seed, **base):
+    """Run a basic-control campaign; one value dict per grid point."""
+    spec = ExperimentSpec(
+        name="conservativeness-study",
+        runner="montecarlo-basic",
+        base={"formula": api.FORMULAS.to_config(formula), **base},
+        grid=grid,
+        seed=seed,
+    )
+    campaign = ExperimentRunner().run(spec)
+    campaign.raise_errors()
+    return [result.value for result in campaign.results]
 
 
 def print_grid(title, row_labels, column_labels, values):
@@ -47,16 +59,15 @@ def main() -> None:
 
     for name, formula in (("SQRT", SqrtFormula(rtt=1.0)),
                           ("PFTK-simplified", PftkSimplifiedFormula(rtt=1.0))):
-        points = sweep_loss_event_rate(
+        points = run_grid(
             formula,
-            loss_event_rates=LOSS_RATES,
-            history_lengths=WINDOWS,
+            {"history_length": list(WINDOWS), "loss_event_rate": list(LOSS_RATES)},
+            seed=1,
             coefficient_of_variation=FIGURE3_CV,
             num_events=arguments.events,
-            seed=1,
         )
-        grid = {(pt.history_length, pt.loss_event_rate): pt.normalized_throughput
-                for pt in points}
+        grid = {(pt["history_length"], pt["loss_event_rate"]):
+                pt["normalized_throughput"] for pt in points}
         print_grid(
             f"[Figure 3 shape] {name}: x_bar/f(p) vs p (rows: L, cv = 1 - 1/1000)",
             [f"L={w}" for w in WINDOWS],
@@ -66,16 +77,15 @@ def main() -> None:
 
     formula = PftkSimplifiedFormula(rtt=1.0)
     for loss_rate in (0.01, 0.1):
-        points = sweep_coefficient_of_variation(
+        points = run_grid(
             formula,
-            loss_event_rate=loss_rate,
-            coefficients_of_variation=CVS,
-            history_lengths=WINDOWS,
-            num_events=arguments.events,
+            {"history_length": list(WINDOWS), "coefficient_of_variation": list(CVS)},
             seed=2,
+            loss_event_rate=loss_rate,
+            num_events=arguments.events,
         )
-        grid = {(pt.history_length, pt.coefficient_of_variation):
-                pt.normalized_throughput for pt in points}
+        grid = {(pt["history_length"], pt["coefficient_of_variation"]):
+                pt["normalized_throughput"] for pt in points}
         print_grid(
             f"[Figure 4 shape] PFTK-simplified, p={loss_rate}: x_bar/f(p) vs cv",
             [f"L={w}" for w in WINDOWS],

@@ -23,11 +23,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.control import BasicControl, ComprehensiveControl
 from ..core.estimator import tfrc_weights
 from ..core.formulas import LossThroughputFormula
 from ..lossprocess.base import make_rng
 from ..lossprocess.markov import two_phase_process
+from ..montecarlo.vectorized import vectorized_control_trace
 from ..palm.statistics import normalized_interval_covariance
 
 __all__ = ["PhaseStudyPoint", "phase_study", "switching_sweep"]
@@ -95,11 +95,12 @@ def phase_study(
         good_mean=good_mean, bad_mean=bad_mean, switch_probability=switch_probability
     )
     rng = make_rng(seed)
-    window = history_length
-    intervals = process.sample_intervals(num_events + window, rng)
-    control_class = ComprehensiveControl if comprehensive else BasicControl
-    control = control_class(formula, weights=tfrc_weights(history_length))
-    trace = control.run(intervals, warmup=window)
+    intervals = process.sample_intervals(num_events + history_length, rng)
+    # The first ``history_length`` intervals warm up the estimator.
+    trace = vectorized_control_trace(
+        formula, intervals, tfrc_weights(history_length),
+        comprehensive=comprehensive,
+    )
     return PhaseStudyPoint(
         switch_probability=float(switch_probability),
         normalized_throughput=trace.normalized_throughput(formula),

@@ -3,10 +3,11 @@
 One entry point covers the package's Monte-Carlo evaluation paths:
 
 * :func:`simulate` takes a :class:`SimConfig` (or its dict/JSON form) and
-  dispatches to the basic / comprehensive control simulation (a one-row
-  call into the same vectorised kernel the batch path uses) or to the
-  Proposition 1/3 analytic integration, over *any* registered loss
-  process and weight profile;
+  evaluates it as a one-row batch: the grid evaluator behind
+  :func:`simulate_batch`, with one formula, one window and one loss
+  model, sampled with the config's own seed.  That covers the basic /
+  comprehensive control simulation and the Proposition 1/3 analytic
+  integration, over *any* registered loss process and weight profile;
 * :func:`simulate_batch` takes a :class:`BatchConfig` describing a whole
   grid of (formula, p, cv, L) -- or (formula, loss process, L) -- points
   and evaluates it in shared numpy passes through
@@ -18,9 +19,9 @@ One entry point covers the package's Monte-Carlo evaluation paths:
   drawn and rescaled per point -- common random numbers across the whole
   grid -- which both slashes sampling cost and smooths comparisons
   between neighbouring grid points.  With ``share_noise=False`` each
-  point is sampled exactly as the scalar path would (same derived seed,
-  same draw), so batch and scalar results agree to numerical precision;
-  the test suite asserts this equivalence for both methods.
+  point is sampled the way :func:`simulate` samples its one row, from
+  the point's derived seed, so each row equals :func:`simulate` at that
+  seed; the test suite asserts this equivalence for both methods.
 
 The analytic method applies only to loss processes that *declare*
 i.i.d. intervals (``is_iid = True``): Propositions 1 and 3 factorise the
@@ -36,16 +37,27 @@ and JSON, so a simulation request is data the same way an
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from .. import telemetry
-from ..lossprocess.base import make_rng
+from ..lossprocess.base import derive_point_seed, make_rng
 from ..lossprocess.iid import ShiftedExponentialIntervals
-from ..montecarlo.basic import simulate_basic_control
-from ..montecarlo.comprehensive import simulate_comprehensive_control
-from ..montecarlo.sweeps import derive_point_seed
+# Unused here; bound so perfbench's traced pass can still wrap them by name.
+from ..montecarlo.basic import simulate_basic_control  # noqa: F401
+from ..montecarlo.comprehensive import simulate_comprehensive_control  # noqa: F401
 from ..montecarlo.vectorized import (
     evaluate_control_arrays,
     sliding_estimates,
@@ -62,7 +74,7 @@ from .components import FORMULAS, LOSS_PROCESSES, WEIGHT_PROFILES
 from .profiles import TfrcWeightProfile
 
 __all__ = ["SimConfig", "SimResult", "BatchConfig", "BatchResult",
-           "simulate", "simulate_batch"]
+           "simulate", "simulate_batch", "require_iid"]
 
 _CONTROLS = ("basic", "comprehensive")
 _METHODS = ("montecarlo", "analytic")
@@ -78,7 +90,23 @@ def _component_config(registry, value: Any) -> Any:
         return value
 
 
-def _require_iid(process: Any) -> None:
+def _check_sampling(num_events: Any, seed: Any) -> None:
+    """Both configs' sampling fields: an integer event count, and a seed
+    that is ``None`` or a non-negative integer.  The concrete integer
+    types keep ``numbers.Integral``'s slower ABC check off the service's
+    cache-hit path, which builds a config per request."""
+    integers = (int, np.integer)
+    if isinstance(num_events, bool) or not isinstance(num_events, integers):
+        raise ValueError(f"num_events must be an integer, got {num_events!r}")
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, integers) or seed < 0
+    ):
+        raise ValueError(
+            f"seed must be None or a non-negative integer, got {seed!r}"
+        )
+
+
+def require_iid(process: Any) -> None:
     """Reject loss processes that do not declare i.i.d. intervals.
 
     The analytic (Proposition 1/3) paths factorise the estimator window
@@ -152,6 +180,7 @@ class SimConfig:
             raise ValueError(
                 "method='analytic' needs num_events of at least 100"
             )
+        _check_sampling(self.num_events, self.seed)
 
     # ------------------------------------------------------------------
     # Component resolution
@@ -225,7 +254,12 @@ class SimResult:
 
 
 def simulate(config: Union[SimConfig, Mapping[str, Any]]) -> SimResult:
-    """Evaluate one point described by a :class:`SimConfig`."""
+    """Evaluate one point described by a :class:`SimConfig`.
+
+    The point is a one-row grid of the evaluator :func:`simulate_batch`
+    runs -- one formula, one window, one loss model -- sampled with the
+    config's own ``seed`` rather than a per-point derived one.
+    """
     if isinstance(config, Mapping):
         config = SimConfig.from_dict(config)
     with telemetry.span(
@@ -234,73 +268,27 @@ def simulate(config: Union[SimConfig, Mapping[str, Any]]) -> SimResult:
         control=config.control,
         num_events=config.num_events,
     ):
-        return _simulate_resolved(config)
-
-
-def _simulate_resolved(config: SimConfig) -> SimResult:
-    formula = config.resolve_formula()
-    process = config.resolve_loss_process()
-    profile = config.resolve_profile()
-    weights = profile.weights()
-    comprehensive = config.control == "comprehensive"
-
-    if config.method == "montecarlo":
-        run = (
-            simulate_comprehensive_control if comprehensive else simulate_basic_control
-        )
-        outcome = run(
-            formula,
-            process,
+        formula = config.resolve_formula()
+        process = config.resolve_loss_process()
+        window = _window(config.resolve_profile())
+        point = {
+            "process": process,
+            "axes": {},
+            "loss_event_rate": float(process.loss_event_rate),
+            "coefficient_of_variation": config.coefficient_of_variation,
+        }
+        (result,) = _evaluate_grid(
+            [formula],
+            [point],
+            [window],
+            control=config.control,
+            method=config.method,
             num_events=config.num_events,
-            weights=weights,
             seed=config.seed,
+            row_seed=lambda history_length, axes: config.seed,
+            shared=False,
         )
-        throughput = float(outcome.throughput)
-        normalized = float(outcome.normalized_throughput)
-        empirical = float(outcome.loss_event_rate)
-        covariance = float(outcome.interval_estimate_covariance)
-        estimator_cv = float(outcome.estimator_cv)
-    else:
-        _require_iid(process)
-        normalized_weights = _normalized_weight_array(weights)
-        draws, intervals = _analytic_point_samples(
-            process, config.num_events, normalized_weights.size, config.seed
-        )
-        if comprehensive:
-            estimates, next_estimates = analytic_window_estimates(
-                draws, intervals, weights
-            )
-            throughputs = comprehensive_throughput_rows(
-                formula, intervals, estimates, next_estimates,
-                float(normalized_weights[0]),
-            )
-        else:
-            throughputs = basic_throughput_rows(
-                formula, intervals, draws @ normalized_weights
-            )
-        throughput = float(throughputs)
-        nominal = process.loss_event_rate
-        normalized = throughput / float(formula.rate(nominal))
-        empirical = float("nan")
-        covariance = float("nan")
-        estimator_cv = float("nan")
-
-    return SimResult(
-        control=config.control,
-        method=config.method,
-        formula=_component_config(FORMULAS, formula),
-        loss_process=_component_config(LOSS_PROCESSES, process),
-        history_length=int(weights.size),
-        num_events=config.num_events,
-        seed=config.seed,
-        loss_event_rate=float(process.loss_event_rate),
-        coefficient_of_variation=config.coefficient_of_variation,
-        throughput=throughput,
-        normalized_throughput=normalized,
-        empirical_loss_event_rate=empirical,
-        interval_estimate_covariance=covariance,
-        estimator_cv=estimator_cv,
-    )
+        return result
 
 
 # ----------------------------------------------------------------------
@@ -371,14 +359,22 @@ class BatchConfig:
                 "specify either loss_event_rates + coefficients_of_variation "
                 "or loss_processes"
             )
+        for values, noun in (
+            (self.loss_event_rates, "loss event rate"),
+            (self.coefficients_of_variation, "coefficient of variation"),
+            (self.loss_processes, "loss process"),
+        ):
+            if values is not None and len(values) == 0:
+                raise ValueError(f"batch needs at least one {noun}")
+        _check_sampling(self.num_events, self.seed)
 
     # ------------------------------------------------------------------
     def point_seed(self, **axes: Any) -> Optional[int]:
         """The per-point seed the batch derives for the given axis values.
 
         Mirrors the grid-expansion derivation of
-        :func:`repro.montecarlo.sweeps.derive_point_seed` with the same
-        axis placement an equivalent :class:`ExperimentSpec` would use.
+        :func:`repro.lossprocess.derive_point_seed` with the same axis
+        placement an equivalent :class:`ExperimentSpec` would use.
         With ``seed_axes=None`` only *multi-valued* batch axes enter the
         derivation (a single-valued axis corresponds to a ``base``
         parameter of the spec, which is excluded); an explicit
@@ -555,237 +551,6 @@ def _batch_points(
     return points
 
 
-def _shared_noise_arrays(
-    config: BatchConfig,
-    points: Sequence[Dict[str, Any]],
-    history_length: int,
-    weights: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Common-random-numbers sampling: one unit-exponential block for all.
-
-    A shifted exponential is an affine map of a unit exponential, and a
-    unit-sum moving average commutes with affine maps, so the base block's
-    kept/estimate/candidate arrays are computed once per window length and
-    rescaled per (p, cv) point.
-    """
-    longest = max(config.history_lengths)
-    rng = make_rng(config.seed)
-    # One draw per batch, long enough for the largest window; every window
-    # length uses the slice that puts its warm-up just before the shared
-    # kept block.
-    base = rng.exponential(1.0, size=config.num_events + longest)
-    offset = longest - history_length
-    kept_base, estimate_base, candidate_base = sliding_estimates(
-        base[offset:], weights
-    )
-    shifts = np.asarray([point["shift"] for point in points], dtype=float)
-    scales = np.asarray([point["scale"] for point in points], dtype=float)
-    kept = shifts[:, None] + scales[:, None] * kept_base[None, :]
-    estimates = shifts[:, None] + scales[:, None] * estimate_base[None, :]
-    candidates = shifts[:, None] + scales[:, None] * candidate_base[None, :]
-    return kept, estimates, candidates
-
-
-def _per_point_arrays(
-    config: BatchConfig,
-    points: Sequence[Dict[str, Any]],
-    history_length: int,
-    weights: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Optional[int]]]:
-    """Sample each point with its own derived seed, exactly as scalar would."""
-    rows = []
-    seeds: List[Optional[int]] = []
-    for point in points:
-        seed = config.point_seed(history_length=history_length, **point["axes"])
-        seeds.append(seed)
-        rows.append(
-            point["process"].sample_intervals(
-                config.num_events + history_length, make_rng(seed)
-            )
-        )
-    matrix = np.vstack(rows)
-    kept, estimates, candidates = sliding_estimates(matrix, weights)
-    return kept, estimates, candidates, seeds
-
-
-def _normalized_weight_array(weights: np.ndarray) -> np.ndarray:
-    """The analytic paths' weight normalisation: unit sum."""
-    weight_array = np.asarray(list(weights), dtype=float)
-    return weight_array / weight_array.sum()
-
-
-def _analytic_point_samples(
-    process: Any, num_samples: int, window: int, seed: Optional[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw one point's integration sample, shared by both analytic paths.
-
-    One generator, one draw order (``num_samples * window`` window
-    entries first, then ``num_samples`` next intervals), so a matched
-    seed gives :func:`simulate` and :func:`simulate_batch` the same
-    sample.
-    """
-    rng = make_rng(seed)
-    draws = process.sample_intervals(num_samples * window, rng).reshape(
-        num_samples, window
-    )
-    intervals = process.sample_intervals(num_samples, rng)
-    return draws, intervals
-
-
-def _run_batch_analytic(
-    config: BatchConfig,
-    formulas: Sequence[Any],
-    points: Sequence[Dict[str, Any]],
-    batch: "BatchResult",
-) -> None:
-    """Evaluate the grid through the Proposition 1/3 analytic kernels.
-
-    With ``share_noise=False`` every point is integrated over its own
-    derived-seed draws (scalar-identical); with ``share_noise=True`` (the
-    (p, cv) grid form) one base block of unit-exponential windows is
-    rescaled per point, and the basic control additionally goes through
-    the stratified factorised fast path -- see
-    :mod:`repro.montecarlo.vectorized_analytic`.
-    """
-    comprehensive = config.control == "comprehensive"
-    shared = config.uses_shared_noise
-    for point in points:
-        _require_iid(point["process"])
-    nominal_rates = np.asarray(
-        [point["process"].loss_event_rate for point in points], dtype=float
-    )
-    point_configs = [
-        _component_config(LOSS_PROCESSES, point["process"]) for point in points
-    ]
-    formula_configs = {
-        id(formula): _component_config(FORMULAS, formula)
-        for formula in formulas
-    }
-    lengths = [int(length) for length in config.history_lengths]
-    weight_arrays = {
-        length: _normalized_weight_array(config.profile_for(length).weights())
-        for length in lengths
-    }
-    if shared:
-        # One base block of unit-exponential windows for the whole grid
-        # (standard_exponential *is* exponential(scale=1), minus a scale
-        # pass), and one stacked matmul for every window length's base
-        # estimator sample: column j is w_{L_j} zero-padded to the
-        # longest window.
-        rng = make_rng(config.seed)
-        longest = max(lengths)
-        base_windows = rng.standard_exponential(
-            size=(config.num_events, longest)
-        )
-        base_intervals = (
-            rng.standard_exponential(size=config.num_events)
-            if comprehensive
-            else None
-        )
-        stacked_weights = np.zeros((longest, len(lengths)))
-        for column, length in enumerate(lengths):
-            stacked_weights[:length, column] = weight_arrays[length]
-        # (lengths, num_events), C-order: each window length's base
-        # estimator sample is a contiguous row for the sort below.
-        base_estimate_rows = np.matmul(
-            stacked_weights.T, base_windows.T
-        )
-        shifts = np.asarray([point["shift"] for point in points], dtype=float)
-        scales = np.asarray([point["scale"] for point in points], dtype=float)
-
-    for column, history_length in enumerate(lengths):
-        weights = weight_arrays[history_length]
-        seeds: List[Optional[int]]
-        intervals = estimates = next_estimates = None
-        representatives = probabilities = None
-        if shared:
-            seeds = [config.seed] * len(points)
-            base_estimates = base_estimate_rows[column]
-            if comprehensive:
-                base_next = np.concatenate(
-                    [base_intervals[:, None],
-                     base_windows[:, : history_length - 1]],
-                    axis=1,
-                ) @ weights
-                intervals = (
-                    shifts[:, None] + scales[:, None] * base_intervals[None, :]
-                )
-                estimates = (
-                    shifts[:, None] + scales[:, None] * base_estimates[None, :]
-                )
-                next_estimates = (
-                    shifts[:, None] + scales[:, None] * base_next[None, :]
-                )
-            else:
-                representatives, probabilities = stratified_representatives(
-                    base_estimates
-                )
-        else:
-            seeds = []
-            estimate_rows = []
-            next_rows = []
-            interval_rows = []
-            for point in points:
-                seed = config.point_seed(
-                    history_length=history_length, **point["axes"]
-                )
-                seeds.append(seed)
-                draws, theta = _analytic_point_samples(
-                    point["process"], config.num_events, history_length, seed
-                )
-                interval_rows.append(theta)
-                if comprehensive:
-                    now, nxt = analytic_window_estimates(draws, theta, weights)
-                    estimate_rows.append(now)
-                    next_rows.append(nxt)
-                else:
-                    estimate_rows.append(draws @ weights)
-            intervals = np.vstack(interval_rows)
-            estimates = np.vstack(estimate_rows)
-            if comprehensive:
-                next_estimates = np.vstack(next_rows)
-
-        for formula in formulas:
-            if comprehensive:
-                throughputs = comprehensive_throughput_rows(
-                    formula, intervals, estimates, next_estimates,
-                    float(weights[0]),
-                )
-            elif shared:
-                throughputs = affine_basic_throughput_rows(
-                    formula, shifts, scales, representatives, probabilities
-                )
-            else:
-                throughputs = basic_throughput_rows(
-                    formula, intervals, estimates
-                )
-            normalized = throughputs / np.asarray(
-                formula.rate(nominal_rates), dtype=float
-            )
-            formula_config = formula_configs[id(formula)]
-            for row, point in enumerate(points):
-                batch.results.append(
-                    SimResult(
-                        control=config.control,
-                        method="analytic",
-                        formula=formula_config,
-                        loss_process=point_configs[row],
-                        history_length=history_length,
-                        num_events=config.num_events,
-                        seed=seeds[row],
-                        loss_event_rate=point["loss_event_rate"],
-                        coefficient_of_variation=point[
-                            "coefficient_of_variation"
-                        ],
-                        throughput=float(throughputs[row]),
-                        normalized_throughput=float(normalized[row]),
-                        empirical_loss_event_rate=float("nan"),
-                        interval_estimate_covariance=float("nan"),
-                        estimator_cv=float("nan"),
-                    )
-                )
-
-
 def simulate_batch(
     config: Union[BatchConfig, Mapping[str, Any]]
 ) -> BatchResult:
@@ -815,75 +580,265 @@ def simulate_batch(
         num_events=config.num_events,
         shared_noise=shared,
     ) as batch_span:
-        if config.method == "analytic":
-            _run_batch_analytic(config, formulas, points, batch)
-        else:
-            _run_batch_montecarlo(config, formulas, points, batch)
+        windows = [
+            _window(config.profile_for(int(length)))
+            for length in config.history_lengths
+        ]
+        batch.results = _evaluate_grid(
+            formulas,
+            points,
+            windows,
+            control=config.control,
+            method=config.method,
+            num_events=config.num_events,
+            seed=config.seed,
+            row_seed=lambda history_length, axes: config.point_seed(
+                history_length=history_length, **axes
+            ),
+            shared=shared,
+        )
         batch_span.set("items", len(batch.results))
         telemetry.incr("api.batch.calls")
         telemetry.incr("api.batch.rows", len(batch.results))
     return batch
 
 
-def _run_batch_montecarlo(
-    config: BatchConfig,
+# ----------------------------------------------------------------------
+# The grid evaluator behind both entry points
+# ----------------------------------------------------------------------
+class _Window(NamedTuple):
+    """One estimator window of a grid, in the forms the kernels take."""
+
+    history_length: int
+    #: The profile's weight vector, as the control kernel takes it.
+    weights: np.ndarray
+    #: Its unit-sum copy, for the analytic estimate sums.
+    normalized: np.ndarray
+
+
+def _window(profile: Any) -> _Window:
+    """The kernel inputs of one weight profile."""
+    weights = profile.weights()
+    normalized = np.asarray(list(weights), dtype=float)
+    normalized /= normalized.sum()
+    return _Window(int(weights.size), weights, normalized)
+
+
+def _evaluate_grid(
     formulas: Sequence[Any],
     points: Sequence[Dict[str, Any]],
-    batch: "BatchResult",
-) -> None:
-    """Evaluate the grid through the vectorised control-simulation kernel."""
-    comprehensive = config.control == "comprehensive"
-    shared = config.uses_shared_noise
-    for history_length in config.history_lengths:
-        profile = config.profile_for(int(history_length))
-        weights = profile.weights()
+    windows: Sequence[_Window],
+    control: str,
+    method: str,
+    num_events: int,
+    seed: Optional[int],
+    row_seed: Callable[[int, Dict[str, Any]], Optional[int]],
+    shared: bool,
+) -> List[SimResult]:
+    """Evaluate every (window, formula, point) row of a grid.
+
+    Rows come out grouped by window, then formula, with the point index
+    innermost.  With ``shared`` one common unit-exponential block drawn
+    from ``seed`` is rescaled to every (p, cv) point; otherwise the
+    point ``i`` of window length ``L`` is sampled from
+    ``make_rng(row_seed(L, points[i]["axes"]))``.
+    """
+    comprehensive = control == "comprehensive"
+    if method == "analytic":
+        for point in points:
+            require_iid(point["process"])
+        kernel_rows = _analytic_rows
+    else:
+        kernel_rows = _control_rows
+    formula_configs = [_component_config(FORMULAS, formula) for formula in formulas]
+    process_configs = [
+        _component_config(LOSS_PROCESSES, point["process"]) for point in points
+    ]
+    results: List[SimResult] = []
+    for window, seeds, index, stats in kernel_rows(
+        formulas, points, windows, comprehensive, num_events, seed, row_seed,
+        shared,
+    ):
+        for row, point in enumerate(points):
+            results.append(
+                SimResult(
+                    control=control,
+                    method=method,
+                    formula=formula_configs[index],
+                    loss_process=process_configs[row],
+                    history_length=window.history_length,
+                    num_events=num_events,
+                    seed=seeds[row],
+                    loss_event_rate=point["loss_event_rate"],
+                    coefficient_of_variation=point["coefficient_of_variation"],
+                    **{name: float(column[row]) for name, column in stats.items()},
+                )
+            )
+    return results
+
+
+def _affine_maps(points: Sequence[Dict[str, Any]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The (shift, scale) columns of the shifted-exponential grid form."""
+    shifts = np.asarray([point["shift"] for point in points], dtype=float)
+    scales = np.asarray([point["scale"] for point in points], dtype=float)
+    return shifts, scales
+
+
+def _control_rows(
+    formulas, points, windows, comprehensive, num_events, seed, row_seed, shared
+):
+    """Yield ``(window, seeds, formula index, stats)`` from the
+    vectorised control kernel; ``stats`` maps each statistic's
+    ``SimResult`` field name to its per-row array.
+
+    Shared noise is common random numbers: a shifted exponential is an
+    affine map of a unit exponential, and a unit-sum moving average
+    commutes with affine maps, so one base block's kept/estimate/candidate
+    arrays are computed per window length and rescaled per (p, cv) point.
+    """
+    longest = max(window.history_length for window in windows)
+    for window in windows:
         if shared:
-            kept, estimates, candidates = _shared_noise_arrays(
-                config, points, int(history_length), weights
+            seeds = [seed] * len(points)
+            # One draw, long enough for the largest window; every window
+            # length uses the slice that puts its warm-up just before the
+            # shared kept block.
+            base = make_rng(seed).exponential(1.0, size=num_events + longest)
+            shifts, scales = _affine_maps(points)
+            kept, estimates, candidates = (
+                shifts[:, None] + scales[:, None] * array[None, :]
+                for array in sliding_estimates(
+                    base[longest - window.history_length:], window.weights
+                )
             )
-            seeds: List[Optional[int]] = [config.seed] * len(points)
         else:
-            kept, estimates, candidates, seeds = _per_point_arrays(
-                config, points, int(history_length), weights
+            seeds = [row_seed(window.history_length, point["axes"]) for point in points]
+            matrix = np.vstack(
+                [
+                    point["process"].sample_intervals(
+                        num_events + window.history_length, make_rng(point_seed)
+                    )
+                    for point, point_seed in zip(points, seeds)
+                ]
             )
-        for formula in formulas:
-            rates, durations = evaluate_control_arrays(
+            kept, estimates, candidates = sliding_estimates(matrix, window.weights)
+        for index, formula in enumerate(formulas):
+            _, durations = evaluate_control_arrays(
                 formula,
                 kept,
                 estimates,
                 candidates,
-                float(weights[0]),
+                float(window.weights[0]),
                 comprehensive=comprehensive,
             )
-            del rates
-            summaries = summarize_rows(formula, kept, estimates, durations)
-            formula_config = _component_config(FORMULAS, formula)
-            for row, point in enumerate(points):
-                batch.results.append(
-                    SimResult(
-                        control=config.control,
-                        method="montecarlo",
-                        formula=formula_config,
-                        loss_process=_component_config(
-                            LOSS_PROCESSES, point["process"]
-                        ),
-                        history_length=int(history_length),
-                        num_events=config.num_events,
-                        seed=seeds[row],
-                        loss_event_rate=point["loss_event_rate"],
-                        coefficient_of_variation=point[
-                            "coefficient_of_variation"
-                        ],
-                        throughput=float(summaries["throughput"][row]),
-                        normalized_throughput=float(
-                            summaries["normalized_throughput"][row]
-                        ),
-                        empirical_loss_event_rate=float(
-                            summaries["loss_event_rate"][row]
-                        ),
-                        interval_estimate_covariance=float(
-                            summaries["interval_estimate_covariance"][row]
-                        ),
-                        estimator_cv=float(summaries["estimator_cv"][row]),
-                    )
+            stats = summarize_rows(formula, kept, estimates, durations)
+            stats["empirical_loss_event_rate"] = stats.pop("loss_event_rate")
+            yield window, seeds, index, stats
+
+
+def _analytic_rows(
+    formulas, points, windows, comprehensive, num_events, seed, row_seed, shared
+):
+    """Yield ``(window, seeds, formula index, stats)`` from the
+    Proposition 1/3 kernels; ``stats`` as for :func:`_control_rows`.
+
+    Per point, the integrals run over the point's own seeded draws.
+    Under shared noise one base block of unit-exponential windows is
+    rescaled per point, and the basic control additionally goes through
+    the stratified factorised fast path -- see
+    :mod:`repro.montecarlo.vectorized_analytic`.  Analytic rows have no
+    per-event trace, so their empirical fields are ``nan``.
+    """
+    nominal_rates = np.asarray(
+        [point["process"].loss_event_rate for point in points], dtype=float
+    )
+    missing = np.full(len(points), np.nan)
+    if shared:
+        # One base block of unit-exponential windows for the whole grid
+        # (standard_exponential *is* exponential(scale=1), minus a scale
+        # pass), and one stacked matmul for every window length's base
+        # estimator sample: column j is w_{L_j} zero-padded to the
+        # longest window.
+        rng = make_rng(seed)
+        longest = max(window.history_length for window in windows)
+        base_windows = rng.standard_exponential(size=(num_events, longest))
+        base_intervals = (
+            rng.standard_exponential(size=num_events) if comprehensive else None
+        )
+        stacked_weights = np.zeros((longest, len(windows)))
+        for column, window in enumerate(windows):
+            stacked_weights[: window.history_length, column] = window.normalized
+        # (lengths, num_events), C-order: each window length's base
+        # estimator sample is a contiguous row for the sort below.
+        base_estimate_rows = np.matmul(stacked_weights.T, base_windows.T)
+        shifts, scales = _affine_maps(points)
+
+    for column, window in enumerate(windows):
+        weights = window.normalized
+        if shared:
+            seeds = [seed] * len(points)
+            base_estimates = base_estimate_rows[column]
+            if comprehensive:
+                base_next = np.concatenate(
+                    [base_intervals[:, None],
+                     base_windows[:, : window.history_length - 1]],
+                    axis=1,
+                ) @ weights
+                intervals, estimates, next_estimates = (
+                    shifts[:, None] + scales[:, None] * array[None, :]
+                    for array in (base_intervals, base_estimates, base_next)
                 )
+            else:
+                representatives, probabilities = stratified_representatives(
+                    base_estimates
+                )
+        else:
+            seeds = [row_seed(window.history_length, point["axes"]) for point in points]
+            interval_rows, estimate_rows, next_rows = [], [], []
+            for point, point_seed in zip(points, seeds):
+                # One generator per point: the window draws first, then
+                # the next intervals.
+                rng = make_rng(point_seed)
+                draws = point["process"].sample_intervals(
+                    num_events * window.history_length, rng
+                ).reshape(num_events, window.history_length)
+                theta = point["process"].sample_intervals(num_events, rng)
+                interval_rows.append(theta)
+                if comprehensive:
+                    now, nxt = analytic_window_estimates(
+                        draws, theta, weights
+                    )
+                    next_rows.append(nxt)
+                else:
+                    now = draws @ weights
+                estimate_rows.append(now)
+                # L times the size of a row: free it before the next
+                # point's draws and the stacked copies below.
+                del draws
+            intervals = np.vstack(interval_rows)
+            estimates = np.vstack(estimate_rows)
+            next_estimates = np.vstack(next_rows) if comprehensive else None
+
+        for index, formula in enumerate(formulas):
+            if comprehensive:
+                throughputs = comprehensive_throughput_rows(
+                    formula, intervals, estimates, next_estimates,
+                    float(weights[0]),
+                )
+            elif shared:
+                throughputs = affine_basic_throughput_rows(
+                    formula, shifts, scales, representatives, probabilities
+                )
+            else:
+                throughputs = basic_throughput_rows(
+                    formula, intervals, estimates
+                )
+            yield window, seeds, index, {
+                "throughput": throughputs,
+                "normalized_throughput": throughputs / np.asarray(
+                    formula.rate(nominal_rates), dtype=float
+                ),
+                "empirical_loss_event_rate": missing,
+                "interval_estimate_covariance": missing,
+                "estimator_cv": missing,
+            }

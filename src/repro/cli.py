@@ -76,7 +76,7 @@ from .experiments import (
     preset,
     preset_names,
 )
-from .montecarlo import sweep_loss_event_rate
+from .experiments.registry import FIGURE3_CV
 from .simulator import AudioSource, Simulator, ns2_config, run_dumbbell
 
 __all__ = ["build_parser", "main"]
@@ -99,17 +99,24 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
     formula = api.FORMULAS.from_config(
         {"kind": arguments.formula, "rtt": arguments.rtt}
     )
-    points = sweep_loss_event_rate(
-        formula,
-        loss_event_rates=tuple(arguments.loss_rates),
-        history_lengths=tuple(arguments.windows),
-        num_events=arguments.events,
+    spec = ExperimentSpec(
+        name="sweep",
+        runner="montecarlo-basic",
+        base={
+            "formula": api.FORMULAS.to_config(formula),
+            "coefficient_of_variation": FIGURE3_CV,
+            "num_events": arguments.events,
+        },
+        grid={
+            "history_length": arguments.windows,
+            "loss_event_rate": arguments.loss_rates,
+        },
         seed=arguments.seed,
     )
-    rows = [
-        [point.history_length, point.loss_event_rate, point.normalized_throughput]
-        for point in points
-    ]
+    campaign = ExperimentRunner().run(spec)
+    campaign.raise_errors()
+    columns = ("history_length", "loss_event_rate", "normalized_throughput")
+    rows = [[result.value[name] for name in columns] for result in campaign.results]
     print(f"Basic control, formula={arguments.formula}: normalized throughput")
     _print_rows(["L", "p", "x_bar/f(p)"], rows)
     return 0

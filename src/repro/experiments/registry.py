@@ -41,14 +41,16 @@ must live at module level so it survives pickling into worker processes.
 cheap for a process pool; the runner keeps those in the calling process.
 
 :func:`preset` returns ready-made :class:`~repro.experiments.spec.
-ExperimentSpec` campaigns for the paper's figure scenarios.
+ExperimentSpec` campaigns for the paper's figure scenarios; the
+``FIGURE3_*`` / ``FIGURE4_CVS`` constants are the Figure 3/4 axes they
+grid over.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..api.components import FORMULAS, LATENCY_MODELS, SCENARIOS
 from ..api.simulate import SimConfig
@@ -56,13 +58,7 @@ from ..api.simulate import simulate as _simulate_point
 # Unused here; bound so perfbench's traced pass can still wrap it by name.
 from ..api.simulate import simulate_batch as _simulate_batch  # noqa: F401
 from ..core.formulas import PftkStandardFormula
-from ..montecarlo.sweeps import (
-    FIGURE3_CV,
-    FIGURE3_HISTORY_LENGTHS,
-    FIGURE3_LOSS_RATES,
-    FIGURE4_CVS,
-    derive_point_seed,
-)
+from ..lossprocess.base import derive_point_seed
 from .spec import ExperimentSpec
 
 __all__ = [
@@ -70,6 +66,10 @@ __all__ = [
     "resolve_runner",
     "runner_kinds",
     "IN_PROCESS_KINDS",
+    "FIGURE3_CV",
+    "FIGURE3_LOSS_RATES",
+    "FIGURE3_HISTORY_LENGTHS",
+    "FIGURE4_CVS",
     "run_campaign_batched",
     "preset",
     "preset_names",
@@ -504,6 +504,19 @@ def run_campaign_batched(spec: ExperimentSpec, workers: Optional[int] = None):
 # ----------------------------------------------------------------------
 # Named presets for the paper's figure scenarios
 # ----------------------------------------------------------------------
+#: The coefficient of variation used throughout Figure 3.
+FIGURE3_CV = 1.0 - 1.0 / 1000.0
+
+#: The loss-event rate grid of Figure 3 (0 excluded; up to 0.4).
+FIGURE3_LOSS_RATES: Tuple[float, ...] = (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
+
+#: The window lengths shown in Figures 3 and 4.
+FIGURE3_HISTORY_LENGTHS: Tuple[int, ...] = (1, 2, 4, 8, 16)
+
+#: The coefficient-of-variation grid of Figure 4.
+FIGURE4_CVS: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.999)
+
+
 def _fig3_spec(formula_name: str) -> ExperimentSpec:
     return ExperimentSpec(
         name=f"fig3-{formula_name.split('-')[0]}",

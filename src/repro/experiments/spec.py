@@ -11,10 +11,12 @@ Expansion is deterministic: axes iterate in the order they appear in the
 ``grid`` mapping, with the last axis varying fastest (row-major order, as
 the nested ``for`` loops of the original per-figure drivers did).  Each
 point receives a seed derived from the spec's base seed and the point's
-axis values via
-:func:`repro.montecarlo.sweeps.derive_point_seed`, so a point's stream is
-independent of its position in the grid and identical whether the point
-is run serially, in a process pool, or alone.
+axis values via :func:`repro.lossprocess.derive_point_seed`, so a
+point's stream is independent of its position in the grid and identical
+whether the point is run serially, in a process pool, or alone.  A spec
+run through :class:`~repro.experiments.runner.ExperimentRunner` is the
+one front door for grids: the Figure 3/4 presets, the CLI ``sweep``
+command and the figure benchmarks all build one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from ..montecarlo.sweeps import derive_point_seed
+from ..lossprocess.base import derive_point_seed
 from .store import result_key
 
 __all__ = ["ExperimentSpec", "ExperimentPoint", "grid"]

@@ -6,7 +6,7 @@ and trace-driven models, all behind the common
 :class:`~repro.lossprocess.base.LossProcess` interface.
 """
 
-from .base import LossProcess, make_rng
+from .base import LossProcess, derive_point_seed, make_rng
 from .bernoulli import BernoulliDropper, GeometricIntervals
 from .iid import (
     DeterministicIntervals,
@@ -25,6 +25,7 @@ from .trace import TraceIntervals, load_intervals
 
 __all__ = [
     "LossProcess",
+    "derive_point_seed",
     "make_rng",
     "ShiftedExponentialIntervals",
     "DeterministicIntervals",

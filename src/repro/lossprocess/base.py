@@ -21,13 +21,19 @@ uses:
 from __future__ import annotations
 
 import abc
+import hashlib
+import json
 from typing import Optional, Union
 
 import numpy as np
 
-__all__ = ["LossProcess", "SeedLike", "make_rng"]
+__all__ = ["LossProcess", "SeedLike", "derive_point_seed", "make_rng"]
 
 SeedLike = Union[None, int, np.random.Generator]
+
+#: Seeds derived from a base seed stay below 2**32 so that they are valid
+#: for every numpy bit-generator constructor.
+_SEED_MODULUS = 2**32
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -42,6 +48,24 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def derive_point_seed(base: Optional[int], /, **axes) -> Optional[int]:
+    """Derive a per-point seed from a base seed and the point's axis values.
+
+    The seed is a stable hash of the base seed together with the
+    ``(axis name, axis value)`` pairs, so distinct points of a grid (and
+    distinct grids, which use different axis names) get independent
+    streams without the offset collisions of additive schemes such as
+    ``seed + 1000*L + index``.  ``None`` propagates (an unseeded grid
+    stays unseeded).  Campaign grid expansion and
+    :meth:`repro.api.BatchConfig.point_seed` both derive through it.
+    """
+    if base is None:
+        return None
+    canonical = json.dumps(axes, sort_keys=True, separators=(",", ":"), default=str)
+    digest = hashlib.sha256(f"{int(base)}|{canonical}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % _SEED_MODULUS
 
 
 class LossProcess(abc.ABC):

@@ -142,21 +142,12 @@ class MarkovModulatedIntervals(LossProcess):
         return float(shift + rng.exponential(exponential_mean))
 
     def sample_intervals(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        if count <= 0:
-            raise ValueError("count must be positive")
-        phases = np.empty(count, dtype=int)
-        phase = int(rng.choice(self.num_phases, p=self._stationary))
-        intervals = np.empty(count, dtype=float)
-        for index in range(count):
-            phases[index] = phase
-            intervals[index] = self._draw_interval(phase, rng)
-            phase = int(rng.choice(self.num_phases, p=self._matrix[phase]))
-        return intervals
+        return self.sample_intervals_with_phases(count, rng)[0]
 
     def sample_intervals_with_phases(
         self, count: int, rng: np.random.Generator
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Like :meth:`sample_intervals` but also return the phase path."""
+        """Draw ``count`` intervals and the phase path that produced them."""
         if count <= 0:
             raise ValueError("count must be positive")
         phases = np.empty(count, dtype=int)

@@ -1,23 +1,16 @@
 """Numerical ("designed") experiments of the paper, Section V-A.1.
 
-Monte-Carlo and analytic evaluation of the basic and comprehensive
-controls under i.i.d. loss processes, plus the parameter sweeps that
-reproduce Figures 3 and 4.
+The kernels behind Monte-Carlo and analytic evaluation of the basic and
+comprehensive controls: the vectorised control kernel and the
+Proposition 1/3 row kernels, plus the one-run ``simulate_*_control``
+wrappers.  Figures 3 and 4 are grids of such points, run as
+:class:`~repro.experiments.spec.ExperimentSpec` campaigns (the
+``fig3-*`` / ``fig4-*`` presets) or as one
+:func:`repro.api.simulate_batch` call.
 """
 
 from .basic import BasicControlResult, simulate_basic_control
 from .comprehensive import ComprehensiveControlResult, simulate_comprehensive_control
-from .sweeps import (
-    FIGURE3_CV,
-    FIGURE3_HISTORY_LENGTHS,
-    FIGURE3_LOSS_RATES,
-    FIGURE4_CVS,
-    SweepPoint,
-    derive_point_seed,
-    sweep_coefficient_of_variation,
-    sweep_history_length,
-    sweep_loss_event_rate,
-)
 from .vectorized import (
     vectorized_control_summaries,
     vectorized_control_trace,
@@ -44,13 +37,4 @@ __all__ = [
     "simulate_basic_control",
     "ComprehensiveControlResult",
     "simulate_comprehensive_control",
-    "SweepPoint",
-    "derive_point_seed",
-    "sweep_loss_event_rate",
-    "sweep_coefficient_of_variation",
-    "sweep_history_length",
-    "FIGURE3_CV",
-    "FIGURE3_LOSS_RATES",
-    "FIGURE3_HISTORY_LENGTHS",
-    "FIGURE4_CVS",
 ]

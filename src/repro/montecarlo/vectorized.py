@@ -10,11 +10,13 @@ evaluated in whole-array numpy passes.
   SQRT and PFTK-simplified, otherwise ODE (16) integrated over fixed-size
   chunks of the growing elements, so memory stays linear in run length.
 
-The scalar entry points (``simulate_basic_control``,
-``simulate_comprehensive_control``, hence :func:`repro.api.simulate`)
-make one-row calls; :func:`repro.api.simulate_batch` stacks many grid
-points as rows of one interval matrix.  The per-event loops of
-:mod:`repro.core.control` are the reference semantics and the test
+:func:`repro.api.simulate_batch` stacks many grid points as rows of one
+interval matrix, and :func:`repro.api.simulate` is the same evaluator
+over a one-row grid.  The ``simulate_basic_control`` /
+``simulate_comprehensive_control`` wrappers and
+:func:`vectorized_control_trace` (the phase study of
+:mod:`repro.analysis.phases`) make one-run calls.  The per-event loops
+of :mod:`repro.core.control` are the reference semantics and the test
 oracle: same warm-up convention (the first ``L`` intervals seed the
 estimator and are excluded from the trace), equal to numerical precision.
 """

@@ -35,10 +35,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .. import api, telemetry
+from ..api.simulate import require_iid
 from ..experiments.store import MemoisingStore, _json_safe, result_key
+from ..lossprocess.iid import ShiftedExponentialIntervals
 from .workers import merge_shard_results, plan_shards, shard_num_points
 
 __all__ = [
@@ -100,11 +102,15 @@ def canonical_sim_request(config: api.SimConfig) -> Dict[str, Any]:
     so every spelling of the same evaluation point (kind string, partial
     config, ``(p, cv)`` shorthand, ready instance) canonicalises to one
     payload.  Raises :class:`BadRequest` on unknown kinds or invalid
-    parameters.
+    parameters, and on a non-i.i.d. loss process under the analytic
+    method.
     """
     try:
         formula = api.FORMULAS.to_config(config.resolve_formula())
-        process = api.LOSS_PROCESSES.to_config(config.resolve_loss_process())
+        resolved = config.resolve_loss_process()
+        if config.method == "analytic":
+            require_iid(resolved)
+        process = api.LOSS_PROCESSES.to_config(resolved)
         profile = api.WEIGHT_PROFILES.to_config(config.resolve_profile())
     except (TypeError, ValueError, KeyError) as exc:
         raise BadRequest(f"invalid component in request: {exc}") from exc
@@ -122,7 +128,14 @@ def canonical_sim_request(config: api.SimConfig) -> Dict[str, Any]:
 
 
 def canonical_batch_request(config: api.BatchConfig) -> Dict[str, Any]:
-    """The canonical payload a batch request is keyed by."""
+    """The canonical payload a batch request is keyed by.
+
+    Validates every grid axis as :func:`canonical_sim_request` validates
+    one point, at a cost linear in the axis lengths: raises
+    :class:`BadRequest` if any window length, loss model or (p, cv)
+    value of the grid would fail to resolve, or if an analytic grid
+    names a non-i.i.d. loss process.
+    """
     try:
         formulas = [
             api.FORMULAS.to_config(api.FORMULAS.from_config(formula))
@@ -131,16 +144,31 @@ def canonical_batch_request(config: api.BatchConfig) -> Dict[str, Any]:
         profile = config.profile
         if isinstance(profile, str):
             profile = {"kind": profile}
-        processes = (
-            None
-            if config.loss_processes is None
-            else [
-                api.LOSS_PROCESSES.to_config(
-                    api.LOSS_PROCESSES.from_config(process)
+        for length in config.history_lengths:
+            config.profile_for(int(length))
+        if config.loss_processes is None:
+            processes = None
+            # The constructor checks p and cv independently, so each
+            # value checked against a valid partner covers the product.
+            for rate in config.loss_event_rates:
+                ShiftedExponentialIntervals.from_loss_rate_and_cv(
+                    float(rate), 1.0
                 )
+            for cv in config.coefficients_of_variation:
+                ShiftedExponentialIntervals.from_loss_rate_and_cv(
+                    1.0, float(cv)
+                )
+        else:
+            resolved = [
+                api.LOSS_PROCESSES.from_config(process)
                 for process in config.loss_processes
             ]
-        )
+            if config.method == "analytic":
+                for process in resolved:
+                    require_iid(process)
+            processes = [
+                api.LOSS_PROCESSES.to_config(process) for process in resolved
+            ]
     except (TypeError, ValueError, KeyError) as exc:
         raise BadRequest(f"invalid component in request: {exc}") from exc
     return {
@@ -237,27 +265,28 @@ class PredictionService:
     # ------------------------------------------------------------------
     # Single-flight plumbing
     # ------------------------------------------------------------------
-    async def _memoised(self, key: str, compute) -> Dict[str, Any]:
+    async def _memoised(
+        self, key: str, compute: Callable[[], Awaitable[Any]], kind: str
+    ) -> Tuple[str, Any]:
         """Answer a keyed request: cache, in-flight wait, or compute once.
 
-        ``compute`` is a zero-argument callable run on the thread pool;
-        its JSON-safe return value is memoised.  The in-flight future is
-        registered *before* the executor hop, so every coroutine that
-        checks after this one awaits the same computation.
+        Returns ``(cache outcome, value)``.  ``compute`` returns an
+        awaitable of the JSON-safe value, which is memoised under
+        ``kind``.  The in-flight future is registered *before* the first
+        await, so every coroutine that checks after this one awaits the
+        same computation.
         """
         value = self.memo.get(key)
         if value is not None:
-            return {"cache": "hit", "value": value}
+            return "hit", value
         pending = self._inflight.get(key)
         if pending is not None:
             self._count("coalesced")
-            value = await asyncio.shield(pending)
-            return {"cache": "coalesced", "value": value}
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+            return "coalesced", await asyncio.shield(pending)
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         try:
-            value = await loop.run_in_executor(self._executor, compute)
+            value = await compute()
         # noqa: BLE001 - re-raised after the coalesced waiters get it
         except BaseException as exc:
             if not future.cancelled():
@@ -267,10 +296,10 @@ class PredictionService:
                 future.exception()
             raise
         else:
-            self.memo.put(key, value, kind="service-prediction")
+            self.memo.put(key, value, kind=kind)
             if not future.cancelled():
                 future.set_result(value)
-            return {"cache": "miss", "value": value}
+            return "miss", value
         finally:
             self._inflight.pop(key, None)
 
@@ -292,12 +321,17 @@ class PredictionService:
             with telemetry.span("service.compute", kind="predict"):
                 return _json_safe(api.simulate(config).to_dict())
 
-        outcome = await self._memoised(key, compute)
+        loop = asyncio.get_running_loop()
+        cache, value = await self._memoised(
+            key,
+            lambda: loop.run_in_executor(self._executor, compute),
+            "service-prediction",
+        )
         return {
             "schema_version": SCHEMA_VERSION,
             "key": key,
-            "cache": outcome["cache"],
-            "result": outcome["value"],
+            "cache": cache,
+            "result": value,
         }
 
     async def predict_batch(self, payload: Any) -> Dict[str, Any]:
@@ -306,35 +340,23 @@ class PredictionService:
         try:
             config = _batch_config(payload)
             key = batch_request_key(config)
+            num_rows = (
+                len(config.formulas)
+                * len(config.history_lengths)
+                * shard_num_points(config)
+            )
+            if num_rows > self.config.max_batch_points:
+                raise BadRequest(
+                    f"batch expands to {num_rows} rows, above the service "
+                    f"limit of {self.config.max_batch_points}"
+                )
         except BadRequest:
             self._count("bad_requests")
             raise
-        num_rows = (
-            len(config.formulas)
-            * len(config.history_lengths)
-            * shard_num_points(config)
-        )
-        if num_rows > self.config.max_batch_points:
-            self._count("bad_requests")
-            raise BadRequest(
-                f"batch expands to {num_rows} rows, above the service "
-                f"limit of {self.config.max_batch_points}"
-            )
         shards = plan_shards(config, self.config.workers)
 
-        value = self.memo.get(key)
-        if value is not None:
-            return self._batch_response(key, "hit", value, len(shards))
-        pending = self._inflight.get(key)
-        if pending is not None:
-            self._count("coalesced")
-            value = await asyncio.shield(pending)
-            return self._batch_response(key, "coalesced", value, len(shards))
-
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        try:
+        async def compute() -> List[Dict[str, Any]]:
+            loop = asyncio.get_running_loop()
             with telemetry.span(
                 "service.compute", kind="predict-batch", shards=len(shards)
             ):
@@ -349,30 +371,15 @@ class PredictionService:
                     )
                 )
             results = merge_shard_results(config, shards, batches)
-            value = [_json_safe(result.to_dict()) for result in results]
-        # noqa: BLE001 - re-raised after the coalesced waiters get it
-        except BaseException as exc:
-            if not future.cancelled():
-                future.set_exception(exc)
-                future.exception()
-            raise
-        else:
-            self.memo.put(key, value, kind="service-batch")
-            if not future.cancelled():
-                future.set_result(value)
-            return self._batch_response(key, "miss", value, len(shards))
-        finally:
-            self._inflight.pop(key, None)
+            return [_json_safe(result.to_dict()) for result in results]
 
-    def _batch_response(
-        self, key: str, cache: str, value: List[Dict[str, Any]], shards: int
-    ) -> Dict[str, Any]:
+        cache, value = await self._memoised(key, compute, "service-batch")
         return {
             "schema_version": SCHEMA_VERSION,
             "key": key,
             "cache": cache,
             "num_results": len(value),
-            "shards": shards,
+            "shards": len(shards),
             "results": value,
         }
 

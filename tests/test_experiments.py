@@ -23,7 +23,7 @@ from repro.experiments import (
 )
 from repro.experiments import runner as runner_module
 from repro.experiments.registry import IN_PROCESS_KINDS, run_campaign_batched
-from repro.montecarlo import derive_point_seed, sweep_loss_event_rate
+from repro.lossprocess import derive_point_seed
 
 
 def small_montecarlo_spec(name="unit", seed=5):
@@ -391,28 +391,35 @@ class TestStore:
 
 class TestSweepIntegration:
     def test_sweep_accepts_custom_formula_subclass(self):
-        """Formulas outside the registry can't be made JSON-safe, but the
-        sweep front-end still accepts them (the old in-process contract)."""
+        """Formulas outside the registry can't be made JSON-safe, but a
+        spec whose ``base`` holds the instance itself still runs (the
+        in-process contract)."""
         class DoubledSqrt(SqrtFormula):
             def rate(self, p):
                 return 2.0 * super().rate(p)
 
-        points = sweep_loss_event_rate(
-            DoubledSqrt(rtt=1.0),
-            loss_event_rates=(0.1,),
-            history_lengths=(4,),
-            num_events=200,
+        spec = ExperimentSpec(
+            name="custom-formula",
+            runner="montecarlo-basic",
+            base={
+                "formula": DoubledSqrt(rtt=1.0),
+                "coefficient_of_variation": 1.0 - 1.0 / 1000.0,
+                "num_events": 200,
+            },
+            grid={"history_length": [4], "loss_event_rate": [0.1]},
             seed=3,
         )
-        assert len(points) == 1
-        assert points[0].normalized_throughput > 0.0
+        campaign = ExperimentRunner().run(spec)
+        campaign.raise_errors()
+        assert len(campaign.results) == 1
+        assert campaign.results[0].value["normalized_throughput"] > 0.0
 
     def test_figure3_campaign_parallel_equals_serial_sweep(self, tmp_path):
         """The acceptance check: a Figure-3-sized campaign (5 window lengths
         x 9 loss rates) run through ``ExperimentRunner(workers=4)`` -- in
         process, since montecarlo is an in-process kind -- produces
-        point-for-point identical SweepPoint values to the serial sweep on
-        the same seeds, and an immediate re-run is pure cache hits.
+        point-for-point identical values to a serial ``ExperimentRunner()``
+        run on the same seeds, and an immediate re-run is pure cache hits.
 
         ``num_events`` is shrunk from the figure's 20k to keep the test
         fast; the equality being asserted is exact, so the event count does
@@ -422,13 +429,6 @@ class TestSweepIntegration:
         loss_rates = (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
         lengths = (1, 2, 4, 8, 16)
         num_events = 500
-        serial_points = sweep_loss_event_rate(
-            formula,
-            loss_event_rates=loss_rates,
-            history_lengths=lengths,
-            num_events=num_events,
-            seed=21,
-        )
         spec = ExperimentSpec(
             name="fig3-sized",
             runner="montecarlo-basic",
@@ -443,17 +443,22 @@ class TestSweepIntegration:
             },
             seed=21,
         )
+        serial = ExperimentRunner().run(spec)
+        serial.raise_errors()
+        serial_points = [result.value for result in serial.results]
         store_path = str(tmp_path / "fig3.jsonl")
         campaign = ExperimentRunner(workers=4, store=store_path).run(spec)
         campaign.raise_errors()
         assert len(serial_points) == campaign.num_points == 45
         assert campaign.num_executed == 45
         for point, result in zip(serial_points, campaign.results):
-            assert point.history_length == result.value["history_length"]
-            assert point.loss_event_rate == result.value["loss_event_rate"]
-            assert point.normalized_throughput == result.value["normalized_throughput"]
-            assert point.throughput == result.value["throughput"]
-            assert point.interval_estimate_covariance == (
+            assert point["history_length"] == result.value["history_length"]
+            assert point["loss_event_rate"] == result.value["loss_event_rate"]
+            assert point["normalized_throughput"] == (
+                result.value["normalized_throughput"]
+            )
+            assert point["throughput"] == result.value["throughput"]
+            assert point["interval_estimate_covariance"] == (
                 result.value["interval_estimate_covariance"]
             )
         rerun = ExperimentRunner(workers=4, store=store_path).run(spec)

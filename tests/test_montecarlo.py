@@ -5,13 +5,12 @@ import pytest
 
 from repro import api
 from repro.core.formulas import PftkSimplifiedFormula, SqrtFormula
+from repro.experiments import ExperimentRunner, ExperimentSpec
+from repro.experiments.registry import FIGURE3_CV
 from repro.lossprocess import DeterministicIntervals, ShiftedExponentialIntervals
 from repro.montecarlo import (
     simulate_basic_control,
     simulate_comprehensive_control,
-    sweep_coefficient_of_variation,
-    sweep_history_length,
-    sweep_loss_event_rate,
 )
 
 
@@ -95,22 +94,39 @@ class TestComprehensiveControlMonteCarlo:
             )
 
 
+def run_sweep(formula, grid, seed, **base):
+    """A basic-control campaign over ``grid``; the point values, in order."""
+    spec = ExperimentSpec(
+        name="sweep",
+        runner="montecarlo-basic",
+        base={
+            "formula": api.FORMULAS.to_config(formula),
+            "num_events": TestSweeps.NUM_EVENTS,
+            **base,
+        },
+        grid=grid,
+        seed=seed,
+    )
+    campaign = ExperimentRunner().run(spec)
+    campaign.raise_errors()
+    return [result.value for result in campaign.results]
+
+
 class TestSweeps:
     NUM_EVENTS = 6_000  # enough for qualitative (shape) assertions, fast in CI
 
     def test_figure3_shape_pftk(self, pftk_simplified):
         """Figure 3 right: PFTK normalized throughput decreases with p and
         increases with L."""
-        points = sweep_loss_event_rate(
+        points = run_sweep(
             pftk_simplified,
-            loss_event_rates=(0.02, 0.2, 0.4),
-            history_lengths=(2, 16),
-            num_events=self.NUM_EVENTS,
+            {"history_length": [2, 16], "loss_event_rate": [0.02, 0.2, 0.4]},
             seed=1,
+            coefficient_of_variation=FIGURE3_CV,
         )
         by_length = {
-            length: {pt.loss_event_rate: pt.normalized_throughput
-                     for pt in points if pt.history_length == length}
+            length: {pt["loss_event_rate"]: pt["normalized_throughput"]
+                     for pt in points if pt["history_length"] == length}
             for length in (2, 16)
         }
         # Decreasing in p for the small window.
@@ -121,50 +137,45 @@ class TestSweeps:
     def test_figure3_sqrt_insensitive_to_p(self, sqrt_formula):
         """Figure 3 left: for SQRT the normalized throughput is essentially
         invariant in p (for this interval distribution family)."""
-        points = sweep_loss_event_rate(
+        points = run_sweep(
             sqrt_formula,
-            loss_event_rates=(0.05, 0.4),
-            history_lengths=(8,),
-            num_events=self.NUM_EVENTS,
+            {"history_length": [8], "loss_event_rate": [0.05, 0.4]},
             seed=2,
+            coefficient_of_variation=FIGURE3_CV,
         )
-        values = [pt.normalized_throughput for pt in points]
+        values = [pt["normalized_throughput"] for pt in points]
         assert abs(values[0] - values[1]) < 0.08
 
     def test_figure4_shape(self, pftk_simplified):
         """Figure 4: larger cv[theta_0] makes the control more conservative."""
-        points = sweep_coefficient_of_variation(
+        points = run_sweep(
             pftk_simplified,
-            loss_event_rate=0.1,
-            coefficients_of_variation=(0.1, 0.9),
-            history_lengths=(4,),
-            num_events=self.NUM_EVENTS,
+            {"history_length": [4], "coefficient_of_variation": [0.1, 0.9]},
             seed=3,
+            loss_event_rate=0.1,
         )
         low_cv, high_cv = points[0], points[1]
-        assert high_cv.normalized_throughput < low_cv.normalized_throughput
+        assert high_cv["normalized_throughput"] < low_cv["normalized_throughput"]
 
     def test_history_length_sweep_monotone(self, pftk_simplified):
         """Claim 1: larger estimator window => less conservative."""
-        points = sweep_history_length(
+        points = run_sweep(
             pftk_simplified,
+            {"history_length": [1, 4, 16]},
+            seed=4,
             loss_event_rate=0.2,
             coefficient_of_variation=0.999,
-            history_lengths=(1, 4, 16),
-            num_events=self.NUM_EVENTS,
-            seed=4,
         )
-        values = [pt.normalized_throughput for pt in points]
+        values = [pt["normalized_throughput"] for pt in points]
         assert values[0] < values[1] < values[2]
 
     def test_all_points_conservative(self, pftk_simplified):
         """Theorem 1's hypotheses hold in the numerical experiments, so every
         sweep point is conservative (allowing statistical noise)."""
-        points = sweep_loss_event_rate(
+        points = run_sweep(
             pftk_simplified,
-            loss_event_rates=(0.05, 0.2),
-            history_lengths=(4, 8),
-            num_events=self.NUM_EVENTS,
+            {"history_length": [4, 8], "loss_event_rate": [0.05, 0.2]},
             seed=5,
+            coefficient_of_variation=FIGURE3_CV,
         )
-        assert all(pt.normalized_throughput < 1.05 for pt in points)
+        assert all(pt["normalized_throughput"] < 1.05 for pt in points)

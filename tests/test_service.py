@@ -44,6 +44,9 @@ BATCH_PAYLOAD = {
     "share_noise": False,
 }
 
+#: A correlated loss process: the analytic method must refuse it.
+GILBERT = {"kind": "gilbert", "good_to_bad": 0.05, "bad_to_good": 0.4}
+
 
 def _service(**overrides):
     options = {"cache_capacity": 32, "workers": 2}
@@ -164,9 +167,19 @@ class TestPredict:
                     await service.predict(
                         dict(PREDICT_PAYLOAD, num_events=-5)
                     )
+                for bad in (
+                    {"seed": -3},
+                    {"seed": 1.5},
+                    {"num_events": 200.5},
+                    {"method": "analytic", "loss_process": GILBERT,
+                     "loss_event_rate": None,
+                     "coefficient_of_variation": None},
+                ):
+                    with pytest.raises(BadRequest):
+                        await service.predict(dict(PREDICT_PAYLOAD, **bad))
             finally:
                 service.close()
-            assert service.counters["bad_requests"] == 3
+            assert service.counters["bad_requests"] == 7
             assert service.counters["computes_predict"] == 0
 
         run(body)
@@ -211,6 +224,53 @@ class TestPredictBatch:
             ]
             assert response["shards"] == 1
             assert response["results"] == direct
+
+        run(body)
+
+    def test_single_flight_coalesces_concurrent_identical_batches(self):
+        async def body():
+            service = _service()
+            try:
+                responses = await asyncio.gather(
+                    *(service.predict_batch(BATCH_PAYLOAD) for _ in range(6))
+                )
+            finally:
+                service.close()
+            assert service.stats()["computes"]["batch"] == 1
+            assert service.counters["coalesced"] == 5
+            labels = sorted(response["cache"] for response in responses)
+            assert labels == ["coalesced"] * 5 + ["miss"]
+            first = responses[0]["results"]
+            assert all(r["results"] == first for r in responses)
+
+        run(body)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"loss_processes": [], "loss_event_rates": None,
+             "coefficients_of_variation": None},
+            {"loss_event_rates": []},
+            {"history_lengths": [0]},
+            {"loss_event_rates": [0.0]},
+            {"coefficients_of_variation": [1.5]},
+            {"seed": -3},
+            {"method": "analytic", "loss_processes": [GILBERT],
+             "loss_event_rates": None, "coefficients_of_variation": None},
+        ],
+    )
+    def test_malformed_batch_requests_raise_bad_request(self, overrides):
+        async def body():
+            service = _service()
+            payload = dict(BATCH_PAYLOAD, **overrides)
+            payload = {k: v for k, v in payload.items() if v is not None}
+            try:
+                with pytest.raises(BadRequest):
+                    await service.predict_batch(payload)
+            finally:
+                service.close()
+            assert service.counters["bad_requests"] == 1
+            assert service.counters["computes_batch"] == 0
 
         run(body)
 
@@ -391,7 +451,41 @@ class TestHttpFrontend:
                 dict(PREDICT_PAYLOAD, formula="no-such-formula"),
             )
             assert status == 400 and "error" in payload
+            # Valid shape, invalid seed or grid axis.
+            status, payload = await _post_json(
+                host, port, "/predict", dict(PREDICT_PAYLOAD, seed=-3)
+            )
+            assert status == 400 and "seed" in payload["error"]
+            status, payload = await _post_json(
+                host,
+                port,
+                "/predict/batch",
+                dict(BATCH_PAYLOAD, loss_event_rates=[]),
+            )
+            assert status == 400 and "error" in payload
+            status, payload = await _post_json(
+                host,
+                port,
+                "/predict/batch",
+                dict(BATCH_PAYLOAD, history_lengths=[0]),
+            )
+            assert status == 400 and "error" in payload
+            # The analytic method on a correlated loss process.
+            status, payload = await _post_json(
+                host,
+                port,
+                "/predict",
+                dict(
+                    PREDICT_PAYLOAD,
+                    method="analytic",
+                    loss_process=GILBERT,
+                    loss_event_rate=None,
+                    coefficient_of_variation=None,
+                ),
+            )
+            assert status == 400 and "is_iid" in payload["error"]
             assert service.counters["computes_predict"] == 0
+            assert service.counters["computes_batch"] == 0
 
         run(lambda: self._with_server(body))
 
