@@ -30,15 +30,6 @@ result store) go through the ``experiments`` sub-command::
     python -m repro.cli experiments run --spec my_campaign.json
     python -m repro.cli experiments run flowsim-scale   # 10k-flow flow-level run
 
-The performance trajectory is maintained by the ``bench`` sub-command
-(see :mod:`repro.bench`): it runs the kernel/campaign benchmark suite,
-records ``BENCH_<n>.json`` at the repository root and compares against
-the previous recording with a regression threshold::
-
-    python -m repro.cli bench --dry-run
-    python -m repro.cli bench --suite quick --repeats 3
-    python -m repro.cli bench --check          # non-zero exit on regression
-
 ``experiments run --telemetry`` enables :mod:`repro.telemetry` for the
 campaign and prints the counter snapshot after the summary.
 
@@ -50,7 +41,9 @@ with the ``serve`` sub-command::
 
 Each sub-command prints a small table to standard output; the benchmark
 harness under ``benchmarks/`` remains the canonical way to regenerate every
-figure with its shape checks.
+figure with its shape checks.  Speed is measured from outside the package
+by perfbench (``python3 perfbench/run.py``), and
+``benchmarks/perfbench_gate.py`` compares two trees with it.
 """
 
 from __future__ import annotations
@@ -60,7 +53,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from . import api, bench, telemetry
+from . import api, telemetry
 from .analysis import (
     CongestionModel,
     claim3_loss_event_rates,
@@ -639,13 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable repro.telemetry counters and spans "
                             "(also: REPRO_TELEMETRY=1)")
     serve.set_defaults(handler=_command_serve)
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the benchmark suite and extend the BENCH_<n>.json trajectory",
-    )
-    bench.add_arguments(bench_parser)
-    bench_parser.set_defaults(handler=bench.execute)
 
     lint = subparsers.add_parser(
         "lint",

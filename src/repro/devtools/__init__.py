@@ -13,7 +13,7 @@ a regression can even reach a test:
 ``layer-contract``
     The package import DAG (``core``/``lossprocess``/``palm`` below
     ``simulator``/``montecarlo``/``flowsim``, below
-    ``api``/``experiments``, below ``service``/``bench``/``cli``) admits
+    ``api``/``experiments``, below ``service``/``cli``) admits
     no upward import.  Deliberate *deferred* upward imports (function
     scope) must be allow-listed in ``pyproject.toml``.
 ``registry-roundtrip``

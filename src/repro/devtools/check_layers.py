@@ -7,7 +7,7 @@ The package import DAG is declared as a rank map in
       -> simulator/montecarlo/flowsim/measurement (20)
       -> analysis (30)
       -> api/experiments (40)
-      -> service/bench/cli/devtools (50)
+      -> service/cli/devtools (50)
 
 with ``telemetry`` at rank 0 (importable from everywhere).  An import is
 *upward* -- and flagged -- when the importing package's rank is strictly

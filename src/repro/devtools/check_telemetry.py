@@ -1,7 +1,7 @@
 """Checker 4: the telemetry catalog (rule ``telemetry-catalog``).
 
-Instrument names are API: exporters, dashboards and the bench harness
-select on them.  Every literal name passed to ``telemetry.span`` /
+Instrument names are API: exporters, dashboards and the tests select
+on them.  Every literal name passed to ``telemetry.span`` /
 ``incr`` / ``observe`` / ``set_gauge`` must
 
 * follow the dotted-lowercase scheme (two or more ``[a-z0-9_]``

@@ -125,8 +125,7 @@ def load_config(root: Path) -> LintConfig:
 
     reference_modules = string_list(
         "dead-config-reference-modules",
-        [f"{package}.experiments.registry", f"{package}.bench",
-         f"{package}.cli"],
+        [f"{package}.experiments.registry", f"{package}.cli"],
     )
     spec_dirs = string_list("dead-config-spec-dirs", ["examples/specs"])
     dead_allow = frozenset(string_list("dead-config-allow", []))

@@ -18,10 +18,12 @@ is part of every key, so responses cached under an old schema can never
 be replayed into a new one.
 
 Concurrent identical requests are *single-flighted*: the first request
-registers an in-flight future under its key before touching the thread
-pool, later arrivals await that future, and the kernel runs exactly once
-(``coalesced`` in the stats; asserted by the test suite with N
-``asyncio.gather``-ed clients).
+starts the compute as a task and registers it under its key before
+touching the thread pool, later arrivals await that task, and the
+kernel runs exactly once (``coalesced`` in the stats; asserted by the
+test suite with N ``asyncio.gather``-ed clients).  A requester that is
+cancelled while it waits leaves the task running, so the others still
+get the value and the cache still memoises it.
 
 Batch requests are sharded across the thread pool through
 :mod:`repro.service.workers` when the grid form allows it -- the merged
@@ -239,7 +241,7 @@ class PredictionService:
             max_workers=self.config.workers,
             thread_name_prefix="repro-service",
         )
-        self._inflight: Dict[str, asyncio.Future] = {}
+        self._inflight: Dict[str, asyncio.Task] = {}
         self._counter_lock = threading.Lock()
         self.counters: Dict[str, int] = {
             "requests_predict": 0,
@@ -271,35 +273,35 @@ class PredictionService:
         """Answer a keyed request: cache, in-flight wait, or compute once.
 
         Returns ``(cache outcome, value)``.  ``compute`` returns an
-        awaitable of the JSON-safe value, which is memoised under
-        ``kind``.  The in-flight future is registered *before* the first
-        await, so every coroutine that checks after this one awaits the
-        same computation.
+        awaitable of the JSON-safe value.  It runs as its own task,
+        registered in ``_inflight`` before the first await, which
+        memoises the value under ``kind``.  Every requester awaits the
+        task through :func:`asyncio.shield`, so a cancelled requester
+        (a client timeout) leaves the compute running for the others.
         """
         value = self.memo.get(key)
         if value is not None:
             return "hit", value
-        pending = self._inflight.get(key)
-        if pending is not None:
+        task = self._inflight.get(key)
+        if task is not None:
             self._count("coalesced")
-            return "coalesced", await asyncio.shield(pending)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
+            return "coalesced", await asyncio.shield(task)
+        task = asyncio.create_task(self._compute_once(key, compute, kind))
+        # A failure nobody awaits any more must not be logged as
+        # "exception was never retrieved".
+        task.add_done_callback(
+            lambda done: done.cancelled() or done.exception()
+        )
+        self._inflight[key] = task
+        return "miss", await asyncio.shield(task)
+
+    async def _compute_once(
+        self, key: str, compute: Callable[[], Awaitable[Any]], kind: str
+    ) -> Any:
         try:
             value = await compute()
-        # noqa: BLE001 - re-raised after the coalesced waiters get it
-        except BaseException as exc:
-            if not future.cancelled():
-                future.set_exception(exc)
-                # Mark retrieved so a request with no coalesced waiters
-                # does not log "exception was never retrieved".
-                future.exception()
-            raise
-        else:
             self.memo.put(key, value, kind=kind)
-            if not future.cancelled():
-                future.set_result(value)
-            return "miss", value
+            return value
         finally:
             self._inflight.pop(key, None)
 

@@ -18,6 +18,14 @@ invalid parameters are 400s with an ``{"error": ...}`` body; unknown
 paths 404; wrong methods 405; anything unexpected 500.  Connections are
 keep-alive: one handler loops over requests until the client closes or
 sends ``Connection: close``.
+
+What one client can hold is bounded.  A request line or header line
+longer than :data:`MAX_LINE_BYTES`, more than :data:`MAX_HEADERS` header
+lines, or a body above :data:`MAX_BODY_BYTES` is refused (400 or 413)
+and the connection closed.  A connection whose next request has not
+been read in full, body included, :data:`REQUEST_DEADLINE_S` seconds
+after the handler began waiting for it -- a slow or stalled client, or
+an idle keep-alive one -- is closed without a response.
 """
 
 from __future__ import annotations
@@ -35,6 +43,11 @@ __all__ = ["start_service", "serve_forever"]
 MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Request line / header line ceiling.
 MAX_LINE_BYTES = 16 * 1024
+#: Header lines per request; one more is a 400.
+MAX_HEADERS = 100
+#: Seconds from when the handler starts waiting for a request until its
+#: body is read; past it the connection is closed.
+REQUEST_DEADLINE_S = 60.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -84,6 +97,7 @@ async def _read_request(
         raise _HttpError(400, "malformed request line")
     method, path, _version = parts
     headers: Dict[str, str] = {}
+    count = 0
     while True:
         try:
             line = await reader.readuntil(b"\r\n")
@@ -93,6 +107,9 @@ async def _read_request(
             break
         if len(line) > MAX_LINE_BYTES:
             raise _HttpError(400, "header line too long")
+        count += 1
+        if count > MAX_HEADERS:
+            raise _HttpError(400, f"more than {MAX_HEADERS} headers")
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     length_text = headers.get("content-length", "0")
@@ -152,7 +169,11 @@ async def _handle_connection(
         while True:
             keep_alive = False
             try:
-                request = await _read_request(reader)
+                try:
+                    async with asyncio.timeout(REQUEST_DEADLINE_S):
+                        request = await _read_request(reader)
+                except TimeoutError:
+                    return
                 if request is None:
                     return
                 method, path, headers, body = request

@@ -10,8 +10,7 @@ Enabling
 --------
 Set the environment variable ``REPRO_TELEMETRY=1`` before the process
 starts, or call :func:`enable` programmatically (the CLI exposes it as
-``--telemetry`` on ``experiments run`` and implicitly inside
-``repro.cli bench``)::
+``--telemetry`` on ``experiments run`` and ``serve``)::
 
     from repro import telemetry
 

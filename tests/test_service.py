@@ -1,18 +1,22 @@
 """End-to-end tests for the prediction service (``repro.service``).
 
-Covers the service core directly (single-flight coalescing, cache hits,
-stats accuracy, the batch-vs-``simulate_batch`` differential) and the
-HTTP front-end over a real loopback socket (schema round-trip, malformed
-request handling, routing).  No pytest-asyncio: each test drives its own
-event loop with ``asyncio.run``.
+Covers the service core directly (single-flight coalescing and a
+cancelled coalesced requester, cache hits, stats accuracy, the
+batch-vs-``simulate_batch`` differential) and the HTTP front-end over a
+real loopback socket (schema round-trip, malformed request handling,
+routing, the header cap and the request deadline).  No pytest-asyncio:
+each test drives its own event loop with ``asyncio.run``.
 """
 
 import asyncio
 import json
+import threading
+import time
 
 import pytest
 
 from repro import api
+from repro.service import http
 from repro.experiments.store import _json_safe
 from repro.service import (
     BadRequest,
@@ -131,6 +135,49 @@ class TestPredict:
             assert labels == ["coalesced"] * 7 + ["miss"]
             first = responses[0]["result"]
             assert all(r["result"] == first for r in responses)
+
+        run(body)
+
+    def test_cancelled_requester_does_not_cancel_the_shared_compute(
+            self, monkeypatch):
+        release = threading.Event()
+        simulate = api.simulate
+
+        def gated_simulate(config):
+            release.wait(timeout=30)
+            return simulate(config)
+
+        monkeypatch.setattr(api, "simulate", gated_simulate)
+
+        async def body():
+            service = _service()
+            try:
+                first = asyncio.create_task(service.predict(PREDICT_PAYLOAD))
+                await asyncio.sleep(0)
+                waiters = [
+                    asyncio.create_task(service.predict(PREDICT_PAYLOAD))
+                    for _ in range(3)
+                ]
+                await asyncio.sleep(0)
+                assert service.counters["coalesced"] == 3
+                # The first requester goes away (a client timeout) while
+                # the compute is still blocked.
+                first.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await first
+                release.set()
+                responses = await asyncio.gather(*waiters)
+                again = await service.predict(PREDICT_PAYLOAD)
+            finally:
+                release.set()
+                service.close()
+            config = api.SimConfig.from_dict(PREDICT_PAYLOAD)
+            direct = _json_safe(simulate(config).to_dict())
+            assert [r["cache"] for r in responses] == ["coalesced"] * 3
+            assert all(r["result"] == direct for r in responses)
+            assert service.counters["computes_predict"] == 1
+            assert again["cache"] == "hit"
+            assert again["result"] == direct
 
         run(body)
 
@@ -542,5 +589,44 @@ class TestHttpFrontend:
                 writer.close()
                 await writer.wait_closed()
             assert caches == ["miss", "hit"]
+
+        run(lambda: self._with_server(body))
+
+    def test_header_count_is_capped(self):
+        async def body(service, host, port):
+            # _http_request sends Host, Content-Length and Connection.
+            def padding(total):
+                return [f"X-Pad-{i}: {i}" for i in range(total - 3)]
+
+            status, payload = await _http_request(
+                host, port, "GET", "/healthz",
+                headers=padding(http.MAX_HEADERS),
+            )
+            assert status == 200
+            status, payload = await _http_request(
+                host, port, "GET", "/healthz",
+                headers=padding(http.MAX_HEADERS + 1),
+            )
+            assert status == 400 and "headers" in payload["error"]
+
+        run(lambda: self._with_server(body))
+
+    def test_stalled_request_is_closed_at_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(http, "REQUEST_DEADLINE_S", 0.2)
+
+        async def body(service, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                # Half a request line, then nothing.
+                writer.write(b"POST /predi")
+                await writer.drain()
+                started = time.monotonic()
+                closed = await asyncio.wait_for(reader.read(), timeout=2.0)
+                elapsed = time.monotonic() - started
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert closed == b""
+            assert elapsed < 2.0
 
         run(lambda: self._with_server(body))

@@ -2,8 +2,8 @@
 
 Covers the tracing/metrics core (span nesting, timing monotonicity,
 disabled-mode no-ops, exporters), the counters the result store and
-campaign runner emit, the deprecation shims the observability PR turned
-on, and the ``repro.cli bench`` surface.
+campaign runner and the ``simulate_batch`` facade emit, and the removal
+of the deprecation shims.
 """
 
 import json
@@ -230,83 +230,32 @@ class TestDeprecationShims:
 
 
 # ----------------------------------------------------------------------
-# Bench CLI surface
+# Instrumentation: the batch facade
 # ----------------------------------------------------------------------
-class TestBenchCli:
-    def test_bench_dry_run(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "--dry-run"]) == 0
-        output = capsys.readouterr().out
-        assert "kernel-montecarlo-batch" in output
-        assert "campaign-smoke" in output
-        assert "dry run" in output
-
+class TestBatchCounters:
     @staticmethod
-    def _install_fake_timer(monkeypatch):
-        # Replace the bench timer hook with a deterministic fake that
-        # advances one millisecond per reading: every measurement of
-        # every benchmark becomes exactly 0.001s, so back-to-back runs
-        # at --repeats 1 compare at ratio 1.0 under the *default*
-        # threshold -- no wall-clock jitter, no widened gate.
-        from itertools import count
+    def _eight_row_batch():
+        from repro import api
 
-        from repro import bench
+        config = api.BatchConfig(
+            formulas=["sqrt", "pftk-simplified"],
+            history_lengths=[2, 8],
+            loss_event_rates=[0.05, 0.2],
+            coefficients_of_variation=[0.999],
+            num_events=2000,
+            seed=3,
+        )
+        assert len(api.simulate_batch(config).results) == 8
 
-        ticks = count()
-        monkeypatch.setattr(bench, "_TIMER", lambda: next(ticks) * 1e-3)
+    def test_simulate_batch_counts_calls_and_rows(self, fresh_telemetry):
+        self._eight_row_batch()
+        assert fresh_telemetry.counter("api.batch.calls") == 1.0
+        assert fresh_telemetry.counter("api.batch.rows") == 8.0
 
-    def test_bench_quick_records_and_compares(self, tmp_path, capsys,
-                                              monkeypatch):
-        from repro.cli import main
-
-        self._install_fake_timer(monkeypatch)
-        argv = ["bench", "--suite", "quick", "--repeats", "1", "--warmup",
-                "0", "--quiet", "--dir", str(tmp_path)]
-        assert main(list(argv)) == 0
-        first = capsys.readouterr().out
-        assert "starts the trajectory" in first
-        payload = json.loads((tmp_path / "BENCH_1.json").read_text())
-        assert payload["schema_version"] == 1
-        entry = payload["benchmarks"]["kernel-montecarlo-batch"]
-        assert entry["median_s"] == pytest.approx(1e-3)
-        assert entry["telemetry"]["counters"]["api.batch.calls"] == 1.0
-
-        assert main(list(argv) + ["--check"]) == 0
-        second = capsys.readouterr().out
-        assert "Comparison vs" in second
-        assert "REGRESSION" not in second
-        assert (tmp_path / "BENCH_2.json").exists()
-
-    def test_bench_service_suite_deterministic_at_one_repeat(
-            self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        self._install_fake_timer(monkeypatch)
-        argv = ["bench", "--suite", "service", "--repeats", "1",
-                "--warmup", "0", "--quiet", "--dir", str(tmp_path)]
-        assert main(list(argv)) == 0
-        capsys.readouterr()
-        payload = json.loads((tmp_path / "BENCH_1.json").read_text())
-        assert set(payload["benchmarks"]) == {"prediction-service"}
-        assert payload["benchmarks"]["prediction-service"][
-            "median_s"] == pytest.approx(1e-3)
-
-        # The gate passes at the default threshold: the medians of the
-        # two runs are identical by construction.
-        assert main(list(argv) + ["--check"]) == 0
-        second = capsys.readouterr().out
-        assert "Comparison vs" in second
-        assert "REGRESSION" not in second
-
-    def test_bench_regression_gate(self, tmp_path, capsys):
-        from repro import bench
-
-        baseline = {"benchmarks": {"k": {"median_s": 1.0}}}
-        current = {"benchmarks": {"k": {"median_s": 1.5}}}
-        rows = bench.compare(baseline, current, threshold=0.30)
-        assert rows[0]["status"] == "REGRESSION"
-        rows = bench.compare(baseline, current, threshold=0.60)
-        assert rows[0]["status"] == "ok"
-        rows = bench.compare(current, baseline, threshold=0.30)
-        assert rows[0]["status"] == "improved"
+    def test_disabled_simulate_batch_records_no_counters(self):
+        assert not telemetry.enabled()
+        telemetry.reset()
+        self._eight_row_batch()
+        counters = telemetry.snapshot()["counters"]
+        assert "api.batch.calls" not in counters
+        assert "api.batch.rows" not in counters
