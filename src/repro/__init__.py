@@ -35,8 +35,9 @@ api
     facade.
 telemetry
     Dependency-free tracing spans and metrics (counters, gauges,
-    histograms) threaded through the hot layers; off by default, toggled
-    with ``REPRO_TELEMETRY=1`` or ``repro.telemetry.enable()``.
+    histograms) threaded through the hot layers; metrics are always on
+    and per process, spans are toggled with ``REPRO_TELEMETRY=1`` or
+    ``repro.telemetry.enable()``.
 """
 
 from . import (

@@ -30,8 +30,9 @@ result store) go through the ``experiments`` sub-command::
     python -m repro.cli experiments run --spec my_campaign.json
     python -m repro.cli experiments run flowsim-scale   # 10k-flow flow-level run
 
-``experiments run --telemetry`` enables :mod:`repro.telemetry` for the
-campaign and prints the counter snapshot after the summary.
+``experiments run`` prints the campaign's store counts from the
+always-on :mod:`repro.telemetry` counters; ``--telemetry`` also records
+spans and prints the whole counter snapshot after the summary.
 
 The long-running throughput-prediction service (``repro.service``: JSON
 over HTTP, memoising cache tier, single-flight coalescing) is started
@@ -412,8 +413,9 @@ def _command_experiments_show(arguments: argparse.Namespace) -> int:
 
 def _command_experiments_run(arguments: argparse.Namespace) -> int:
     spec = _load_spec(arguments)
+    telemetry.reset()
     if arguments.telemetry:
-        telemetry.enable(fresh=True)
+        telemetry.enable()
 
     def progress(completed: int, total: int, result) -> None:
         if not arguments.quiet:
@@ -454,11 +456,13 @@ def _command_experiments_run(arguments: argparse.Namespace) -> int:
         f"({campaign.num_executed} fresh, {campaign.num_cached} cached)"
     )
     if runner.store is not None:
-        stats = runner.store.stats
+        counter = telemetry.get_registry().counter
         print(
-            f"store: {stats['hits']} hits, {stats['misses']} misses, "
-            f"{stats['retries']} retries, {stats['puts']} puts, "
-            f"{stats['skipped']} skipped"
+            f"store: {int(counter('store.hit'))} hits, "
+            f"{int(counter('store.miss'))} misses, "
+            f"{int(counter('store.retry'))} retries, "
+            f"{int(counter('store.put'))} puts, "
+            f"{runner.store.skipped} skipped"
         )
     if arguments.telemetry:
         counters = telemetry.snapshot().get("counters", {})
@@ -590,9 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiments_run.add_argument("--quiet", action="store_true",
                                  help="suppress per-point progress lines")
     experiments_run.add_argument("--telemetry", action="store_true",
-                                 help="enable repro.telemetry for the campaign "
-                                      "and print the counter snapshot "
-                                      "(also: REPRO_TELEMETRY=1)")
+                                 help="record repro.telemetry spans for the "
+                                      "campaign and print the counter "
+                                      "snapshot (also: REPRO_TELEMETRY=1)")
     experiments_run.set_defaults(handler=_command_experiments_run)
 
     shortflow = subparsers.add_parser(
@@ -629,8 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel worker threads / max batch shards "
                             "(default: 2)")
     serve.add_argument("--telemetry", action="store_true",
-                       help="enable repro.telemetry counters and spans "
-                            "(also: REPRO_TELEMETRY=1)")
+                       help="record repro.telemetry spans; counters are "
+                            "always on (also: REPRO_TELEMETRY=1)")
     serve.set_defaults(handler=_command_serve)
 
     lint = subparsers.add_parser(

@@ -367,20 +367,6 @@ class PftkSimplifiedFormula(LossThroughputFormula):
         result = -denom_prime / denom**2
         return result if isinstance(p, np.ndarray) else float(result)
 
-    def g_closed_form_terms(self, x: ArrayLike) -> ArrayLike:
-        """Return ``g(x) = c1 r x^{-1/2}... `` evaluated termwise.
-
-        Provided as an explicit closed form used by Proposition 3's ``V_n``
-        term::
-
-            g(x) = c1 r sqrt(x) + q c2 / sqrt(x) + 32 q c2 / x^{7/2} * x^{?}
-
-        Concretely ``g(x) = 1/f(1/x) = c1 r x^{-1/2} ... `` -- we simply
-        evaluate ``1/f(1/x)`` but keep this method as the documented
-        closed-form entry point.
-        """
-        return self.g(x)
-
 
 @dataclass(frozen=True)
 class AimdFormula(LossThroughputFormula):

@@ -21,15 +21,16 @@ When a :class:`~repro.experiments.store.ResultStore` is attached, points
 whose key already has a successful record are returned as ``cached`` rows
 without re-executing, and fresh results are appended to the store.
 
-With :mod:`repro.telemetry` enabled, each campaign runs under an
-``experiments.campaign`` span and every point under an
-``experiments.point`` span tagged with its status (and exception type on
-failure).  The process-pool path additionally splits each point's
-turnaround into *compute* (measured inside the worker) and *queue wait*
-(time between submission and completion not spent computing), recorded
-as the ``experiments.compute`` / ``experiments.queue_wait`` histograms;
-point outcomes feed the ``experiments.points.{ok,cached,error}``
-counters.  All instrumentation is no-op when telemetry is off.
+Point outcomes always feed the process-wide
+``experiments.points.{ok,cached,error}`` counters of
+:mod:`repro.telemetry`, and each executed point's compute time (measured
+where it ran) the ``experiments.compute`` histogram.  The process-pool
+path also records the rest of each point's turnaround -- time between
+submission and completion not spent computing -- as the
+``experiments.queue_wait`` histogram.  With spans enabled, each campaign
+additionally runs under an ``experiments.campaign`` span and every point
+under an ``experiments.point`` span tagged with its status (and
+exception type on failure).
 """
 
 from __future__ import annotations
@@ -273,14 +274,14 @@ class ExperimentRunner:
         outcome: Dict[str, Any],
         turnaround: float,
     ) -> None:
-        """Log one pool-executed point: compute vs queue-wait split.
+        """Count one pool-executed point: compute vs queue-wait split.
 
         The compute time was measured inside the worker process (it is
         part of the outcome); the remainder of the turnaround -- pickle
         transfer, executor queueing, waiting behind other points on a
-        busy pool -- is the queue wait.  The span record is synthesised
-        with those measured durations rather than timed here, since the
-        work did not happen on this thread.
+        busy pool -- is the queue wait.  With spans enabled, the span
+        record is synthesised with those measured durations rather than
+        timed here, since the work did not happen on this thread.
         """
         status = outcome["status"]
         compute = float(outcome.get("duration", 0.0))
@@ -288,6 +289,8 @@ class ExperimentRunner:
         telemetry.incr(f"experiments.points.{status}")
         telemetry.observe("experiments.compute", compute)
         telemetry.observe("experiments.queue_wait", queue_wait)
+        if not telemetry.enabled():
+            return
         record = {
             "name": "experiments.point",
             "path": "experiments.campaign/experiments.point",
@@ -313,23 +316,20 @@ class ExperimentRunner:
 
     def _run_serial(self, spec, pending, slots, completed, total) -> int:
         for point in pending:
-            if telemetry.enabled():
-                with telemetry.span(
-                    "experiments.point",
-                    index=point.index,
-                    runner=point.runner,
-                ) as point_span:
-                    outcome = execute_point(point.payload())
-                    point_span.set("status", outcome["status"])
-                    if outcome["status"] == "error":
-                        error = outcome.get("error") or ""
-                        point_span.set("error", error.split(":", 1)[0])
-                telemetry.incr(f"experiments.points.{outcome['status']}")
-                telemetry.observe(
-                    "experiments.compute", float(outcome.get("duration", 0.0))
-                )
-            else:
+            with telemetry.span(
+                "experiments.point",
+                index=point.index,
+                runner=point.runner,
+            ) as point_span:
                 outcome = execute_point(point.payload())
+                point_span.set("status", outcome["status"])
+                if outcome["status"] == "error":
+                    error = outcome.get("error") or ""
+                    point_span.set("error", error.split(":", 1)[0])
+            telemetry.incr(f"experiments.points.{outcome['status']}")
+            telemetry.observe(
+                "experiments.compute", float(outcome.get("duration", 0.0))
+            )
             result = self._record(spec, point, outcome)
             slots[point.index] = result
             completed += 1
@@ -338,20 +338,16 @@ class ExperimentRunner:
 
     def _run_parallel(self, spec, pending, slots, completed, total) -> int:
         max_workers = min(self.workers, len(pending))
-        instrumented = telemetry.enabled()
         with ProcessPoolExecutor(max_workers=max_workers) as executor:
             futures = {}
-            submitted_at = {}
             for point in pending:
                 future = executor.submit(execute_point, point.payload())
-                futures[future] = point
-                if instrumented:
-                    submitted_at[future] = time.perf_counter()
+                futures[future] = (point, time.perf_counter())
             remaining = set(futures)
             while remaining:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in done:
-                    point = futures[future]
+                    point, submitted_at = futures[future]
                     exc = future.exception()
                     if exc is not None:
                         # A worker died (e.g. BrokenProcessPool) before the
@@ -364,11 +360,9 @@ class ExperimentRunner:
                         }
                     else:
                         outcome = future.result()
-                    if instrumented:
-                        turnaround = (
-                            time.perf_counter() - submitted_at[future]
-                        )
-                        self._note_parallel_point(point, outcome, turnaround)
+                    self._note_parallel_point(
+                        point, outcome, time.perf_counter() - submitted_at
+                    )
                     result = self._record(spec, point, outcome)
                     slots[point.index] = result
                     completed += 1

@@ -9,7 +9,7 @@ rewriting each other's history, and a partially-written last line (e.g.
 from a killed run) is skipped rather than poisoning the file; the next
 append starts on a fresh line, so it is not lost with the fragment.
 Every skipped line -- unparsable, keyless or not a JSON object, anywhere
-in the file -- is counted in ``stats["skipped"]``.
+in the file -- is counted in :attr:`ResultStore.skipped`.
 
 The store is what makes campaigns restartable: the runner consults it
 before executing a point and reuses any stored successful record (a
@@ -18,10 +18,9 @@ never treated as hits, so the next run retries them.
 
 Every lookup through :meth:`ResultStore.get_ok` is classified -- *hit*
 (successful record reused), *miss* (no record), *retry* (a record
-exists but failed, so the point re-executes) -- into plain instance
-counters (:attr:`ResultStore.stats`, always on, shown by ``repro.cli
-experiments run``) and mirrored into the :mod:`repro.telemetry`
-``store.*`` counters when telemetry is enabled.
+exists but failed, so the point re-executes) -- into the always-on,
+process-wide :mod:`repro.telemetry` ``store.*`` counters, which
+``repro.cli experiments run`` prints.
 
 :meth:`ResultStore.load_frame` flattens successful records into rows
 (``params`` + scalar result values) for the analysis layer.
@@ -32,7 +31,7 @@ Since the prediction service landed, the module is also the repo's
 (sorted-key JSON, tuples as lists, component instances by their
 parameter dictionaries -- never ``str(obj)`` memory-address reprs -- so
 a payload and its JSON round-trip hash identically), :class:`LRUCache`
-is a bounded in-memory layer with hit/miss/eviction counters, and
+is a bounded in-memory layer, and
 :class:`MemoisingStore` stacks that LRU in front of an optional
 :class:`ResultStore` for grid-point-granularity memoisation with
 persistence.  Records written by :meth:`ResultStore.put` carry a
@@ -156,25 +155,10 @@ class ResultStore:
     def __init__(self, path: str) -> None:
         self.path = str(path)
         self._records: Dict[str, Dict[str, Any]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.retries = 0
-        self.puts = 0
+        #: Lines of the file the load could not use.
         self.skipped = 0
         self._torn_tail = False
         self._load()
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Lifetime cache-lookup counts for this store instance, plus the
-        lines the load skipped."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "retries": self.retries,
-            "puts": self.puts,
-            "skipped": self.skipped,
-        }
 
     def _load(self) -> None:
         if not os.path.exists(self.path):
@@ -217,14 +201,11 @@ class ResultStore:
         """
         record = self._records.get(key)
         if record is None:
-            self.misses += 1
             telemetry.incr("store.miss")
             return None
         if record.get("status") == "ok":
-            self.hits += 1
             telemetry.incr("store.hit")
             return record
-        self.retries += 1
         telemetry.incr("store.retry")
         return None
 
@@ -242,7 +223,6 @@ class ResultStore:
             handle.write("\n" + line if self._torn_tail else line)
         self._torn_tail = False
         self._records[key] = dict(record)
-        self.puts += 1
         telemetry.incr("store.put")
 
     # ------------------------------------------------------------------
@@ -293,8 +273,8 @@ class LRUCache:
 
     Thread-safe (the prediction service computes on worker threads while
     the event loop serves lookups).  Lookups through :meth:`get` count as
-    *use*; evictions are counted and mirrored into the
-    ``memo.lru.eviction`` telemetry counter.
+    *use*; evictions feed the ``memo.lru.eviction`` telemetry counter.
+    Hits and misses are counted one tier up, by :class:`MemoisingStore`.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -303,9 +283,6 @@ class LRUCache:
         self.capacity = int(capacity)
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -315,25 +292,12 @@ class LRUCache:
         with self._lock:
             return key in self._entries
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "capacity": self.capacity,
-            }
-
     def get(self, key: str) -> Optional[Any]:
         """The cached value (refreshing its recency), or None."""
         with self._lock:
             if key not in self._entries:
-                self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
             return self._entries[key]
 
     def put(self, key: str, value: Any) -> None:
@@ -344,7 +308,6 @@ class LRUCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
                 evicted += 1
         if evicted:
             telemetry.incr("memo.lru.eviction", evicted)
@@ -362,8 +325,10 @@ class MemoisingStore:
     LRU); :meth:`put` writes both.  Stored values must be JSON-safe --
     callers key them with :func:`result_key` over a canonical request
     payload, which is what makes this a *grid-point* cache rather than a
-    campaign-replay cache.  Lookups feed the ``memo.{hit,hit_store,miss,
-    put}`` telemetry counters and the always-on :attr:`stats`.
+    campaign-replay cache.  Lookups and inserts feed the always-on,
+    process-wide ``memo.{hit,hit_store,miss,put}`` telemetry counters;
+    the instance holds only state (the LRU's size and capacity, and the
+    optional store).
     """
 
     def __init__(
@@ -375,33 +340,11 @@ class MemoisingStore:
         self.store = (
             ResultStore(store) if isinstance(store, (str, os.PathLike)) else store
         )
-        self.hits = 0
-        self.store_hits = 0
-        self.misses = 0
-        self.puts = 0
-
-    @property
-    def stats(self) -> Dict[str, Any]:
-        """Merged lookup / LRU / persistence counters."""
-        merged: Dict[str, Any] = {
-            "hits": self.hits,
-            "store_hits": self.store_hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.memory.evictions,
-            "memory_size": len(self.memory),
-            "capacity": self.memory.capacity,
-            "persistent": self.store is not None,
-        }
-        if self.store is not None:
-            merged["store_records"] = len(self.store)
-        return merged
 
     def get(self, key: str) -> Optional[Any]:
         """The memoised value for a key, or None (classifying the lookup)."""
         value = self.memory.get(key)
         if value is not None:
-            self.hits += 1
             telemetry.incr("memo.hit")
             return value
         if self.store is not None:
@@ -410,10 +353,8 @@ class MemoisingStore:
                 value = record.get("value")
                 if value is not None:
                     self.memory.put(key, value)
-                    self.store_hits += 1
                     telemetry.incr("memo.hit_store")
                     return value
-        self.misses += 1
         telemetry.incr("memo.miss")
         return None
 
@@ -428,5 +369,4 @@ class MemoisingStore:
             record = {"key": key, "status": "ok", "value": value}
             record.update(extra)
             self.store.put(record)
-        self.puts += 1
         telemetry.incr("memo.put")

@@ -28,12 +28,15 @@ get the value and the cache still memoises it.
 Batch requests are sharded across the thread pool through
 :mod:`repro.service.workers` when the grid form allows it -- the merged
 response is bit-for-bit the unsharded ``simulate_batch`` result.
+
+Requests, computes and cache lookups are counted only in the process-wide
+:mod:`repro.telemetry` registry, which :meth:`PredictionService.stats`
+reads.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,6 +63,9 @@ __all__ = [
 #: every cache key: bumping it invalidates cached predictions instead of
 #: replaying them across incompatible shapes.
 SCHEMA_VERSION = 1
+
+#: Rows a batch request may expand to; a larger grid is a 400.
+MAX_BATCH_ROWS = 100_000
 
 
 class BadRequest(ValueError):
@@ -211,15 +217,12 @@ class ServiceConfig:
     cache_capacity: int = 4096
     store_path: Optional[str] = None
     workers: int = 2
-    max_batch_points: int = 100_000
 
     def __post_init__(self) -> None:
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.max_batch_points < 1:
-            raise ValueError("max_batch_points must be at least 1")
 
 
 class PredictionService:
@@ -242,27 +245,12 @@ class PredictionService:
             thread_name_prefix="repro-service",
         )
         self._inflight: Dict[str, asyncio.Task] = {}
-        self._counter_lock = threading.Lock()
-        self.counters: Dict[str, int] = {
-            "requests_predict": 0,
-            "requests_batch": 0,
-            "coalesced": 0,
-            "computes_predict": 0,
-            "computes_batch": 0,
-            "compute_shards": 0,
-            "bad_requests": 0,
-        }
         self.started_at = time.time()
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
         self._executor.shutdown(wait=True)
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        with self._counter_lock:
-            self.counters[name] = self.counters.get(name, 0) + amount
-        telemetry.incr(f"service.{name}", amount)
 
     # ------------------------------------------------------------------
     # Single-flight plumbing
@@ -284,7 +272,7 @@ class PredictionService:
             return "hit", value
         task = self._inflight.get(key)
         if task is not None:
-            self._count("coalesced")
+            telemetry.incr("service.coalesced")
             return "coalesced", await asyncio.shield(task)
         task = asyncio.create_task(self._compute_once(key, compute, kind))
         # A failure nobody awaits any more must not be logged as
@@ -310,16 +298,16 @@ class PredictionService:
     # ------------------------------------------------------------------
     async def predict(self, payload: Any) -> Dict[str, Any]:
         """Evaluate (or recall) one ``SimConfig``-shaped request."""
-        self._count("requests_predict")
+        telemetry.incr("service.requests_predict")
         try:
             config = _sim_config(payload)
             key = prediction_key(config)
         except BadRequest:
-            self._count("bad_requests")
+            telemetry.incr("service.bad_requests")
             raise
 
         def compute() -> Dict[str, Any]:
-            self._count("computes_predict")
+            telemetry.incr("service.computes_predict")
             with telemetry.span("service.compute", kind="predict"):
                 return _json_safe(api.simulate(config).to_dict())
 
@@ -338,7 +326,7 @@ class PredictionService:
 
     async def predict_batch(self, payload: Any) -> Dict[str, Any]:
         """Evaluate (or recall) a whole ``BatchConfig``-shaped grid."""
-        self._count("requests_batch")
+        telemetry.incr("service.requests_batch")
         try:
             config = _batch_config(payload)
             key = batch_request_key(config)
@@ -347,13 +335,13 @@ class PredictionService:
                 * len(config.history_lengths)
                 * shard_num_points(config)
             )
-            if num_rows > self.config.max_batch_points:
+            if num_rows > MAX_BATCH_ROWS:
                 raise BadRequest(
                     f"batch expands to {num_rows} rows, above the service "
-                    f"limit of {self.config.max_batch_points}"
+                    f"limit of {MAX_BATCH_ROWS}"
                 )
         except BadRequest:
-            self._count("bad_requests")
+            telemetry.incr("service.bad_requests")
             raise
         shards = plan_shards(config, self.config.workers)
 
@@ -362,8 +350,8 @@ class PredictionService:
             with telemetry.span(
                 "service.compute", kind="predict-batch", shards=len(shards)
             ):
-                self._count("computes_batch")
-                self._count("compute_shards", len(shards))
+                telemetry.incr("service.computes_batch")
+                telemetry.incr("service.compute_shards", len(shards))
                 batches = await asyncio.gather(
                     *(
                         loop.run_in_executor(
@@ -387,23 +375,40 @@ class PredictionService:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """JSON-safe snapshot of the service and cache-tier counters."""
-        with self._counter_lock:
-            counters = dict(self.counters)
+        """JSON-safe snapshot of the service and cache-tier counters.
+
+        The counts come from the process-wide :mod:`repro.telemetry`
+        registry, so they are per process, not per instance (production
+        runs one service per process); the cache's size, capacity and
+        persistence are this instance's state.
+        """
+        counter = telemetry.get_registry().counter
+        cache: Dict[str, Any] = {
+            "hits": int(counter("memo.hit")),
+            "store_hits": int(counter("memo.hit_store")),
+            "misses": int(counter("memo.miss")),
+            "puts": int(counter("memo.put")),
+            "evictions": int(counter("memo.lru.eviction")),
+            "memory_size": len(self.memo.memory),
+            "capacity": self.memo.memory.capacity,
+            "persistent": self.memo.store is not None,
+        }
+        if self.memo.store is not None:
+            cache["store_records"] = len(self.memo.store)
         return {
             "schema_version": SCHEMA_VERSION,
             "uptime_s": time.time() - self.started_at,
             "workers": self.config.workers,
             "requests": {
-                "predict": counters["requests_predict"],
-                "batch": counters["requests_batch"],
-                "bad": counters["bad_requests"],
+                "predict": int(counter("service.requests_predict")),
+                "batch": int(counter("service.requests_batch")),
+                "bad": int(counter("service.bad_requests")),
             },
             "computes": {
-                "predict": counters["computes_predict"],
-                "batch": counters["computes_batch"],
-                "shards": counters["compute_shards"],
+                "predict": int(counter("service.computes_predict")),
+                "batch": int(counter("service.computes_batch")),
+                "shards": int(counter("service.compute_shards")),
             },
-            "coalesced": counters["coalesced"],
-            "cache": self.memo.stats,
+            "coalesced": int(counter("service.coalesced")),
+            "cache": cache,
         }

@@ -153,18 +153,18 @@ class EventLoop:
     def run(self, until: float) -> None:
         """Run the loop until the clock reaches ``until`` seconds.
 
-        With :mod:`repro.telemetry` enabled, the run reports its event
-        count and rate through :meth:`_report`.  The per-event cost is a
-        single local increment either way -- the timing calls happen
-        once per :meth:`run`, never inside the loop.
+        A run that processed events reports its event count and wall
+        time through :meth:`_report` to the always-on
+        :mod:`repro.telemetry` counters.  The per-event cost is a single
+        local increment -- the timing calls and the report happen once
+        per :meth:`run`, never inside the loop.
         """
         if not until >= self._now:
             raise ValueError(
                 f"cannot run to a time in the past (now={self._now}, until={until})"
             )
         self._stopped = False
-        instrumented = telemetry.enabled()
-        started = time.perf_counter() if instrumented else 0.0
+        started = time.perf_counter()
         heap = self._heap
         pop = heapq.heappop
         processed = 0
@@ -181,7 +181,7 @@ class EventLoop:
         if not self._stopped:
             self._now = until
         self.events_processed += processed
-        if instrumented and processed:
+        if processed:
             self._report(processed, time.perf_counter() - started)
 
     def stop(self) -> None:
@@ -193,7 +193,7 @@ class EventLoop:
         self._stopped = True
 
     def _report(self, processed: int, wall: float) -> None:
-        """Publish one instrumented run's event count and wall time."""
+        """Publish one run's event count and wall time."""
 
 
 class Simulator(EventLoop):

@@ -114,11 +114,3 @@ class BottleneckLink:
         receiver = self._receivers.get(packet.flow_id)
         if receiver is not None:
             receiver(packet)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def utilization_bytes(self) -> int:
-        """Total bytes delivered so far."""
-        return self.delivered_bytes

@@ -49,9 +49,6 @@ class QueueDiscipline(abc.ABC):
         """Number of packets currently queued."""
         return len(self._queue)
 
-    def is_empty(self) -> bool:
-        return not self._queue
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""Process-local tracing and metrics for the reproduction's hot paths.
+"""Process-wide tracing and metrics for the reproduction's hot paths.
 
-The subsystem is deliberately dependency-free (standard library only) and
-**off by default**: every instrumentation point in the package goes
-through :func:`span` or the counter helpers, which collapse to shared
-no-op singletons when telemetry is disabled, so the instrumented kernels
-pay one attribute check per *call* (not per row or per event).
+The subsystem is deliberately dependency-free (standard library only).
+Counters, gauges and histograms are **always on** and count **per
+process**: :func:`incr`, :func:`observe` and :func:`set_gauge` record
+into the one registry :func:`get_registry` returns, the only place the
+package counts an event.  Each call takes the registry lock once, so
+instrumentation sits at call granularity (per request, store lookup,
+campaign point or simulator run), never per row or per event.  Spans
+are **opt-in**: :func:`span` is a shared no-op until they are enabled.
 
-Enabling
---------
+Enabling spans
+--------------
 Set the environment variable ``REPRO_TELEMETRY=1`` before the process
 starts, or call :func:`enable` programmatically (the CLI exposes it as
 ``--telemetry`` on ``experiments run`` and ``serve``)::
@@ -31,19 +34,23 @@ Instrumentation vocabulary
     attribute at exit.
 :class:`MetricsRegistry`
     Counters (monotonic sums), gauges (last value wins), histograms
-    (bounded reservoirs summarised as count/mean/min/max/p50/p90).
+    (the newest ``HISTOGRAM_CAP`` observations, summarised as
+    count/mean/min/max/p50/p90).
 
-What the package records (when enabled)
----------------------------------------
-* ``experiments.*`` -- per-point spans, executor queue-wait vs compute
-  split, ok/cached/error counters (:mod:`repro.experiments.runner`);
-* ``store.*`` -- cache hit / miss / retry / put counters
-  (:mod:`repro.experiments.store`);
+What the package records
+------------------------
+* ``experiments.*`` -- ok/cached/error point counters, per-point compute
+  and (pool path) queue-wait histograms, and campaign / point spans
+  (:mod:`repro.experiments.runner`);
+* ``store.*`` and ``memo.*`` -- result-store and memoising-tier lookup
+  and put counters (:mod:`repro.experiments.store`);
+* ``service.*`` -- prediction-service request, compute and coalescing
+  counters (:mod:`repro.service`);
 * ``api.*`` -- one span per :func:`repro.api.simulate` /
   :func:`repro.api.simulate_batch` call with grid shape and rows/sec;
 * ``kernel.*`` -- the vectorised Monte-Carlo and analytic kernels;
-* ``simulator.*`` -- events processed and events/sec per
-  :meth:`repro.simulator.engine.Simulator.run`.
+* ``simulator.*`` and ``flowsim.*`` -- events processed and events/sec
+  per event-loop run.
 
 Every name is declared in :mod:`repro.telemetry.catalog`; the
 ``telemetry-catalog`` rule of :mod:`repro.devtools` rejects instrument

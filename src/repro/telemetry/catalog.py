@@ -76,10 +76,15 @@ CATALOG: Dict[str, str] = {
     "memo.miss": "counter: memoising-cache misses",
     "memo.put": "counter: memoising-cache inserts",
     "memo.lru.eviction": "counter: LRU entries evicted",
-    "service.*": (
-        "counter family: PredictionService requests/computes/coalesced/"
-        "bad_requests/compute_shards (mirrors PredictionService.counters)"
+    "service.requests_predict": "counter: /predict requests received",
+    "service.requests_batch": "counter: /predict/batch requests received",
+    "service.bad_requests": "counter: prediction requests refused as invalid",
+    "service.coalesced": (
+        "counter: prediction requests that awaited an in-flight compute"
     ),
+    "service.computes_predict": "counter: single-point kernel computes",
+    "service.computes_batch": "counter: batch kernel computes",
+    "service.compute_shards": "counter: shards run by batch computes",
     # -- histograms ----------------------------------------------------
     "simulator.run_wall": "histogram: wall seconds per simulator run",
     "simulator.events_per_s": "histogram: simulator event throughput",

@@ -2,12 +2,15 @@
 
 Design constraints, in order:
 
-1. **Near-zero overhead when disabled.**  :func:`span` returns one shared
-   no-op object and the counter helpers return immediately after a single
-   module-global check, so instrumented code never allocates or locks
-   unless telemetry is on.  The instrumentation points in the package sit
-   at call granularity (one span per kernel call, per campaign point, per
-   simulator run) -- never inside per-row or per-event loops.
+1. **Counters always on, spans opt-in.**  :func:`incr`, :func:`observe`
+   and :func:`set_gauge` always record into the one process-wide
+   registry, at the cost of one lock per call; it is the only place an
+   event is counted.  :func:`span` returns one shared no-op object unless
+   spans are enabled, so the span log and the ``span:`` histograms cost
+   nothing by default.  The instrumentation points in the package sit at
+   call granularity (one increment or span per request, store lookup,
+   kernel call, campaign point or simulator run) -- never inside per-row
+   or per-event loops.
 2. **No dependencies.**  Standard library only; importable from every
    layer (including :mod:`repro.simulator.engine`) without cycles.
 3. **Thread-safe aggregation.**  Counters and histograms take a lock;
@@ -20,7 +23,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 __all__ = [
     "MetricsRegistry",
@@ -38,8 +42,9 @@ __all__ = [
 
 ENV_VAR = "REPRO_TELEMETRY"
 
-#: Histograms keep at most this many raw observations (newest dropped
-#: beyond the cap -- campaign-scale runs stay bounded in memory).
+#: Histograms keep this many of the newest raw observations (older ones
+#: are dropped -- long campaigns and servers stay bounded in memory and
+#: keep reporting recent values).
 HISTOGRAM_CAP = 4096
 
 #: The span log keeps at most this many finished spans.
@@ -58,7 +63,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, List[float]] = {}
+        self._histograms: Dict[str, Deque[float]] = {}
         self._spans: List[Dict[str, Any]] = []
         self._dropped_spans = 0
 
@@ -73,9 +78,10 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
-            samples = self._histograms.setdefault(name, [])
-            if len(samples) < HISTOGRAM_CAP:
-                samples.append(float(value))
+            samples = self._histograms.get(name)
+            if samples is None:
+                samples = self._histograms[name] = deque(maxlen=HISTOGRAM_CAP)
+            samples.append(float(value))
 
     def record_span(self, record: Dict[str, Any]) -> None:
         with self._lock:
@@ -106,7 +112,7 @@ class MetricsRegistry:
                 yield record
 
     @staticmethod
-    def _summarise(samples: List[float]) -> Dict[str, float]:
+    def _summarise(samples: Deque[float]) -> Dict[str, float]:
         ordered = sorted(samples)
         count = len(ordered)
 
@@ -163,17 +169,17 @@ _STACKS = threading.local()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-local registry (live even while disabled)."""
+    """The process-wide registry every counter and histogram lands in."""
     return _REGISTRY
 
 
 def enabled() -> bool:
-    """Is telemetry recording right now?"""
+    """Are spans being recorded right now?"""
     return _ENABLED
 
 
 def enable(fresh: bool = False) -> None:
-    """Turn recording on; with ``fresh`` the registry is reset first."""
+    """Turn span recording on; with ``fresh`` the registry is reset first."""
     global _ENABLED
     if fresh:
         _REGISTRY.reset()
@@ -181,7 +187,7 @@ def enable(fresh: bool = False) -> None:
 
 
 def disable() -> None:
-    """Turn recording off (the registry keeps what it has)."""
+    """Turn span recording off (the registry keeps what it has)."""
     global _ENABLED
     _ENABLED = False
 
@@ -267,7 +273,7 @@ class Span:
 
 
 class _NullSpan:
-    """Shared do-nothing span handed out while telemetry is disabled."""
+    """Shared do-nothing span handed out while spans are disabled."""
 
     __slots__ = ()
 
@@ -292,18 +298,15 @@ def span(name: str, **attributes: Any):
 
 
 def incr(name: str, amount: float = 1.0) -> None:
-    """Add to a counter (no-op when disabled)."""
-    if _ENABLED:
-        _REGISTRY.increment(name, amount)
+    """Add to a counter."""
+    _REGISTRY.increment(name, amount)
 
 
 def set_gauge(name: str, value: float) -> None:
-    """Set a gauge to its latest value (no-op when disabled)."""
-    if _ENABLED:
-        _REGISTRY.set_gauge(name, value)
+    """Set a gauge to its latest value."""
+    _REGISTRY.set_gauge(name, value)
 
 
 def observe(name: str, value: float) -> None:
-    """Record one histogram observation (no-op when disabled)."""
-    if _ENABLED:
-        _REGISTRY.observe(name, value)
+    """Record one histogram observation."""
+    _REGISTRY.observe(name, value)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import (
     PftkSimplifiedFormula,
     PftkStandardFormula,
@@ -10,6 +11,12 @@ from repro.core import (
     tfrc_weights,
 )
 from repro.lossprocess import ShiftedExponentialIntervals
+
+
+@pytest.fixture(autouse=True)
+def _fresh_telemetry_registry():
+    """Counters are process-wide: start every test from an empty registry."""
+    telemetry.reset()
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import api
+from repro import api, telemetry
 from repro.experiments import (
     ExperimentRunner,
     ExperimentSpec,
@@ -182,7 +182,7 @@ class TestStoreKeyRegression:
         runner = ExperimentRunner(store=path)
         second = runner.run(self._spec("second", reordered))
         assert second.num_executed == 0 and second.num_cached == 2
-        assert runner.store.stats["hits"] == 2
+        assert telemetry.get_registry().counter("store.hit") == 2
         assert [r.value for r in second.results] == [
             r.value for r in first.results
         ]

@@ -350,7 +350,7 @@ class TestStore:
         store = ResultStore(str(path))
         assert sorted(record["key"] for record in store.records()) == [
             "a", "b", "c"]
-        assert store.stats["skipped"] == 1
+        assert store.skipped == 1
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -360,7 +360,7 @@ class TestStore:
             handle.write('{"key": "truncated', )
         store = ResultStore(str(path))
         assert len(store) == 4
-        assert store.stats["skipped"] == 1
+        assert store.skipped == 1
 
     def test_put_after_a_torn_tail_starts_a_fresh_line(self, tmp_path):
         # Fault injection: an interrupted write leaves a fragment with no
@@ -371,12 +371,12 @@ class TestStore:
             handle.write('{"key": "b", "status": "o')
         reopened = ResultStore(str(path))
         assert sorted(record["key"] for record in reopened.records()) == ["a"]
-        assert reopened.stats["skipped"] == 1
+        assert reopened.skipped == 1
         reopened.put({"key": "c", "status": "ok", "value": {}})
         reopened.put({"key": "d", "status": "ok", "value": {}})
         final = ResultStore(str(path))
         assert sorted(record["key"] for record in final.records()) == ["a", "c", "d"]
-        assert final.stats["skipped"] == 1
+        assert final.skipped == 1
         assert path.read_text().count("\n") == 4
 
     def test_load_frame_flattens_params_and_values(self, tmp_path):

@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro import api
+from repro import api, telemetry
+from repro.service import core as service_core
 from repro.service import http
 from repro.experiments.store import _json_safe
 from repro.service import (
@@ -50,6 +51,11 @@ BATCH_PAYLOAD = {
 
 #: A correlated loss process: the analytic method must refuse it.
 GILBERT = {"kind": "gilbert", "good_to_bad": 0.05, "bad_to_good": 0.4}
+
+
+def _counter(name):
+    """A process-wide counter (the autouse fixture resets them per test)."""
+    return telemetry.get_registry().counter(name)
 
 
 def _service(**overrides):
@@ -99,7 +105,7 @@ class TestPredict:
             assert second["cache"] == "hit"
             assert second["key"] == first["key"]
             assert second["result"] == first["result"]
-            assert service.counters["computes_predict"] == 1
+            assert _counter("service.computes_predict") == 1
 
         run(body)
 
@@ -129,8 +135,8 @@ class TestPredict:
             finally:
                 service.close()
             # The kernel ran exactly once for all eight clients.
-            assert service.counters["computes_predict"] == 1
-            assert service.counters["coalesced"] == 7
+            assert _counter("service.computes_predict") == 1
+            assert _counter("service.coalesced") == 7
             labels = sorted(response["cache"] for response in responses)
             assert labels == ["coalesced"] * 7 + ["miss"]
             first = responses[0]["result"]
@@ -159,7 +165,7 @@ class TestPredict:
                     for _ in range(3)
                 ]
                 await asyncio.sleep(0)
-                assert service.counters["coalesced"] == 3
+                assert _counter("service.coalesced") == 3
                 # The first requester goes away (a client timeout) while
                 # the compute is still blocked.
                 first.cancel()
@@ -175,7 +181,7 @@ class TestPredict:
             direct = _json_safe(simulate(config).to_dict())
             assert [r["cache"] for r in responses] == ["coalesced"] * 3
             assert all(r["result"] == direct for r in responses)
-            assert service.counters["computes_predict"] == 1
+            assert _counter("service.computes_predict") == 1
             assert again["cache"] == "hit"
             assert again["result"] == direct
 
@@ -193,7 +199,7 @@ class TestPredict:
                 )
             finally:
                 service.close()
-            assert service.counters["computes_predict"] == 3
+            assert _counter("service.computes_predict") == 3
             assert {r["key"] for r in responses} == {
                 r["key"] for r in responses
             } and len({r["key"] for r in responses}) == 3
@@ -226,8 +232,8 @@ class TestPredict:
                         await service.predict(dict(PREDICT_PAYLOAD, **bad))
             finally:
                 service.close()
-            assert service.counters["bad_requests"] == 7
-            assert service.counters["computes_predict"] == 0
+            assert _counter("service.bad_requests") == 7
+            assert _counter("service.computes_predict") == 0
 
         run(body)
 
@@ -284,7 +290,7 @@ class TestPredictBatch:
             finally:
                 service.close()
             assert service.stats()["computes"]["batch"] == 1
-            assert service.counters["coalesced"] == 5
+            assert _counter("service.coalesced") == 5
             labels = sorted(response["cache"] for response in responses)
             assert labels == ["coalesced"] * 5 + ["miss"]
             first = responses[0]["results"]
@@ -316,21 +322,23 @@ class TestPredictBatch:
                     await service.predict_batch(payload)
             finally:
                 service.close()
-            assert service.counters["bad_requests"] == 1
-            assert service.counters["computes_batch"] == 0
+            assert _counter("service.bad_requests") == 1
+            assert _counter("service.computes_batch") == 0
 
         run(body)
 
-    def test_oversized_batch_is_rejected(self):
+    def test_oversized_batch_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(service_core, "MAX_BATCH_ROWS", 3)
+
         async def body():
-            service = _service(max_batch_points=3)
+            service = _service()
             try:
                 with pytest.raises(BadRequest, match="above the service"):
                     await service.predict_batch(BATCH_PAYLOAD)
             finally:
                 service.close()
-            assert service.counters["bad_requests"] == 1
-            assert service.counters["computes_batch"] == 0
+            assert _counter("service.bad_requests") == 1
+            assert _counter("service.computes_batch") == 0
 
         run(body)
 
@@ -390,11 +398,15 @@ class TestStats:
                 service.close()
 
         cold = run(first)
+        assert _counter("service.computes_predict") == 1
         warm, stats = run(second)
         assert cold["cache"] == "miss"
         assert warm["cache"] == "hit"  # promoted from the JSONL store
         assert warm["result"] == cold["result"]
-        assert stats["computes"]["predict"] == 0
+        # Counts are per process: the second service computed nothing.
+        assert _counter("service.computes_predict") == 1
+        assert stats["computes"]["predict"] == 1
+        assert stats["cache"]["store_hits"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -531,8 +543,8 @@ class TestHttpFrontend:
                 ),
             )
             assert status == 400 and "is_iid" in payload["error"]
-            assert service.counters["computes_predict"] == 0
-            assert service.counters["computes_batch"] == 0
+            assert _counter("service.computes_predict") == 0
+            assert _counter("service.computes_batch") == 0
 
         run(lambda: self._with_server(body))
 
@@ -545,7 +557,7 @@ class TestHttpFrontend:
                 dict(PREDICT_PAYLOAD, method="analytic", num_events=50),
             )
             assert status == 400 and "at least 100" in payload["error"]
-            assert service.counters["computes_predict"] == 0
+            assert _counter("service.computes_predict") == 0
 
         run(lambda: self._with_server(body))
 

@@ -1,9 +1,10 @@
 """Tests for the telemetry subsystem and its instrumentation points.
 
 Covers the tracing/metrics core (span nesting, timing monotonicity,
-disabled-mode no-ops, exporters), the counters the result store and
-campaign runner and the ``simulate_batch`` facade emit, and the removal
-of the deprecation shims.
+always-on counters beside disabled spans, the histogram window of the
+newest observations, exporters), the counters the result store, the
+campaign runner, both event loops and the ``simulate_batch`` facade
+emit with spans on and off, and the removal of the deprecation shims.
 """
 
 import json
@@ -101,18 +102,19 @@ class TestDisabledMode:
         with first as active:
             active.set("key", "value")  # swallowed
 
-    def test_disabled_helpers_record_nothing(self):
+    def test_disabled_spans_leave_the_helpers_recording(self):
         assert not telemetry.enabled()
-        telemetry.reset()
         telemetry.incr("counter")
         telemetry.observe("histogram", 1.0)
         telemetry.set_gauge("gauge", 2.0)
         with telemetry.span("invisible"):
             pass
         snapshot = telemetry.snapshot()
-        assert snapshot["counters"] == {}
-        assert snapshot["gauges"] == {}
-        assert snapshot["histograms"] == {}
+        assert snapshot["counters"] == {"counter": 1.0}
+        assert snapshot["gauges"] == {"gauge": 2.0}
+        # No span: histogram either -- only the observed one.
+        assert list(snapshot["histograms"]) == ["histogram"]
+        assert snapshot["histograms"]["histogram"]["count"] == 1
         assert snapshot["num_spans"] == 0
 
     def test_enable_fresh_resets(self, fresh_telemetry):
@@ -129,6 +131,14 @@ class TestRegistry:
         telemetry.incr("hits")
         telemetry.incr("hits", 4)
         assert fresh_telemetry.counter("hits") == 5.0
+
+    def test_histogram_keeps_the_newest_observations(self):
+        for value in range(4106):
+            telemetry.observe("histogram", value)
+        summary = telemetry.snapshot()["histograms"]["histogram"]
+        assert summary["count"] == 4096
+        assert summary["min"] == 10.0
+        assert summary["max"] == 4105.0
 
     def test_export_json_roundtrip(self, fresh_telemetry, tmp_path):
         telemetry.incr("exported", 2)
@@ -165,9 +175,7 @@ class TestStoreCounters:
         assert store.get_ok("bad") is None        # retry (failed record)
         assert store.get_ok("good") is not None   # second hit
 
-        assert store.stats == {
-            "hits": 2, "misses": 1, "retries": 1, "puts": 2, "skipped": 0,
-        }
+        assert store.skipped == 0
         registry = fresh_telemetry
         assert registry.counter("store.hit") == 2.0
         assert registry.counter("store.miss") == 1.0
@@ -180,10 +188,10 @@ class TestStoreCounters:
         store.put({"key": "good", "status": "ok", "value": {}})
         store.get_ok("good")
         store.get_ok("absent")
-        assert store.stats["hits"] == 1
-        assert store.stats["misses"] == 1
-        # ... but the global registry stays untouched while disabled.
-        assert telemetry.get_registry().counter("store.hit") == 0.0
+        registry = telemetry.get_registry()
+        assert registry.counter("store.hit") == 1.0
+        assert registry.counter("store.miss") == 1.0
+        assert registry.counter("store.put") == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -207,6 +215,54 @@ class TestCampaignTelemetry:
             for s in point_spans
         )
         assert len(registry.histogram("experiments.compute")) == 4
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pool"])
+    def test_campaign_counts_without_spans(self, pool, pool_run):
+        from repro.experiments import ExperimentRunner, preset
+
+        assert not telemetry.enabled()
+        spec = preset("smoke")
+        campaign = pool_run(spec) if pool else ExperimentRunner().run(spec)
+        campaign.raise_errors()
+        registry = telemetry.get_registry()
+        assert registry.counter("experiments.points.ok") == 4.0
+        assert len(registry.histogram("experiments.compute")) == 4
+        assert len(registry.histogram("experiments.queue_wait")) == (
+            4 if pool else 0
+        )
+        assert list(registry.spans()) == []
+        assert registry.histogram("span:experiments.point") == []
+
+
+# ----------------------------------------------------------------------
+# Instrumentation: the event loops
+# ----------------------------------------------------------------------
+class TestEventLoopCounters:
+    def test_simulator_run_counts_without_spans(self):
+        from repro.simulator.engine import Simulator
+
+        assert not telemetry.enabled()
+        simulator = Simulator(seed=1)
+        simulator.schedule_periodic(0.5, lambda: None)
+        simulator.run(until=10.0)
+        registry = telemetry.get_registry()
+        assert simulator.events_processed == 20
+        assert registry.counter("simulator.runs") == 1.0
+        assert registry.counter("simulator.events") == 20.0
+        assert len(registry.histogram("simulator.run_wall")) == 1
+        assert registry.snapshot()["num_spans"] == 0
+
+    def test_flowsim_core_run_counts_without_spans(self):
+        from repro.flowsim.core import FlowSimCore
+
+        assert not telemetry.enabled()
+        core = FlowSimCore()
+        core.schedule_periodic(1.0, lambda: None)
+        core.run(until=5.0)
+        registry = telemetry.get_registry()
+        assert core.events_processed == 5
+        assert registry.counter("flowsim.runs") == 1.0
+        assert registry.counter("flowsim.events_processed") == 5.0
 
 
 # ----------------------------------------------------------------------
@@ -252,10 +308,10 @@ class TestBatchCounters:
         assert fresh_telemetry.counter("api.batch.calls") == 1.0
         assert fresh_telemetry.counter("api.batch.rows") == 8.0
 
-    def test_disabled_simulate_batch_records_no_counters(self):
+    def test_disabled_simulate_batch_still_counts(self):
         assert not telemetry.enabled()
-        telemetry.reset()
         self._eight_row_batch()
-        counters = telemetry.snapshot()["counters"]
-        assert "api.batch.calls" not in counters
-        assert "api.batch.rows" not in counters
+        snapshot = telemetry.snapshot()
+        assert snapshot["counters"]["api.batch.calls"] == 1.0
+        assert snapshot["counters"]["api.batch.rows"] == 8.0
+        assert snapshot["num_spans"] == 0
