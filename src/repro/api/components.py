@@ -80,6 +80,7 @@ from .scenarios import (
 )
 
 __all__ = [
+    "REGISTRIES",
     "FORMULAS",
     "LATENCY_MODELS",
     "LOSS_PROCESSES",
@@ -288,3 +289,9 @@ GENERATORS.register(
     OnOffGenerator,
     example=lambda: OnOffGenerator(num_flows=10, mean_on=5.0, mean_off=2.0),
 )
+
+
+#: Every component family, for code that must recognise any registered
+#: instance (:func:`repro.experiments.store.canonical_payload`).
+REGISTRIES = (FORMULAS, LATENCY_MODELS, LOSS_PROCESSES, WEIGHT_PROFILES,
+              SCENARIOS, GENERATORS)

@@ -31,7 +31,8 @@ Conventions:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["ComponentRegistry"]
 
@@ -39,26 +40,46 @@ Encoder = Callable[[Any], Dict[str, Any]]
 Decoder = Callable[[Dict[str, Any]], Any]
 ExampleFactory = Callable[[], Any]
 
+#: Field names per dataclass, in definition order (derived on first use).
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+_SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))
+
 
 def _normalize_kind(kind: str) -> str:
     return kind.strip().lower().replace("_", "-")
 
 
 def _default_encode(obj: Any) -> Dict[str, Any]:
-    """Encode a flat dataclass instance as a parameter dictionary."""
-    if not dataclasses.is_dataclass(obj):
-        raise TypeError(
-            f"{type(obj).__name__} is not a dataclass; register it with an "
-            "explicit encode hook"
+    """Encode a flat dataclass instance as a parameter dictionary.
+
+    The fields are read directly; when every value is an exact ``int``,
+    ``float``, ``str``, ``bool`` or ``None``, :func:`dataclasses.asdict`
+    would return the same objects (its deep copy keeps atomic values),
+    so only other values (lists, numpy scalars, ...) go through it.
+    """
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        if not dataclasses.is_dataclass(obj):
+            raise TypeError(
+                f"{cls.__name__} is not a dataclass; register it with an "
+                "explicit encode hook"
+            )
+        names = _FIELD_NAMES[cls] = tuple(
+            field.name for field in dataclasses.fields(obj)
         )
-    return dataclasses.asdict(obj)
+    params = {name: getattr(obj, name) for name in names}
+    for value in params.values():
+        if type(value) not in _SCALAR_TYPES:
+            return dataclasses.asdict(obj)
+    return params
 
 
 @dataclasses.dataclass(frozen=True)
 class _Registration:
     kind: str
     cls: type
-    encode: Optional[Encoder]
+    encode: Encoder
     decode: Optional[Decoder]
     example: Optional[ExampleFactory]
 
@@ -106,8 +127,10 @@ class ComponentRegistry:
             exact type, so subclasses must be registered separately.
         encode:
             ``instance -> params dict`` (JSON-safe, without the ``kind``
-            key).  Defaults to :func:`dataclasses.asdict`, which is exact
-            for flat frozen dataclasses.
+            key).  Defaults to the dataclass's fields, read directly,
+            falling back to :func:`dataclasses.asdict` when a value is not
+            a plain scalar; the output is what ``asdict`` returns, which is
+            exact for flat frozen dataclasses.
         decode:
             ``params dict -> instance``.  Defaults to ``cls(**params)``.
             A decode hook can support alternative parameterisations (for
@@ -121,7 +144,8 @@ class ComponentRegistry:
             raise ValueError("component kind must be non-empty")
         key = _normalize_kind(kind)
         self._by_kind[key] = _Registration(
-            kind=key, cls=cls, encode=encode, decode=decode, example=example
+            kind=key, cls=cls, encode=encode or _default_encode,
+            decode=decode, example=example,
         )
         # The first kind registered for a class is its canonical name;
         # later registrations of the same class are constructor aliases.
@@ -169,6 +193,14 @@ class ComponentRegistry:
             return registration.decode(params)
         return registration.cls(**params)
 
+    def encode(self, obj: Any) -> Optional[Dict[str, Any]]:
+        """The parameter dictionary of a registered instance -- its config
+        without the ``kind`` -- or None if its class is not registered."""
+        kind = self._kind_by_class.get(type(obj))
+        if kind is None:
+            return None
+        return self._by_kind[kind].encode(obj)
+
     def to_config(self, obj: Any) -> Dict[str, Any]:
         """Describe a component instance as a JSON-safe config dictionary."""
         kind = self._kind_by_class.get(type(obj))
@@ -177,10 +209,7 @@ class ComponentRegistry:
                 f"cannot serialise {self.family} of type {type(obj).__name__}; "
                 f"registered kinds are {self.kinds()}"
             )
-        registration = self._by_kind[kind]
-        encode = registration.encode or _default_encode
-        params = encode(obj)
-        return {"kind": kind, **params}
+        return {"kind": kind, **self._by_kind[kind].encode(obj)}
 
     # ------------------------------------------------------------------
     def _lookup(self, kind: str) -> _Registration:

@@ -36,13 +36,13 @@ and JSON, so a simulation request is data the same way an
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Sequence,

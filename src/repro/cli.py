@@ -347,6 +347,7 @@ def _command_shortflow(arguments: argparse.Namespace) -> int:
 
 def _command_serve(arguments: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .service import PredictionService, ServiceConfig, serve_forever
 
@@ -373,13 +374,18 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             f"store {store_note}, {arguments.workers} workers", flush=True,
         )
 
-    try:
-        asyncio.run(
-            serve_forever(
-                service, host=arguments.host, port=arguments.port, ready=ready
-            )
+    async def serve() -> None:
+        # SIGTERM cancels the serve task, as asyncio.run does on Ctrl-C.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
         )
-    except KeyboardInterrupt:
+        await serve_forever(
+            service, host=arguments.host, port=arguments.port, ready=ready
+        )
+
+    try:
+        asyncio.run(serve())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("shutting down")
     finally:
         service.close()

@@ -6,9 +6,11 @@ instance; this checker proves the *structural* preconditions statically,
 for every ``REGISTRY.register(kind, Cls, ...)`` call in the tree:
 
 * a registration without an ``encode=`` hook relies on the default
-  :func:`dataclasses.asdict` encoder, so ``Cls`` must be a dataclass and
-  none of its fields may be ``init=False`` (``asdict`` would emit a key
-  ``Cls(**params)`` cannot accept);
+  encoder, which reads the dataclass's fields directly and calls
+  :func:`dataclasses.asdict` only when a value is not a plain scalar
+  (the output is the same either way), so ``Cls`` must be a dataclass
+  and none of its fields may be ``init=False`` (the encoder would emit
+  a key ``Cls(**params)`` cannot accept);
 * when ``encode=`` is a dict-literal (lambda or single-return helper)
   and there is no ``decode=`` hook, the emitted keys must be accepted by
   ``Cls``'s constructor and must cover every required parameter;
@@ -311,7 +313,7 @@ def _check_register(
                 project.diagnostic(
                     RULE, source, call,
                     f"kind '{kind}': {cls_label} is not a dataclass, so "
-                    "the default dataclasses.asdict encoder cannot "
+                    "the default dataclass encoder cannot "
                     "serialise it; register an explicit encode= hook",
                 )
             )
@@ -321,7 +323,7 @@ def _check_register(
                 project.diagnostic(
                     RULE, source, call,
                     f"kind '{kind}': {cls_label} has init=False "
-                    f"field(s) [{fields}] that asdict would emit but "
+                    f"field(s) [{fields}] that the default encoder emits but "
                     "__init__ cannot accept; from_config(to_config(x)) "
                     "would raise",
                 )

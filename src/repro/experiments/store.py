@@ -49,9 +49,11 @@ import numbers
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from collections.abc import Mapping
+from typing import Any, Dict, Iterator, List, Optional
 
 from .. import telemetry
+from ..api.components import REGISTRIES
 
 __all__ = [
     "LRUCache",
@@ -86,11 +88,24 @@ def canonical_payload(value: Any) -> Any:
     * dataclass instances and objects exposing ``to_dict()`` -- e.g. a
       component instance placed directly in a hand-written spec's params
       -- contribute their *parameter dictionaries* tagged with the class
-      name.  The previous ``default=str`` fallback rendered such objects
-      through ``str()``, which for default reprs embeds the memory
-      address: the same spec produced a different key every process, so
-      those points never hit the cache.
+      name, and so does every other registered component instance (the
+      empirical, trace and Markov-modulated loss processes), through its
+      registry encoder.  ``str()`` is left only for unregistered objects:
+      a default repr embeds the memory address, so the same spec would
+      produce a different key every process and never hit the cache.
+
+    The exact-type tests up front answer the JSON-native shapes without
+    the ABC ``isinstance`` chain below them, and return what it would.
     """
+    cls = type(value)
+    if cls is dict:
+        return {str(key): canonical_payload(entry) for key, entry in value.items()}
+    if cls is list or cls is tuple:
+        return [canonical_payload(entry) for entry in value]
+    if cls is str or cls is int or cls is bool or value is None:
+        return value
+    if cls is float:
+        return value if math.isfinite(value) else None
     if isinstance(value, Mapping):
         return {str(key): canonical_payload(entry) for key, entry in value.items()}
     if isinstance(value, (list, tuple)):
@@ -106,26 +121,32 @@ def canonical_payload(value: Any) -> Any:
         return entry if math.isfinite(entry) else None
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
-            "__component__": type(value).__name__,
+            "__component__": cls.__name__,
             **canonical_payload(dataclasses.asdict(value)),
         }
     to_dict = getattr(value, "to_dict", None)
     if callable(to_dict):
         return {
-            "__component__": type(value).__name__,
+            "__component__": cls.__name__,
             **canonical_payload(to_dict()),
         }
+    for registry in REGISTRIES:
+        params = registry.encode(value)
+        if params is not None:
+            return {"__component__": cls.__name__, **canonical_payload(params)}
     return str(value)
+
+
+# One encoder for every key: ``json.dumps`` with non-default options
+# would build a new one per call.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
 
 
 def canonical_json(payload: Any) -> str:
     """The canonical JSON text of a payload: canonicalised, sorted keys."""
-    return json.dumps(
-        canonical_payload(payload),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    return _CANONICAL_ENCODER.encode(canonical_payload(payload))
 
 
 def result_key(payload: Any) -> str:

@@ -152,11 +152,19 @@ class MarkovModulatedIntervals(LossProcess):
             raise ValueError("count must be positive")
         phases = np.empty(count, dtype=int)
         intervals = np.empty(count, dtype=float)
+        # ``rng.choice(n, p=row)`` normalises the row's cumulative sums and
+        # searches them for one ``rng.random()`` draw; doing the sums once
+        # per row gives the same phase path from the same stream.
+        cdfs = []
+        for row in self._matrix:
+            cdf = row.cumsum()
+            cdf /= cdf[-1]
+            cdfs.append(cdf)
         phase = int(rng.choice(self.num_phases, p=self._stationary))
         for index in range(count):
             phases[index] = phase
             intervals[index] = self._draw_interval(phase, rng)
-            phase = int(rng.choice(self.num_phases, p=self._matrix[phase]))
+            phase = int(cdfs[phase].searchsorted(rng.random(), side="right"))
         return intervals, phases
 
 

@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from .. import api, telemetry
 from ..api.simulate import require_iid

@@ -66,10 +66,15 @@ class _HttpError(Exception):
         self.message = message
 
 
+#: One encoder for every response; ``json.dumps(..., allow_nan=False)``
+#: would build a new one per call.
+_RESPONSE_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def _encode_response(
     status: int, payload: Dict[str, Any], keep_alive: bool
 ) -> bytes:
-    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    body = _RESPONSE_ENCODER.encode(payload).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
         f"Content-Type: application/json\r\n"

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -67,6 +72,32 @@ class TestCommands:
     def test_sweep_rejects_unknown_formula(self):
         with pytest.raises(KeyError):
             main(["sweep", "--formula", "cubic", "--events", "2000"])
+
+
+class TestServeCommand:
+    def test_sigterm_takes_the_ctrl_c_shutdown_path(self):
+        # Process managers stop a service with SIGTERM: it must print
+        # "shutting down", close the worker pool and exit 0, as Ctrl-C does.
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [source_root, os.environ.get("PYTHONPATH")])
+        ))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        try:
+            assert "listening on http://" in process.stdout.readline()
+            process.send_signal(signal.SIGTERM)
+            output, _ = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, output
+        assert "shutting down" in output
 
 
 class TestExperimentsParser:

@@ -13,7 +13,21 @@ from repro.lossprocess import (
     make_rng,
     two_phase_process,
 )
+from repro.experiments import ExperimentRunner, canonical_json, preset
 from repro.palm import autocorrelation
+
+
+def _choice_loop_sample(process, count, rng):
+    """The Markov sampler as it was: one ``rng.choice(n, p=row)`` per event."""
+    phases = np.empty(count, dtype=int)
+    intervals = np.empty(count, dtype=float)
+    matrix = process.transition_matrix
+    phase = int(rng.choice(process.num_phases, p=process.stationary_distribution))
+    for index in range(count):
+        phases[index] = phase
+        intervals[index] = process._draw_interval(phase, rng)
+        phase = int(rng.choice(process.num_phases, p=matrix[phase]))
+    return intervals, phases
 
 
 class TestMarkovModulated:
@@ -41,6 +55,32 @@ class TestMarkovModulated:
         assert set(np.unique(phases)).issubset({0, 1})
         # Bad-phase intervals should be shorter on average.
         assert intervals[phases == 1].mean() < intervals[phases == 0].mean()
+
+    @pytest.mark.parametrize("process", [
+        two_phase_process(40.0, 8.0, switch_probability=0.5, phase_cv=0.7),
+        two_phase_process(40.0, 8.0, switch_probability=0.01),
+        MarkovModulatedIntervals(
+            [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8], [1 / 3, 1 / 3, 1 / 3]],
+            [5.0, 50.0, 20.0],
+        ),
+    ], ids=["switch-0.5", "switch-0.01", "three-phase"])
+    def test_sampler_draws_what_the_choice_loop_drew(self, process):
+        expected = _choice_loop_sample(process, 20_000, make_rng(21))
+        actual = process.sample_intervals_with_phases(20_000, make_rng(21))
+        assert np.array_equal(actual[0], expected[0])
+        assert np.array_equal(actual[1], expected[1])
+
+    def test_fig3_markov_points_match_the_choice_loop(self, monkeypatch):
+        def results():
+            campaign = ExperimentRunner().run(preset("fig3-markov"))
+            return [canonical_json(result.value) for result in campaign.results]
+
+        actual = results()
+        monkeypatch.setattr(
+            MarkovModulatedIntervals, "sample_intervals_with_phases",
+            _choice_loop_sample,
+        )
+        assert actual == results()
 
     def test_validation(self):
         with pytest.raises(ValueError):
