@@ -74,10 +74,21 @@ from .components import FORMULAS, LOSS_PROCESSES, WEIGHT_PROFILES
 from .profiles import TfrcWeightProfile
 
 __all__ = ["SimConfig", "SimResult", "BatchConfig", "BatchResult",
-           "simulate", "simulate_batch", "require_iid"]
+           "SEED_AXES", "simulate", "simulate_batch", "require_iid"]
 
 _CONTROLS = ("basic", "comprehensive")
 _METHODS = ("montecarlo", "analytic")
+
+#: The batch axes that can enter per-point seed derivation, each with the
+#: :class:`BatchConfig` field that lists its values.
+_SEED_AXIS_FIELDS = {
+    "history_length": "history_lengths",
+    "loss_event_rate": "loss_event_rates",
+    "coefficient_of_variation": "coefficients_of_variation",
+    "loss_process": "loss_processes",
+}
+#: The names a :attr:`BatchConfig.seed_axes` list may hold.
+SEED_AXES = tuple(_SEED_AXIS_FIELDS)
 
 
 def _component_config(registry, value: Any) -> Any:
@@ -327,9 +338,10 @@ class BatchConfig:
     share_noise: bool = True
     #: Axis names entering per-point seed derivation.  ``None`` (the
     #: default) keeps the positional rule -- every *multi-valued* batch
-    #: axis derives -- while an explicit list pins the derivation to
-    #: exactly those axes, the way a campaign spec's ``grid`` keys do
-    #: even when single-valued.
+    #: axis derives -- while an explicit list of distinct
+    #: :data:`SEED_AXES` names pins the derivation to exactly those
+    #: axes, the way a campaign spec's ``grid`` keys do even when
+    #: single-valued.
     seed_axes: Optional[List[str]] = None
 
     def __post_init__(self) -> None:
@@ -366,6 +378,15 @@ class BatchConfig:
         ):
             if values is not None and len(values) == 0:
                 raise ValueError(f"batch needs at least one {noun}")
+        if self.seed_axes is not None and not (
+            isinstance(self.seed_axes, list)
+            and all(name in SEED_AXES for name in self.seed_axes)
+            and len(set(self.seed_axes)) == len(self.seed_axes)
+        ):
+            raise ValueError(
+                "seed_axes must be None or a list of distinct names from "
+                f"{list(SEED_AXES)}, got {self.seed_axes!r}"
+            )
         _check_sampling(self.num_events, self.seed)
 
     # ------------------------------------------------------------------
@@ -396,12 +417,8 @@ class BatchConfig:
         return self._axis_is_gridded(name)
 
     def _axis_is_gridded(self, name: str) -> bool:
-        values = {
-            "history_length": self.history_lengths,
-            "loss_event_rate": self.loss_event_rates,
-            "coefficient_of_variation": self.coefficients_of_variation,
-            "loss_process": self.loss_processes,
-        }.get(name)
+        field_name = _SEED_AXIS_FIELDS.get(name)
+        values = None if field_name is None else getattr(self, field_name)
         return values is not None and len(values) > 1
 
     @property

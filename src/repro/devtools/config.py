@@ -4,17 +4,10 @@ The configuration is data the checkers share:
 
 * ``source-root`` / ``package`` -- where the linted tree lives
   (``src/repro`` by default);
-* ``baseline`` -- path (relative to the repo root) of the committed
-  baseline file for incremental adoption;
 * ``layers`` -- package -> rank map defining the import DAG;
 * ``deferred-imports-allow`` -- ``"repro.mod.sub -> repro.pkg"`` edges
   where a *function-scope* upward import is a deliberate, documented
-  registry-resolution path;
-* ``dead-config-reference-modules`` / ``dead-config-spec-dirs`` /
-  ``dead-config-allow`` -- where the ``dead-config`` checker looks for
-  references to registered component kinds (Python modules holding
-  presets/defaults, directories of example spec JSON), and kinds that
-  are deliberately construction-only.
+  registry-resolution path.
 """
 
 from __future__ import annotations
@@ -41,20 +34,11 @@ class LintConfig:
     root: Path
     source_root: Path
     package: str
-    baseline_path: Path
     layer_ranks: Dict[str, int] = field(default_factory=dict)
     deferred_allow: FrozenSet[str] = frozenset()
     #: Modules whose telemetry-name literals are exempt (the telemetry
     #: package builds names generically; devtools quotes them in checks).
     telemetry_exempt: Tuple[str, ...] = ()
-    #: Modules whose string literals count as references for the
-    #: dead-config checker (presets, benchmark grids, CLI defaults).
-    deadconfig_reference_modules: Tuple[str, ...] = ()
-    #: Repo-relative directories of example spec JSON files whose string
-    #: values also count as references.
-    deadconfig_spec_dirs: Tuple[str, ...] = ()
-    #: Kinds deliberately exempt from the dead-config rule.
-    deadconfig_allow: FrozenSet[str] = frozenset()
 
     @property
     def package_root(self) -> Path:
@@ -115,33 +99,14 @@ def load_config(root: Path) -> LintConfig:
         for edge in allow
     )
 
-    def string_list(key: str, default: list) -> Tuple[str, ...]:
-        values = table.get(key, default)
-        if not isinstance(values, list) or not all(
-            isinstance(value, str) for value in values
-        ):
-            raise LintConfigError(f"{key} must be a list of strings")
-        return tuple(values)
-
-    reference_modules = string_list(
-        "dead-config-reference-modules",
-        [f"{package}.experiments.registry", f"{package}.cli"],
-    )
-    spec_dirs = string_list("dead-config-spec-dirs", ["examples/specs"])
-    dead_allow = frozenset(string_list("dead-config-allow", []))
-
     return LintConfig(
         root=root,
         source_root=source_root,
         package=package,
-        baseline_path=root / table.get("baseline", "lint-baseline.json"),
         layer_ranks={str(name): int(rank) for name, rank in ranks.items()},
         deferred_allow=edges,
         telemetry_exempt=(
             f"{package}.telemetry",
             f"{package}.devtools",
         ),
-        deadconfig_reference_modules=reference_modules,
-        deadconfig_spec_dirs=spec_dirs,
-        deadconfig_allow=dead_allow,
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 __all__ = ["Diagnostic", "LintReport", "REPORT_SCHEMA_VERSION"]
 
@@ -16,7 +16,7 @@ class Diagnostic:
     """One finding: a rule violated at a position in the tree.
 
     ``path`` is relative to the repository root, with forward slashes,
-    so reports are stable across machines and fit the baseline file.
+    so reports are stable across machines.
     """
 
     rule: str
@@ -42,14 +42,6 @@ class Diagnostic:
             "severity": self.severity,
         }
 
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-free identity used for baseline matching.
-
-        Line numbers drift with unrelated edits; a baselined violation
-        is identified by what it is and where (file), not which line.
-        """
-        return (self.rule, self.path, self.message)
-
 
 @dataclass
 class LintReport:
@@ -58,7 +50,6 @@ class LintReport:
     root: str
     files_scanned: int = 0
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    baselined: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -76,7 +67,6 @@ class LintReport:
             "root": self.root,
             "files_scanned": self.files_scanned,
             "num_diagnostics": len(self.diagnostics),
-            "baselined": self.baselined,
             "summary": self.summary(),
             "diagnostics": [d.to_dict() for d in self.diagnostics],
         }

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .baseline import Baseline
 from .config import LintConfig
 from .diagnostics import Diagnostic, LintReport
 
@@ -161,7 +160,7 @@ def build_project(config: LintConfig) -> Tuple[Project, List[Diagnostic]]:
 
 
 # ----------------------------------------------------------------------
-# Import resolution (shared by the layer and registry checkers)
+# Import resolution (used by the layer checker)
 # ----------------------------------------------------------------------
 def import_targets(
     source: SourceFile, node: ast.AST
@@ -197,35 +196,18 @@ def import_targets(
 def _checkers():
     # Imported here so the checker modules can use engine helpers
     # without a cycle at import time.
-    from . import (
-        check_deadconfig,
-        check_hygiene,
-        check_layers,
-        check_registry,
-        check_rng,
-        check_telemetry,
-    )
+    from . import check_hygiene, check_layers, check_rng, check_telemetry
 
     return (
         check_rng.check,
         check_layers.check,
-        check_registry.check,
         check_telemetry.check,
         check_hygiene.check,
-        check_deadconfig.check,
     )
 
 
-def run_lint(
-    config: LintConfig,
-    *,
-    use_baseline: bool = True,
-) -> LintReport:
-    """Lint the configured tree and return the report.
-
-    With ``use_baseline`` the committed baseline file (if any) absorbs
-    matching diagnostics; the report counts them as ``baselined``.
-    """
+def run_lint(config: LintConfig) -> LintReport:
+    """Lint the configured tree and return the report."""
     project, diagnostics = build_project(config)
     for check in _checkers():
         diagnostics.extend(check(project))
@@ -242,15 +224,9 @@ def run_lint(
         )
     ]
 
-    baselined = 0
-    if use_baseline:
-        baseline = Baseline.load(config.baseline_path)
-        visible, baselined = baseline.apply(visible)
-
     visible.sort(key=lambda d: (d.path, d.line, d.column, d.rule))
     return LintReport(
         root=str(config.root),
         files_scanned=len(project.files),
         diagnostics=visible,
-        baselined=baselined,
     )

@@ -7,13 +7,9 @@ Run from the repository root (or anywhere below it)::
     PYTHONPATH=src python -m repro.devtools.lint --report lint-report.json
     PYTHONPATH=src python -m repro.cli lint          # same thing
 
-Exit codes: 0 -- clean (after baseline); 1 -- violations; 2 -- broken
-configuration (no pyproject.toml, malformed ``[tool.reprolint]``).
-
-``--update-baseline`` rewrites the configured baseline file with the
-current findings and exits 0: the mechanism for *deliberately* parking
-an exception instead of fixing it.  The tree is expected to keep the
-baseline empty; CI runs with the committed file.
+Exit codes: 0 -- clean; 1 -- violations; 2 -- broken configuration (no
+pyproject.toml, malformed ``[tool.reprolint]``).  A deliberate exception
+is waived on its line with ``# lint: allow[<rule>] <reason>``.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import Baseline
 from .config import LintConfigError, find_root, load_config
 from .engine import run_lint
 
@@ -34,8 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "Static analysis for the repo's determinism, layering and "
-            "registry contracts (configured in [tool.reprolint])"
+            "Static analysis for the repo's determinism, layering, "
+            "telemetry-naming and hygiene contracts (configured in "
+            "[tool.reprolint])"
         ),
     )
     parser.add_argument(
@@ -49,14 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--report", default=None, metavar="FILE",
         help="also write the JSON report to FILE",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the committed baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline with the current findings and exit 0",
     )
     parser.add_argument(
         "--quiet", action="store_true",
@@ -82,24 +70,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
 
-    report = run_lint(config, use_baseline=not arguments.no_baseline)
-
-    if arguments.update_baseline:
-        # Findings reported here are pre-existing plus fresh: fold the
-        # fresh ones into the baseline on top of what it already held.
-        fresh = Baseline.from_diagnostics(report.diagnostics)
-        existing = (
-            Baseline()
-            if arguments.no_baseline
-            else Baseline.load(config.baseline_path)
-        )
-        merged = Baseline(existing.entries + fresh.entries)
-        merged.write(config.baseline_path)
-        print(
-            f"repro-lint: baselined {len(fresh)} finding(s) "
-            f"({len(merged)} total) -> {config.baseline_path}"
-        )
-        return 0
+    report = run_lint(config)
 
     if arguments.report:
         with open(arguments.report, "w", encoding="utf-8") as handle:
@@ -116,19 +87,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     summary = ", ".join(
         f"{rule}: {count}" for rule, count in report.summary().items()
     )
-    baseline_note = (
-        f", {report.baselined} baselined" if report.baselined else ""
-    )
     if report.diagnostics:
         print(
             f"repro-lint: {len(report.diagnostics)} finding(s) in "
-            f"{report.files_scanned} files ({summary}{baseline_note})"
+            f"{report.files_scanned} files ({summary})"
         )
     else:
-        print(
-            f"repro-lint: clean ({report.files_scanned} files"
-            f"{baseline_note})"
-        )
+        print(f"repro-lint: clean ({report.files_scanned} files)")
     return report.exit_code
 
 

@@ -166,7 +166,12 @@ class ExperimentSpec:
             name=payload["name"],
             runner=payload["runner"],
             base=dict(payload.get("base", {})),
-            grid={axis: list(values) for axis, values in payload.get("grid", {}).items()},
+            # Only sequences are copied: any other value goes to the
+            # constructor as is, which rejects it.
+            grid={
+                axis: list(values) if isinstance(values, (list, tuple)) else values
+                for axis, values in payload.get("grid", {}).items()
+            },
             seed=payload.get("seed"),
             description=payload.get("description", ""),
         )

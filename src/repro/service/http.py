@@ -26,6 +26,11 @@ and the connection closed.  A connection whose next request has not
 been read in full, body included, :data:`REQUEST_DEADLINE_S` seconds
 after the handler began waiting for it -- a slow or stalled client, or
 an idle keep-alive one -- is closed without a response.
+
+On shutdown, :func:`serve_forever` closes the connections that are
+waiting for a request, so their handlers read end-of-file and return
+instead of being cancelled by ``asyncio.run``'s cleanup; a request
+being computed is still cancelled.
 """
 
 from __future__ import annotations
@@ -165,20 +170,29 @@ async def _dispatch(
     raise _HttpError(404, f"no route for {path}")
 
 
+#: The connections of one server that are waiting for a request, each
+#: with its handler task.
+_Idle = Dict[asyncio.StreamWriter, asyncio.Task]
+
+
 async def _handle_connection(
     service: PredictionService,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
+    idle: _Idle,
 ) -> None:
     try:
         while True:
             keep_alive = False
             try:
+                idle[writer] = asyncio.current_task()
                 try:
                     async with asyncio.timeout(REQUEST_DEADLINE_S):
                         request = await _read_request(reader)
                 except TimeoutError:
                     return
+                finally:
+                    del idle[writer]
                 if request is None:
                     return
                 method, path, headers, body = request
@@ -220,6 +234,20 @@ async def _handle_connection(
             pass
 
 
+async def _listen(
+    service: PredictionService, host: str, port: int
+) -> Tuple[asyncio.AbstractServer, _Idle]:
+    idle: _Idle = {}
+
+    async def handler(reader, writer):
+        await _handle_connection(service, reader, writer, idle)
+
+    server = await asyncio.start_server(
+        handler, host=host, port=port, limit=MAX_LINE_BYTES
+    )
+    return server, idle
+
+
 async def start_service(
     service: PredictionService,
     host: str = "127.0.0.1",
@@ -230,13 +258,20 @@ async def start_service(
     Pass ``port=0`` to bind an ephemeral port (tests do); the bound
     address is available from ``server.sockets[0].getsockname()``.
     """
+    server, _ = await _listen(service, host, port)
+    return server
 
-    async def handler(reader, writer):
-        await _handle_connection(service, reader, writer)
 
-    return await asyncio.start_server(
-        handler, host=host, port=port, limit=MAX_LINE_BYTES
-    )
+async def _close_idle(idle: _Idle) -> None:
+    """Close the connections waiting for a request and wait for their
+    handlers, which read end-of-file and return."""
+    handlers = list(idle.values())
+    for writer in list(idle):
+        # abort, not close: close would first flush a response that a
+        # stalled client may never read.
+        writer.transport.abort()
+    if handlers:
+        await asyncio.wait(handlers)
 
 
 async def serve_forever(
@@ -250,11 +285,14 @@ async def serve_forever(
     ``ready`` is an optional callback invoked with the bound
     ``(host, port)`` once the socket is listening.
     """
-    server = await start_service(service, host=host, port=port)
+    server, idle = await _listen(service, host, port)
     try:
         if ready is not None:
             ready(server.sockets[0].getsockname()[:2])
-        async with server:
-            await server.serve_forever()
+        # Not server.serve_forever(): on cancellation it awaits
+        # server.wait_closed(), which from Python 3.12.1 waits for every
+        # connection to close, idle keep-alive ones included.
+        await asyncio.get_running_loop().create_future()
     finally:
         server.close()
+        await _close_idle(idle)

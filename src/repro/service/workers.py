@@ -31,6 +31,7 @@ import dataclasses
 from typing import Any, List, Sequence
 
 from ..api import BatchConfig, BatchResult, SimResult
+from ..api.simulate import SEED_AXES
 
 __all__ = [
     "effective_seed_axes",
@@ -39,19 +40,10 @@ __all__ = [
     "shard_num_points",
 ]
 
-#: The batch axis names that can enter per-point seed derivation, in the
-#: order :meth:`BatchConfig.point_seed` knows them.
-_SEED_AXES = (
-    "history_length",
-    "loss_event_rate",
-    "coefficient_of_variation",
-    "loss_process",
-)
-
 
 def effective_seed_axes(config: BatchConfig) -> List[str]:
     """The axis names that enter seed derivation for this config."""
-    return [name for name in _SEED_AXES if config._axis_in_seed(name)]
+    return [name for name in SEED_AXES if config._axis_in_seed(name)]
 
 
 def shard_num_points(config: BatchConfig) -> int:

@@ -1,17 +1,23 @@
 """Tests for the unified component-config API (repro.api).
 
 Covers the registry contract (exact JSON round-trip for every registered
-component of every family), the simulate()/simulate_batch() facade
+component of every family, and a preset, CLI default or example spec
+naming every registered kind), the simulate()/simulate_batch() facade
 (dispatch, config round-trip, batch-vs-scalar equivalence), and the
 vectorised control kernel against the loop implementations.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.cli
+import repro.experiments.registry
 from repro import api
+from repro.api import components
 from repro.core.control import BasicControl, ComprehensiveControl
 from repro.core.estimator import tfrc_weights, uniform_weights
 from repro.core.formulas import (
@@ -41,6 +47,58 @@ ALL_COMPONENTS = [
     for kind in registry.examples()
 ]
 
+ALL_KINDS = [
+    (family, kind)
+    for family, registry in REGISTRIES.items()
+    for kind in registry.kinds()
+]
+
+#: Modules whose string literals name kinds in use: the figure presets
+#: and the CLI defaults.
+REFERENCE_MODULES = (repro.experiments.registry, repro.cli)
+SPEC_DIR = Path(__file__).resolve().parents[1] / "examples" / "specs"
+
+
+def _string_literals(path):
+    """Every string literal of a module, docstrings excluded: docstrings
+    enumerate whole kind tables and would mask an unused kind."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings
+    }
+
+
+def _json_strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_strings(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _json_strings(item)
+
+
+@pytest.fixture(scope="module")
+def kind_references():
+    """Every string a preset, a CLI default or an example spec holds."""
+    references = set()
+    for module in REFERENCE_MODULES:
+        references |= _string_literals(module.__file__)
+    for path in sorted(SPEC_DIR.glob("*.json")):
+        references.update(_json_strings(json.loads(path.read_text())))
+    return references
+
 
 # ----------------------------------------------------------------------
 # Registry contract
@@ -66,6 +124,26 @@ class TestRegistryRoundTrip:
     def test_every_kind_declares_an_example(self):
         for registry in REGISTRIES.values():
             assert sorted(registry.examples()) == registry.kinds()
+
+    def test_every_registry_is_covered(self):
+        # The tests here see only the registries listed in REGISTRIES.
+        assert len(REGISTRIES) == len(components.REGISTRIES)
+        assert set(REGISTRIES.values()) == set(components.REGISTRIES)
+
+    @pytest.mark.parametrize(
+        "family, kind", ALL_KINDS,
+        ids=[f"{family}:{kind}" for family, kind in ALL_KINDS],
+    )
+    def test_every_registered_kind_is_referenced(
+        self, family, kind, kind_references
+    ):
+        # A kind no preset, CLI default or example spec names ships a
+        # construction path that no campaign exercises.
+        assert kind in kind_references, (
+            f"{family} kind {kind!r} is named by no string in "
+            "experiments/registry.py or cli.py (docstrings excluded) "
+            "and by no value in examples/specs/*.json"
+        )
 
     def test_instances_pass_through(self):
         formula = SqrtFormula(rtt=0.5)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import http.client
 import json
 import os
 import signal
@@ -74,30 +75,57 @@ class TestCommands:
             main(["sweep", "--formula", "cubic", "--events", "2000"])
 
 
+def _serve_until_sigterm(hold_connection):
+    """Start `repro.cli serve`, send it SIGTERM, and return its exit code
+    and output.  With ``hold_connection`` a keep-alive client has had one
+    ``GET /healthz`` answered and keeps its connection open meanwhile."""
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")])
+    ))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--workers", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env,
+    )
+    client = None
+    try:
+        banner = process.stdout.readline()
+        assert "listening on http://" in banner
+        if hold_connection:
+            host, port = banner.split("http://")[1].strip().rsplit(":", 1)
+            client = http.client.HTTPConnection(host, int(port), timeout=10)
+            client.request("GET", "/healthz")
+            response = client.getresponse()
+            assert response.status == 200
+            response.read()
+        process.send_signal(signal.SIGTERM)
+        output, _ = process.communicate(timeout=30)
+    finally:
+        if client is not None:
+            client.close()
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    return process.returncode, banner + output
+
+
 class TestServeCommand:
     def test_sigterm_takes_the_ctrl_c_shutdown_path(self):
         # Process managers stop a service with SIGTERM: it must print
         # "shutting down", close the worker pool and exit 0, as Ctrl-C does.
-        source_root = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [source_root, os.environ.get("PYTHONPATH")])
-        ))
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--workers", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            env=env,
-        )
-        try:
-            assert "listening on http://" in process.stdout.readline()
-            process.send_signal(signal.SIGTERM)
-            output, _ = process.communicate(timeout=30)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
-        assert process.returncode == 0, output
+        returncode, output = _serve_until_sigterm(hold_connection=False)
+        assert returncode == 0, output
         assert "shutting down" in output
+
+    def test_sigterm_with_an_idle_keep_alive_connection_is_quiet(self):
+        # The server closes the idle connection itself; a handler task
+        # cancelled by asyncio.run's cleanup would log a traceback.
+        returncode, output = _serve_until_sigterm(hold_connection=True)
+        assert returncode == 0, output
+        assert "shutting down" in output
+        assert "Traceback" not in output, output
 
 
 class TestExperimentsParser:

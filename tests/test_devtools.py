@@ -3,7 +3,7 @@
 Each checker is exercised against small fixture trees written to a
 temporary directory (the linter parses them, it never imports them),
 plus a regression gate asserting the live repository tree stays
-lint-clean with an empty baseline.
+lint-clean.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.devtools import load_config, run_lint
-from repro.devtools.baseline import Baseline
 from repro.devtools.config import LintConfigError
 from repro.devtools.lint import main as lint_main
 from repro.telemetry import catalog as telemetry_catalog
@@ -27,11 +26,9 @@ PYPROJECT = """\
 [tool.reprolint]
 source-root = "src"
 package = "repro"
-baseline = "lint-baseline.json"
 deferred-imports-allow = [
     "repro.flowsim.run -> repro.api",
 ]
-dead-config-allow = ["widget"]
 
 [tool.reprolint.layers]
 telemetry = 0
@@ -205,93 +202,6 @@ def test_layers_deferred_upward_needs_allowlist(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# checker 3: registry-roundtrip
-
-
-REGISTRY_PREAMBLE = """\
-class ComponentRegistry:
-    def __init__(self, kind):
-        self.kind = kind
-
-    def register(self, name, cls=None, **kwargs):
-        def inner(target):
-            return target
-        return inner(cls) if cls is not None else inner
-
-THINGS = ComponentRegistry("thing")
-"""
-
-
-def test_registry_missing_example_flagged(tmp_path):
-    root = make_tree(tmp_path, {
-        "api/__init__.py": "",
-        "api/registry.py": REGISTRY_PREAMBLE + textwrap.dedent("""\
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class Widget:
-                size: int = 1
-
-            THINGS.register("widget", Widget)
-        """),
-    })
-    report = lint(root)
-    assert rules(report) == ["registry-roundtrip"]
-    assert "example" in report.diagnostics[0].message
-
-
-def test_registry_non_dataclass_without_encode_flagged(tmp_path):
-    root = make_tree(tmp_path, {
-        "api/__init__.py": "",
-        "api/registry.py": REGISTRY_PREAMBLE + textwrap.dedent("""\
-            class Widget:
-                def __init__(self, size=1):
-                    self.size = size
-
-            THINGS.register("widget", Widget, example=Widget())
-        """),
-    })
-    report = lint(root)
-    assert rules(report) == ["registry-roundtrip"]
-
-
-def test_registry_encode_key_not_in_constructor_flagged(tmp_path):
-    root = make_tree(tmp_path, {
-        "api/__init__.py": "",
-        "api/registry.py": REGISTRY_PREAMBLE + textwrap.dedent("""\
-            class Widget:
-                def __init__(self, size=1):
-                    self.size = size
-
-            THINGS.register(
-                "widget", Widget,
-                encode=lambda w: {"sz": w.size},
-                example=Widget(),
-            )
-        """),
-    })
-    report = lint(root)
-    assert rules(report) == ["registry-roundtrip"]
-    assert "sz" in report.diagnostics[0].message
-
-
-def test_registry_dataclass_with_example_passes(tmp_path):
-    root = make_tree(tmp_path, {
-        "api/__init__.py": "",
-        "api/registry.py": REGISTRY_PREAMBLE + textwrap.dedent("""\
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class Widget:
-                size: int = 1
-
-            THINGS.register("widget", Widget, example=Widget())
-        """),
-    })
-    assert lint(root).diagnostics == []
-
-
-# ---------------------------------------------------------------------------
 # checker 4: telemetry-catalog
 
 
@@ -435,132 +345,6 @@ def test_hygiene_int_eq_passes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# checker 6: dead-config
-
-GIZMO_REGISTRY = REGISTRY_PREAMBLE + """\
-from dataclasses import dataclass
-
-@dataclass(frozen=True)
-class Gizmo:
-    size: int = 1
-
-THINGS.register("gizmo", Gizmo, example=Gizmo())
-"""
-
-
-def test_deadconfig_unreferenced_kind_flagged(tmp_path):
-    root = make_tree(tmp_path, {
-        "api/__init__.py": "",
-        "api/registry.py": GIZMO_REGISTRY,
-    })
-    report = lint(root)
-    assert rules(report) == ["dead-config"]
-    assert "gizmo" in report.diagnostics[0].message
-    # Registering is publishing, not referencing: the "gizmo" literal in
-    # the registration call itself did not count.
-
-
-def test_deadconfig_reference_module_literal_counts(tmp_path):
-    # repro.cli is one of the default reference modules.
-    root = make_tree(tmp_path, {
-        "api/__init__.py": "",
-        "api/registry.py": GIZMO_REGISTRY,
-        "cli.py": 'DEFAULT_KIND = "gizmo"\n',
-    })
-    assert lint(root).diagnostics == []
-
-
-def test_deadconfig_docstring_mention_does_not_count(tmp_path):
-    # Docstrings routinely enumerate the whole kind table; a mention
-    # there must not mask a missing real reference.
-    root = make_tree(tmp_path, {
-        "api/__init__.py": "",
-        "api/registry.py": GIZMO_REGISTRY,
-        "cli.py": '"""The CLI. Supports the gizmo kind."""\n',
-    })
-    assert rules(lint(root)) == ["dead-config"]
-
-
-def test_deadconfig_example_spec_counts(tmp_path):
-    root = make_tree(tmp_path, {
-        "api/__init__.py": "",
-        "api/registry.py": GIZMO_REGISTRY,
-    })
-    spec_dir = root / "examples" / "specs"
-    spec_dir.mkdir(parents=True)
-    (spec_dir / "demo.json").write_text(
-        json.dumps({"grid": {"thing": [{"kind": "gizmo"}]}})
-    )
-    assert lint(root).diagnostics == []
-
-
-def test_deadconfig_unparsable_spec_is_skipped(tmp_path):
-    root = make_tree(tmp_path, {
-        "api/__init__.py": "",
-        "api/registry.py": GIZMO_REGISTRY,
-    })
-    spec_dir = root / "examples" / "specs"
-    spec_dir.mkdir(parents=True)
-    (spec_dir / "broken.json").write_text("{not json")
-    assert rules(lint(root)) == ["dead-config"]
-
-
-def test_deadconfig_allow_list_waives(tmp_path):
-    pyproject = PYPROJECT.replace(
-        'dead-config-allow = ["widget"]',
-        'dead-config-allow = ["widget", "gizmo"]',
-    )
-    root = make_tree(tmp_path, {
-        "api/__init__.py": "",
-        "api/registry.py": GIZMO_REGISTRY,
-    }, pyproject=pyproject)
-    assert lint(root).diagnostics == []
-
-
-def test_deadconfig_allow_must_be_a_string_list(tmp_path):
-    pyproject = PYPROJECT.replace(
-        'dead-config-allow = ["widget"]',
-        'dead-config-allow = "widget"',
-    )
-    root = make_tree(tmp_path, {"core/ok.py": "x = 1\n"},
-                     pyproject=pyproject)
-    with pytest.raises(LintConfigError):
-        load_config(root)
-
-
-# ---------------------------------------------------------------------------
-# baseline
-
-
-def test_baseline_suppresses_known_findings(tmp_path):
-    root = make_tree(tmp_path, {
-        "core/compare.py": "def near(x):\n    return x == 0.3\n",
-    })
-    report = lint(root, use_baseline=False)
-    assert report.exit_code == 1
-    Baseline.from_diagnostics(report.diagnostics).write(
-        root / "lint-baseline.json"
-    )
-    suppressed = lint(root)
-    assert suppressed.exit_code == 0
-    assert suppressed.baselined == 1
-
-
-def test_baseline_does_not_hide_new_findings(tmp_path):
-    root = make_tree(tmp_path, {
-        "core/compare.py": "def near(x):\n    return x == 0.3\n",
-    })
-    Baseline.from_diagnostics(
-        lint(root, use_baseline=False).diagnostics
-    ).write(root / "lint-baseline.json")
-    (root / "src" / "repro" / "core" / "fresh.py").write_text(
-        "import random\n"
-    )
-    report = lint(root)
-    assert rules(report) == ["rng-discipline"]
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -574,17 +358,6 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
     assert payload["diagnostics"][0]["rule"] == "hygiene-float-eq"
     assert payload["diagnostics"][0]["path"].endswith("compare.py")
     assert payload["diagnostics"][0]["line"] == 2
-
-
-def test_cli_update_baseline_roundtrip(tmp_path, capsys):
-    root = make_tree(tmp_path, {
-        "core/compare.py": "def near(x):\n    return x == 0.3\n",
-    })
-    assert lint_main(["--root", str(root), "--update-baseline"]) == 0
-    capsys.readouterr()
-    assert lint_main(["--root", str(root)]) == 0
-    stored = json.loads((root / "lint-baseline.json").read_text())
-    assert len(stored["entries"]) == 1
 
 
 def test_cli_report_file(tmp_path, capsys):
@@ -627,8 +400,6 @@ def test_runtime_catalog_names_satisfy_scheme():
 
 def test_live_tree_is_lint_clean_with_empty_baseline():
     config = load_config(REPO_ROOT)
-    baseline = json.loads(config.baseline_path.read_text())
-    assert baseline["entries"] == []
     report = run_lint(config)
     assert [d.format() for d in report.diagnostics] == []
     assert report.exit_code == 0

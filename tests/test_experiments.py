@@ -124,6 +124,16 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec.from_dict(payload)
 
+    @pytest.mark.parametrize("values", ["28", 8])
+    def test_from_dict_rejects_a_non_list_grid_axis(self, values):
+        # A string must not be split into one-character axis values.
+        payload = small_montecarlo_spec().to_dict()
+        payload["grid"]["history_length"] = values
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            ExperimentSpec.from_dict(payload)
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            ExperimentSpec.from_json(json.dumps(payload))
+
     def test_axes_must_not_shadow_base(self):
         with pytest.raises(ValueError):
             ExperimentSpec(

@@ -310,6 +310,9 @@ class TestPredictBatch:
             {"seed": -3},
             {"method": "analytic", "loss_processes": [GILBERT],
              "loss_event_rates": None, "coefficients_of_variation": None},
+            {"seed_axes": 5},
+            {"seed_axes": "loss_event_rate"},
+            {"seed_axes": ["bogus"]},
         ],
     )
     def test_malformed_batch_requests_raise_bad_request(self, overrides):
