@@ -53,7 +53,7 @@ from typing import (
 import numpy as np
 
 from .. import telemetry
-from ..lossprocess.base import derive_point_seed, make_rng
+from ..lossprocess.base import check_seed, derive_point_seed, make_rng
 from ..lossprocess.iid import ShiftedExponentialIntervals
 # Unused here; bound so perfbench's traced pass can still wrap them by name.
 from ..montecarlo.basic import simulate_basic_control  # noqa: F401
@@ -102,19 +102,12 @@ def _component_config(registry, value: Any) -> Any:
 
 
 def _check_sampling(num_events: Any, seed: Any) -> None:
-    """Both configs' sampling fields: an integer event count, and a seed
-    that is ``None`` or a non-negative integer.  The concrete integer
-    types keep ``numbers.Integral``'s slower ABC check off the service's
-    cache-hit path, which builds a config per request."""
+    """Both configs' sampling fields: an integer event count (concrete
+    integer types, as in :func:`check_seed`), and a valid seed."""
     integers = (int, np.integer)
     if isinstance(num_events, bool) or not isinstance(num_events, integers):
         raise ValueError(f"num_events must be an integer, got {num_events!r}")
-    if seed is not None and (
-        isinstance(seed, bool) or not isinstance(seed, integers) or seed < 0
-    ):
-        raise ValueError(
-            f"seed must be None or a non-negative integer, got {seed!r}"
-        )
+    check_seed(seed)
 
 
 def require_iid(process: Any) -> None:

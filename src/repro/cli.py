@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from typing import List, Optional, Sequence
 
 from . import api, telemetry
@@ -643,32 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "always on (also: REPRO_TELEMETRY=1)")
     serve.set_defaults(handler=_command_serve)
 
-    lint = subparsers.add_parser(
-        "lint",
-        help="run the repro.devtools static-analysis pass",
-        add_help=False,
-    )
-    lint.set_defaults(handler=_command_lint)
-
     return parser
-
-
-def _command_lint(arguments: argparse.Namespace) -> int:
-    from .devtools.lint import main as lint_main
-
-    return lint_main([])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: parse arguments and dispatch to the sub-command."""
-    if argv is None:
-        argv = sys.argv[1:]
-    # `lint` forwards its whole tail to repro.devtools.lint verbatim
-    # (argparse.REMAINDER drops leading options -- bpo-17050).
-    if argv and argv[0] == "lint":
-        from .devtools.lint import main as lint_main
-
-        return lint_main(list(argv[1:]))
     parser = build_parser()
     arguments = parser.parse_args(argv)
     return arguments.handler(arguments)

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from ..lossprocess.base import derive_point_seed
+from ..lossprocess.base import check_seed, derive_point_seed
 from .store import result_key
 
 __all__ = ["ExperimentSpec", "ExperimentPoint", "grid"]
@@ -105,6 +105,10 @@ class ExperimentSpec:
             raise ValueError("spec needs a non-empty name")
         if not self.runner:
             raise ValueError("spec needs a runner kind")
+        for name in ("base", "grid"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ValueError(f"spec {name} must be a mapping")
+        check_seed(self.seed)
         for axis, values in self.grid.items():
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise ValueError(f"grid axis {axis!r} must be a non-empty sequence")
@@ -158,20 +162,28 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
+        if not isinstance(payload, Mapping):
+            raise ValueError(
+                f"a spec must be a JSON object, got {type(payload).__name__}"
+            )
         known = {"name", "runner", "base", "grid", "seed", "description"}
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
+        # Only mappings and sequences are copied: any other value goes
+        # to the constructor as is, which rejects it.
+        base = payload.get("base", {})
+        grid = payload.get("grid", {})
+        if isinstance(grid, Mapping):
+            grid = {
+                axis: list(values) if isinstance(values, (list, tuple)) else values
+                for axis, values in grid.items()
+            }
         return cls(
             name=payload["name"],
             runner=payload["runner"],
-            base=dict(payload.get("base", {})),
-            # Only sequences are copied: any other value goes to the
-            # constructor as is, which rejects it.
-            grid={
-                axis: list(values) if isinstance(values, (list, tuple)) else values
-                for axis, values in payload.get("grid", {}).items()
-            },
+            base=dict(base) if isinstance(base, Mapping) else base,
+            grid=grid,
             seed=payload.get("seed"),
             description=payload.get("description", ""),
         )

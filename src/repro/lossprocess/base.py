@@ -27,7 +27,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-__all__ = ["LossProcess", "SeedLike", "derive_point_seed", "make_rng"]
+__all__ = [
+    "LossProcess", "SeedLike", "check_seed", "derive_point_seed", "make_rng",
+]
 
 SeedLike = Union[None, int, np.random.Generator]
 
@@ -48,6 +50,24 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def check_seed(seed: object) -> None:
+    """Reject a seed that is not ``None`` or a non-negative integer.
+
+    The rule of every config that carries a base seed (``SimConfig``,
+    ``BatchConfig``, ``ExperimentSpec``).  The concrete integer types
+    keep ``numbers.Integral``'s slower ABC check off the service's
+    cache-hit path, which builds a config per request.
+    """
+    if seed is not None and (
+        isinstance(seed, bool)
+        or not isinstance(seed, (int, np.integer))
+        or seed < 0
+    ):
+        raise ValueError(
+            f"seed must be None or a non-negative integer, got {seed!r}"
+        )
 
 
 def derive_point_seed(base: Optional[int], /, **axes) -> Optional[int]:

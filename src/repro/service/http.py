@@ -27,17 +27,19 @@ been read in full, body included, :data:`REQUEST_DEADLINE_S` seconds
 after the handler began waiting for it -- a slow or stalled client, or
 an idle keep-alive one -- is closed without a response.
 
-On shutdown, :func:`serve_forever` closes the connections that are
-waiting for a request, so their handlers read end-of-file and return
-instead of being cancelled by ``asyncio.run``'s cleanup; a request
-being computed is still cancelled.
+On shutdown, :func:`serve_forever` stops listening and closes the
+connections that are waiting for a request, so their handlers return
+instead of being cancelled by ``asyncio.run``'s cleanup.  A request
+being computed is answered, with ``Connection: close``, before its
+connection closes; what is still running :data:`REQUEST_DEADLINE_S`
+seconds later is aborted.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from .core import BadRequest, PredictionService, SCHEMA_VERSION
 
@@ -51,7 +53,8 @@ MAX_LINE_BYTES = 16 * 1024
 #: Header lines per request; one more is a 400.
 MAX_HEADERS = 100
 #: Seconds from when the handler starts waiting for a request until its
-#: body is read; past it the connection is closed.
+#: body is read; past it the connection is closed.  Also the bound on
+#: how long shutdown waits for in-flight responses.
 REQUEST_DEADLINE_S = 60.0
 
 _STATUS_TEXT = {
@@ -170,29 +173,43 @@ async def _dispatch(
     raise _HttpError(404, f"no route for {path}")
 
 
-#: The connections of one server that are waiting for a request, each
-#: with its handler task.
-_Idle = Dict[asyncio.StreamWriter, asyncio.Task]
+class _Connections:
+    """One server's connections, for its shutdown: each one's reader and
+    handler task, the ones waiting for a request, and whether the server
+    has stopped listening."""
+
+    def __init__(self) -> None:
+        self.handlers: Dict[
+            asyncio.StreamWriter, Tuple[asyncio.StreamReader, asyncio.Task]
+        ] = {}
+        self.idle: Set[asyncio.StreamWriter] = set()
+        self.closing = False
 
 
 async def _handle_connection(
     service: PredictionService,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
-    idle: _Idle,
+    connections: _Connections,
 ) -> None:
+    if connections.closing:
+        # Accepted just before the server stopped listening.
+        writer.transport.abort()
+        return
+    connections.handlers[writer] = (reader, asyncio.current_task())
+    idle = connections.idle
     try:
         while True:
             keep_alive = False
             try:
-                idle[writer] = asyncio.current_task()
+                idle.add(writer)
                 try:
                     async with asyncio.timeout(REQUEST_DEADLINE_S):
                         request = await _read_request(reader)
                 except TimeoutError:
                     return
                 finally:
-                    del idle[writer]
+                    idle.discard(writer)
                 if request is None:
                     return
                 method, path, headers, body = request
@@ -218,6 +235,8 @@ async def _handle_connection(
                     "error": f"{type(exc).__name__}: {exc}",
                     "schema_version": SCHEMA_VERSION,
                 }
+            if connections.closing:
+                keep_alive = False
             writer.write(_encode_response(status, payload, keep_alive))
             await writer.drain()
             if not keep_alive:
@@ -225,6 +244,7 @@ async def _handle_connection(
     except (ConnectionError, asyncio.IncompleteReadError):
         pass
     finally:
+        del connections.handlers[writer]
         writer.close()
         try:
             await writer.wait_closed()
@@ -236,16 +256,16 @@ async def _handle_connection(
 
 async def _listen(
     service: PredictionService, host: str, port: int
-) -> Tuple[asyncio.AbstractServer, _Idle]:
-    idle: _Idle = {}
+) -> Tuple[asyncio.AbstractServer, _Connections]:
+    connections = _Connections()
 
     async def handler(reader, writer):
-        await _handle_connection(service, reader, writer, idle)
+        await _handle_connection(service, reader, writer, connections)
 
     server = await asyncio.start_server(
         handler, host=host, port=port, limit=MAX_LINE_BYTES
     )
-    return server, idle
+    return server, connections
 
 
 async def start_service(
@@ -262,16 +282,32 @@ async def start_service(
     return server
 
 
-async def _close_idle(idle: _Idle) -> None:
-    """Close the connections waiting for a request and wait for their
-    handlers, which read end-of-file and return."""
-    handlers = list(idle.values())
-    for writer in list(idle):
-        # abort, not close: close would first flush a response that a
-        # stalled client may never read.
+async def _drain(connections: _Connections) -> None:
+    """Close every connection once its in-flight response is written.
+
+    A busy handler answers with ``Connection: close``, and its reader is
+    ended, so one that had sent a keep-alive response before
+    ``closing`` was set reads end-of-file next.  What is still running
+    after :data:`REQUEST_DEADLINE_S` is aborted and cancelled.
+    """
+    connections.closing = True
+    for writer, (reader, _task) in connections.handlers.items():
+        if writer in connections.idle:
+            # abort, not close: close would first flush a response that
+            # a stalled client may never read.
+            writer.transport.abort()
+        else:
+            writer.transport.pause_reading()
+            reader.feed_eof()
+    tasks = [task for _reader, task in connections.handlers.values()]
+    if not tasks:
+        return
+    _done, pending = await asyncio.wait(tasks, timeout=REQUEST_DEADLINE_S)
+    for writer, (_reader, task) in list(connections.handlers.items()):
         writer.transport.abort()
-    if handlers:
-        await asyncio.wait(handlers)
+        task.cancel()
+    if pending:
+        await asyncio.wait(pending)
 
 
 async def serve_forever(
@@ -285,7 +321,7 @@ async def serve_forever(
     ``ready`` is an optional callback invoked with the bound
     ``(host, port)`` once the socket is listening.
     """
-    server, idle = await _listen(service, host, port)
+    server, connections = await _listen(service, host, port)
     try:
         if ready is not None:
             ready(server.sockets[0].getsockname()[:2])
@@ -295,4 +331,4 @@ async def serve_forever(
         await asyncio.get_running_loop().create_future()
     finally:
         server.close()
-        await _close_idle(idle)
+        await _drain(connections)

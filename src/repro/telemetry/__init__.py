@@ -53,9 +53,9 @@ What the package records
   per event-loop run.
 
 Every name is declared in :mod:`repro.telemetry.catalog`; the
-``telemetry-catalog`` rule of :mod:`repro.devtools` rejects instrument
-name literals that are missing from the catalog or that stray from the
-dotted-lowercase scheme.
+``telemetry-catalog`` rule of ``tests/test_static_contracts.py`` rejects
+instrument name literals that are missing from the catalog or that stray
+from the dotted-lowercase scheme.
 """
 
 from .catalog import CATALOG, is_catalogued, validate_name

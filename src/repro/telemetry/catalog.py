@@ -2,9 +2,9 @@
 
 Every span, counter, gauge and histogram name the package emits is
 declared here, so that dashboards, exporters and the test suite have one
-place to discover the vocabulary -- and so that the static-analysis pass
-(:mod:`repro.devtools`, ``telemetry-catalog`` rule) can reject a name
-literal that was never registered or that strays from the naming scheme.
+place to discover the vocabulary -- and so that the ``telemetry-catalog``
+rule of ``tests/test_static_contracts.py`` can reject a name literal that
+was never registered or that strays from the naming scheme.
 
 Naming scheme
 -------------
@@ -19,7 +19,7 @@ Dynamic families
 A trailing ``.*`` declares a *family*: call sites may build the final
 segment at runtime (``telemetry.incr(f"experiments.points.{status}")``)
 as long as the literal prefix of the f-string is covered by a family
-entry.  The checker enforces exactly that.
+entry.  The rule enforces exactly that.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -75,10 +77,38 @@ class TestCommands:
             main(["sweep", "--formula", "cubic", "--events", "2000"])
 
 
-def _serve_until_sigterm(hold_connection):
-    """Start `repro.cli serve`, send it SIGTERM, and return its exit code
-    and output.  With ``hold_connection`` a keep-alive client has had one
-    ``GET /healthz`` answered and keeps its connection open meanwhile."""
+#: An 8-row, 1M-event batch: its compute (~0.4 s on one worker) is
+#: still running when SIGTERM arrives.
+SLOW_BATCH = {
+    "formulas": ["sqrt", "pftk-simplified"],
+    "history_lengths": [2, 8],
+    "loss_event_rates": [0.05, 0.2],
+    "coefficients_of_variation": [0.999],
+    "num_events": 1_000_000,
+    "seed": 9,
+    "share_noise": False,
+}
+
+
+def _get_json(host, port, path):
+    client = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        client.request("GET", path, headers={"Connection": "close"})
+        return json.loads(client.getresponse().read())
+    finally:
+        client.close()
+
+
+def _serve_until_sigterm(hold_connection=False, batch=None):
+    """Start `repro.cli serve`, send it SIGTERM, and return its exit code,
+    its output and the batch response (or None).
+
+    With ``hold_connection`` a keep-alive client has had one ``GET
+    /healthz`` answered and keeps its connection open meanwhile.  With
+    ``batch`` that body is posted to ``/predict/batch`` from another
+    thread, and SIGTERM is sent once its compute has started; the
+    response is ``(status, Connection header, JSON body)``.
+    """
     source_root = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [source_root, os.environ.get("PYTHONPATH")])
@@ -90,16 +120,41 @@ def _serve_until_sigterm(hold_connection):
         env=env,
     )
     client = None
+    poster = None
+    responses = []
     try:
         banner = process.stdout.readline()
         assert "listening on http://" in banner
+        host, port = banner.split("http://")[1].strip().rsplit(":", 1)
+        port = int(port)
         if hold_connection:
-            host, port = banner.split("http://")[1].strip().rsplit(":", 1)
-            client = http.client.HTTPConnection(host, int(port), timeout=10)
+            client = http.client.HTTPConnection(host, port, timeout=10)
             client.request("GET", "/healthz")
             response = client.getresponse()
             assert response.status == 200
             response.read()
+        if batch is not None:
+            def post():
+                connection = http.client.HTTPConnection(host, port, timeout=30)
+                try:
+                    connection.request(
+                        "POST", "/predict/batch", body=json.dumps(batch)
+                    )
+                    response = connection.getresponse()
+                    responses.append((
+                        response.status,
+                        response.getheader("Connection"),
+                        json.loads(response.read()),
+                    ))
+                finally:
+                    connection.close()
+
+            poster = threading.Thread(target=post)
+            poster.start()
+            deadline = time.monotonic() + 10
+            while _get_json(host, port, "/stats")["computes"]["batch"] < 1:
+                assert time.monotonic() < deadline, "the batch never started"
+                time.sleep(0.01)
         process.send_signal(signal.SIGTERM)
         output, _ = process.communicate(timeout=30)
     finally:
@@ -108,24 +163,43 @@ def _serve_until_sigterm(hold_connection):
         if process.poll() is None:
             process.kill()
             process.communicate()
-    return process.returncode, banner + output
+        if poster is not None:
+            poster.join(timeout=30)
+            assert not poster.is_alive()
+    response = responses[0] if responses else None
+    return process.returncode, banner + output, response
 
 
 class TestServeCommand:
     def test_sigterm_takes_the_ctrl_c_shutdown_path(self):
         # Process managers stop a service with SIGTERM: it must print
         # "shutting down", close the worker pool and exit 0, as Ctrl-C does.
-        returncode, output = _serve_until_sigterm(hold_connection=False)
+        returncode, output, _ = _serve_until_sigterm()
         assert returncode == 0, output
         assert "shutting down" in output
 
     def test_sigterm_with_an_idle_keep_alive_connection_is_quiet(self):
         # The server closes the idle connection itself; a handler task
         # cancelled by asyncio.run's cleanup would log a traceback.
-        returncode, output = _serve_until_sigterm(hold_connection=True)
+        returncode, output, _ = _serve_until_sigterm(hold_connection=True)
         assert returncode == 0, output
         assert "shutting down" in output
         assert "Traceback" not in output, output
+
+    def test_sigterm_during_a_compute_answers_the_request(self):
+        # The in-flight request gets its whole response, as the last on
+        # its connection, before the server exits.
+        returncode, output, response = _serve_until_sigterm(
+            hold_connection=True, batch=SLOW_BATCH
+        )
+        assert returncode == 0, output
+        assert "shutting down" in output
+        assert "Traceback" not in output, output
+        assert response is not None, output
+        status, connection, body = response
+        assert status == 200, body
+        assert connection == "close"
+        assert body["num_results"] == len(body["results"]) == 8
 
 
 class TestExperimentsParser:

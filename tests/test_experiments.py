@@ -134,6 +134,30 @@ class TestSpec:
         with pytest.raises(ValueError, match="non-empty sequence"):
             ExperimentSpec.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid", [1]),
+        ("base", [["k", 1]]),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "abc"),
+        ("seed", -1),
+    ])
+    def test_from_dict_rejects_a_malformed_field(self, field, value):
+        # Each was a bare AttributeError, or was accepted: a list base as
+        # the dict it spells, a float or bool seed as the integer one, a
+        # string seed until expand() called int() on it.
+        payload = small_montecarlo_spec().to_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec.from_dict(payload)
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text", ["[]", "5", "null", '"spec"'])
+    def test_from_json_rejects_a_payload_that_is_not_an_object(self, text):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentSpec.from_json(text)
+
     def test_axes_must_not_shadow_base(self):
         with pytest.raises(ValueError):
             ExperimentSpec(

@@ -10,6 +10,7 @@ each test drives its own event loop with ``asyncio.run``.
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -625,6 +626,49 @@ class TestHttpFrontend:
             assert status == 400 and "headers" in payload["error"]
 
         run(lambda: self._with_server(body))
+
+    def test_shutdown_closes_a_connection_still_sending_a_response(
+        self, monkeypatch
+    ):
+        # Shutdown begins while a large keep-alive response is still
+        # being written to a slow client: once the client has read it,
+        # the connection closes, without waiting out the deadline.
+        monkeypatch.setattr(http, "REQUEST_DEADLINE_S", 30.0)
+        size = 8 * 1024 * 1024
+
+        class LargeStats:
+            def stats(self):
+                return {"blob": "x" * size}
+
+        async def body():
+            bound = asyncio.get_running_loop().create_future()
+            server = asyncio.create_task(http.serve_forever(
+                LargeStats(), port=0, ready=bound.set_result
+            ))
+            host, port = await bound
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((host, port))
+            reader, writer = await asyncio.open_connection(sock=sock)
+            try:
+                writer.write(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+                await writer.drain()
+                await asyncio.sleep(0.3)
+                server.cancel()
+                started = time.monotonic()
+                raw = await asyncio.wait_for(reader.read(), timeout=10.0)
+                elapsed = time.monotonic() - started
+                with pytest.raises(asyncio.CancelledError):
+                    await server
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            head, _, payload = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 OK")
+            assert len(json.loads(payload)["blob"]) == size
+            assert elapsed < 5.0
+
+        run(body)
 
     def test_stalled_request_is_closed_at_the_deadline(self, monkeypatch):
         monkeypatch.setattr(http, "REQUEST_DEADLINE_S", 0.2)
