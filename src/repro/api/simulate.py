@@ -101,13 +101,23 @@ def _component_config(registry, value: Any) -> Any:
         return value
 
 
-def _check_sampling(num_events: Any, seed: Any) -> None:
-    """Both configs' sampling fields: an integer event count (concrete
-    integer types, as in :func:`check_seed`), and a valid seed."""
-    integers = (int, np.integer)
-    if isinstance(num_events, bool) or not isinstance(num_events, integers):
+def _check_run(config: Any) -> None:
+    """The run fields :class:`SimConfig` and :class:`BatchConfig` share:
+    the control, the method, an integer event count (concrete integer
+    types, as in :func:`check_seed`) of at least 10, or 100 for the
+    analytic method, and a valid seed."""
+    if config.control not in _CONTROLS:
+        raise ValueError(f"control must be one of {_CONTROLS}")
+    if config.method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}")
+    num_events = config.num_events
+    if num_events < 10:
+        raise ValueError("num_events must be at least 10")
+    if config.method == "analytic" and num_events < 100:
+        raise ValueError("method='analytic' needs num_events of at least 100")
+    if isinstance(num_events, bool) or not isinstance(num_events, (int, np.integer)):
         raise ValueError(f"num_events must be an integer, got {num_events!r}")
-    check_seed(seed)
+    check_seed(config.seed)
 
 
 def require_iid(process: Any) -> None:
@@ -138,7 +148,10 @@ class SimConfig:
     instances; the shifted-exponential default loss process can instead be
     described by ``loss_event_rate`` + ``coefficient_of_variation`` (the
     paper's sweep axes), and the default TFRC weight profile by
-    ``history_length`` alone.
+    ``history_length`` alone.  These point rules, the seed check and the
+    resolvers below are the only copy:
+    :class:`~repro.flowsim.FlowSimConfig` checks and resolves its point
+    through a SimConfig.
     """
 
     formula: Any
@@ -153,10 +166,7 @@ class SimConfig:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.control not in _CONTROLS:
-            raise ValueError(f"control must be one of {_CONTROLS}")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
+        _check_run(self)
         if self.loss_process is None and self.loss_event_rate is None:
             raise ValueError(
                 "specify a loss_process config or a loss_event_rate"
@@ -178,13 +188,6 @@ class SimConfig:
             raise ValueError(
                 "pass either profile or history_length, not both"
             )
-        if self.num_events < 10:
-            raise ValueError("num_events must be at least 10")
-        if self.method == "analytic" and self.num_events < 100:
-            raise ValueError(
-                "method='analytic' needs num_events of at least 100"
-            )
-        _check_sampling(self.num_events, self.seed)
 
     # ------------------------------------------------------------------
     # Component resolution
@@ -342,18 +345,9 @@ class BatchConfig:
             raise ValueError("batch needs at least one formula")
         if not self.history_lengths:
             raise ValueError("batch needs at least one history length")
-        if self.control not in _CONTROLS:
-            raise ValueError(f"control must be one of {_CONTROLS}")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
-        if self.num_events < 10:
-            raise ValueError("num_events must be at least 10")
-        if self.method == "analytic" and self.num_events < 100:
-            # Same floor as SimConfig: the batch must not accept grids
-            # its scalar equivalent would fail point for point.
-            raise ValueError(
-                "method='analytic' needs num_events of at least 100"
-            )
+        # SimConfig's rules: the batch must not accept grids its scalar
+        # equivalent would fail point for point.
+        _check_run(self)
         rate_form = (
             self.loss_event_rates is not None
             and self.coefficients_of_variation is not None
@@ -380,7 +374,6 @@ class BatchConfig:
                 "seed_axes must be None or a list of distinct names from "
                 f"{list(SEED_AXES)}, got {self.seed_axes!r}"
             )
-        _check_sampling(self.num_events, self.seed)
 
     # ------------------------------------------------------------------
     def point_seed(self, **axes: Any) -> Optional[int]:

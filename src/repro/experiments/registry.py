@@ -2,16 +2,17 @@
 
 The registry maps a spec's ``runner`` kind to a plain function
 ``fn(params, seed) -> dict`` executing one point and returning a JSON-safe
-value dictionary.  Four kinds are built in, wired through the unified
+value dictionary.  These kinds are built in, wired through the unified
 component API in :mod:`repro.api`:
 
 ``montecarlo-basic`` / ``montecarlo-comprehensive``
     The :func:`repro.api.simulate` facade over *any* registered loss
-    process and weight profile.  The classic Figure 3/4 form names
-    ``loss_event_rate`` / ``coefficient_of_variation`` (shifted
-    exponential); a ``loss_process`` config entry swaps in any other
-    registered kind (Markov/Gilbert, traces, ...), and a ``profile``
-    entry swaps the estimator weights.
+    process and weight profile, on a :class:`~repro.api.SimConfig` built
+    from the point's params that name its fields.  The classic Figure
+    3/4 form names ``loss_event_rate`` / ``coefficient_of_variation``
+    (shifted exponential; the cv is required); a ``loss_process`` config
+    entry swaps in any other registered kind (Markov/Gilbert, traces,
+    ...), and a ``profile`` entry swaps the estimator weights.
 ``dumbbell``
     :func:`repro.simulator.run_dumbbell` on a registered scenario family
     (a ``scenario`` config), summarised per flow and per TFRC/TCP pair.
@@ -28,12 +29,19 @@ component API in :mod:`repro.api`:
 ``flowsim``
     The flow-level engine of :mod:`repro.flowsim`: per-interval
     throughput sampling over an entire flow population (no packets),
-    for thousand-to-million-flow scenario points.
+    for thousand-to-million-flow scenario points, on a
+    :class:`~repro.flowsim.FlowSimConfig` built the same way.
 ``shortflow``
     Closed-form short-flow expected transfer latency (the
     ``repro.api.LATENCY_MODELS`` registry, CSA00 by default) over
     (transfer size, loss-event rate, RTT) axes, with an optional
     steady-state formula comparison per point.
+
+Either config's own rules check the params it is given, so a point
+that names both ``profile`` and ``history_length``, or a
+``loss_process`` with a cv or a ``loss_event_rate``, is an error row;
+any other key (a ``replication`` axis, say) only enters the point's
+derived seed.
 
 Custom kinds can be registered with :func:`register_runner`; the function
 must live at module level so it survives pickling into worker processes.
@@ -123,39 +131,29 @@ def run_montecarlo_comprehensive(
     return _run_montecarlo(params, seed, comprehensive=True)
 
 
+def _config_from_params(config_type, params: Dict[str, Any], **owned: Any):
+    """Build ``config_type`` from the point's params that name its fields
+    (see the module docstring); ``owned`` are the fields the runner sets
+    itself, whatever the params say."""
+    names = {field.name for field in dataclasses.fields(config_type)}
+    fields = {name: value for name, value in params.items() if name in names}
+    return config_type(**{**fields, **owned})
+
+
 def _run_montecarlo(
     params: Dict[str, Any], seed: Optional[int], comprehensive: bool
 ) -> Dict[str, Any]:
-    loss_process = params.get("loss_process")
-    if loss_process is not None and "loss_event_rate" in params:
-        raise ValueError(
-            "point names both loss_process and loss_event_rate; drop one "
-            "(loss_event_rate parameterises the default shifted exponential)"
-        )
-    profile = params.get("profile")
-    config = SimConfig(
-        formula=params["formula"],
-        loss_process=loss_process,
-        loss_event_rate=(
-            None if loss_process is not None else float(params["loss_event_rate"])
-        ),
-        # Required in the classic form, as before the facade rewiring: a
-        # missing (or misspelled) cv key fails the point rather than
-        # silently running at the exponential default.
-        coefficient_of_variation=(
-            None
-            if loss_process is not None
-            else float(params["coefficient_of_variation"])
-        ),
-        profile=profile,
-        history_length=(
-            None if profile is not None else int(params.get("history_length", 8))
-        ),
+    config = _config_from_params(
+        SimConfig,
+        params,
         control="comprehensive" if comprehensive else "basic",
-        method=params.get("method", "montecarlo"),
-        num_events=int(params.get("num_events", 40_000)),
         seed=seed,
     )
+    if config.loss_process is None and "coefficient_of_variation" not in params:
+        # Required in the classic form: a missing (or misspelled) cv key
+        # fails the point rather than silently running at the
+        # exponential default.
+        raise KeyError("coefficient_of_variation")
     result = _simulate_point(config)
     # Echo the requested axis values verbatim where the spec named them,
     # so grid labels round-trip exactly.  Config-driven loss processes
@@ -371,45 +369,22 @@ def run_audio_scenario(params: Dict[str, Any], seed: Optional[int]) -> Dict[str,
 def run_flowsim_scenario(params: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
     """One flow-level scenario point (see :mod:`repro.flowsim`).
 
-    The point names a ``generator`` config (any registered
-    ``repro.api.GENERATORS`` kind), a ``formula``, and a loss model
-    either as a ``loss_process`` config or the classic
-    ``loss_event_rate`` (+ optional ``coefficient_of_variation``) axes.
-    Returns the scalar flow summary -- flow counts, flowlets, the mean
-    per-flow rate and its steady-state formula prediction.
+    The point's params that name :class:`~repro.flowsim.FlowSimConfig`
+    fields build its config: a ``generator`` config (any registered
+    ``repro.api.GENERATORS`` kind; 100 fixed-population flows by
+    default), a ``formula``, and a loss model either as a
+    ``loss_process`` config or the classic ``loss_event_rate`` (+
+    optional ``coefficient_of_variation``) axes.  Returns the scalar
+    flow summary -- flow counts, flowlets, the mean per-flow rate and
+    its steady-state formula prediction.
     """
     # Imported lazily so montecarlo-only campaign workers never pay for
     # the flow-level stack.
     from ..flowsim import FlowSimConfig, run_flowsim
 
-    config = FlowSimConfig(
-        formula=params["formula"],
-        generator=params.get(
-            "generator", {"kind": "fixed-population", "num_flows": 100}
-        ),
-        loss_process=params.get("loss_process"),
-        loss_event_rate=(
-            None
-            if params.get("loss_process") is not None
-            else float(params["loss_event_rate"])
-        ),
-        coefficient_of_variation=(
-            float(params["coefficient_of_variation"])
-            if "coefficient_of_variation" in params
-            and params.get("loss_process") is None
-            else None
-        ),
-        profile=params.get("profile"),
-        history_length=(
-            None
-            if params.get("profile") is not None
-            else int(params.get("history_length", 8))
-        ),
-        duration=float(params.get("duration", 100.0)),
-        interval=float(params.get("interval", 1.0)),
-        sampling=params.get("sampling", "estimator"),
-        latency_model=params.get("latency_model"),
-        seed=seed,
+    # The runner returns the summary only, so it records no flowlets.
+    config = _config_from_params(
+        FlowSimConfig, params, record_flowlets=False, seed=seed
     )
     return run_flowsim(config).summary()
 

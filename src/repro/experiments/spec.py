@@ -101,6 +101,10 @@ class ExperimentSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("name", "runner", "description"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"spec {name} must be a string, got {value!r}")
         if not self.name:
             raise ValueError("spec needs a non-empty name")
         if not self.runner:
@@ -170,6 +174,9 @@ class ExperimentSpec:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
+        for required in ("name", "runner"):
+            if required not in payload:
+                raise ValueError(f"spec needs a {required!r} field")
         # Only mappings and sequences are copied: any other value goes
         # to the constructor as is, which rejects it.
         base = payload.get("base", {})

@@ -70,11 +70,14 @@ _SAMPLINGS = ("estimator", "mean", "csa00")
 class FlowSimConfig:
     """Declarative description of one flow-level simulation.
 
-    Components may be given as config dicts, kind strings, or ready
-    instances, exactly as in :class:`repro.api.SimConfig`; the
-    shifted-exponential default loss process can be described by
-    ``loss_event_rate`` + ``coefficient_of_variation`` and the default
-    TFRC weight profile by ``history_length`` alone.
+    Its point -- ``formula``, the loss model, the estimator window and
+    ``seed`` -- follows :class:`repro.api.SimConfig`'s rules and is
+    resolved by SimConfig's resolvers: components may be config dicts,
+    kind strings or ready instances, the shifted-exponential default loss
+    process can be described by ``loss_event_rate`` +
+    ``coefficient_of_variation``, the default TFRC weight profile by
+    ``history_length`` alone, and the seed is ``None`` or a non-negative
+    integer.
     """
 
     formula: Any
@@ -103,57 +106,34 @@ class FlowSimConfig:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.interval <= 0.0:
             raise ValueError(f"interval must be positive, got {self.interval}")
-        if self.loss_process is None and self.loss_event_rate is None:
-            raise ValueError(
-                "specify a loss_process config or a loss_event_rate"
-            )
-        if self.loss_process is not None and self.loss_event_rate is not None:
-            raise ValueError(
-                "pass either loss_process or loss_event_rate, not both"
-            )
-        if (
-            self.loss_process is not None
-            and self.coefficient_of_variation is not None
-        ):
-            raise ValueError(
-                "coefficient_of_variation parameterises the default "
-                "shifted-exponential process and cannot accompany an "
-                "explicit loss_process config"
-            )
-        if self.profile is not None and self.history_length is not None:
-            raise ValueError("pass either profile or history_length, not both")
+        self._point()  # SimConfig's rules check the point
 
     # ------------------------------------------------------------------
     # Component resolution (lazy api imports: see module docstring)
     # ------------------------------------------------------------------
-    def resolve_formula(self):
-        from ..api.components import FORMULAS
+    def _point(self):
+        """The run's point as a :class:`repro.api.SimConfig`, which checks
+        it on construction."""
+        from ..api.simulate import SimConfig
 
-        return FORMULAS.from_config(self.formula)
+        return SimConfig(
+            formula=self.formula,
+            loss_process=self.loss_process,
+            loss_event_rate=self.loss_event_rate,
+            coefficient_of_variation=self.coefficient_of_variation,
+            profile=self.profile,
+            history_length=self.history_length,
+            seed=self.seed,
+        )
+
+    def resolve_formula(self):
+        return self._point().resolve_formula()
 
     def resolve_loss_process(self):
-        from ..api.components import LOSS_PROCESSES
-        from ..lossprocess.iid import ShiftedExponentialIntervals
-
-        if self.loss_process is not None:
-            return LOSS_PROCESSES.from_config(self.loss_process)
-        cv = (
-            1.0
-            if self.coefficient_of_variation is None
-            else float(self.coefficient_of_variation)
-        )
-        return ShiftedExponentialIntervals.from_loss_rate_and_cv(
-            float(self.loss_event_rate), cv
-        )
+        return self._point().resolve_loss_process()
 
     def resolve_profile(self):
-        from ..api.components import WEIGHT_PROFILES
-        from ..api.profiles import TfrcWeightProfile
-
-        if self.profile is not None:
-            return WEIGHT_PROFILES.from_config(self.profile)
-        length = 8 if self.history_length is None else int(self.history_length)
-        return TfrcWeightProfile(history_length=length)
+        return self._point().resolve_profile()
 
     def resolve_generator(self):
         from ..api.components import GENERATORS

@@ -56,7 +56,8 @@ def check_seed(seed: object) -> None:
     """Reject a seed that is not ``None`` or a non-negative integer.
 
     The rule of every config that carries a base seed (``SimConfig``,
-    ``BatchConfig``, ``ExperimentSpec``).  The concrete integer types
+    and through it ``FlowSimConfig``; ``BatchConfig``,
+    ``ExperimentSpec``).  The concrete integer types
     keep ``numbers.Integral``'s slower ABC check off the service's
     cache-hit path, which builds a config per request.
     """

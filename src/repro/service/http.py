@@ -32,7 +32,8 @@ connections that are waiting for a request, so their handlers return
 instead of being cancelled by ``asyncio.run``'s cleanup.  A request
 being computed is answered, with ``Connection: close``, before its
 connection closes; what is still running :data:`REQUEST_DEADLINE_S`
-seconds later is aborted.
+seconds later is aborted, and its handler ends without logging the
+cancellation.
 """
 
 from __future__ import annotations
@@ -260,7 +261,14 @@ async def _listen(
     connections = _Connections()
 
     async def handler(reader, writer):
-        await _handle_connection(service, reader, writer, connections)
+        try:
+            await _handle_connection(service, reader, writer, connections)
+        except asyncio.CancelledError:
+            if not connections.closing:
+                raise
+            # Cancelled by _drain: end quietly.  On Python 3.11 the
+            # stream protocol's done-callback calls task.exception(),
+            # which on a cancelled task logs the CancelledError.
 
     server = await asyncio.start_server(
         handler, host=host, port=port, limit=MAX_LINE_BYTES

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -153,6 +154,31 @@ class TestSpec:
         with pytest.raises(ValueError, match=field):
             ExperimentSpec.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("payload, missing", [
+        ({}, "name"),
+        ({"name": "x"}, "runner"),
+        ({"runner": "montecarlo-basic"}, "name"),
+    ])
+    def test_from_dict_names_a_missing_field(self, payload, missing):
+        # Each was a bare KeyError.
+        with pytest.raises(ValueError, match=f"spec needs a '{missing}' field"):
+            ExperimentSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", 3),
+        ("runner", ["montecarlo-basic"]),
+        ("description", 5),
+        ("description", None),
+    ])
+    def test_name_runner_and_description_must_be_strings(self, field, value):
+        # Each was accepted: "description": 5 was kept as the integer 5.
+        payload = small_montecarlo_spec().to_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"spec {field} must be a string"):
+            ExperimentSpec.from_dict(payload)
+        with pytest.raises(ValueError, match=f"spec {field} must be a string"):
+            ExperimentSpec(**payload)
+
     @pytest.mark.parametrize("text", ["[]", "5", "null", '"spec"'])
     def test_from_json_rejects_a_payload_that_is_not_an_object(self, text):
         with pytest.raises(ValueError, match="JSON object"):
@@ -302,6 +328,103 @@ class TestRunner:
         runner.run(small_montecarlo_spec())
         assert [entry[0] for entry in seen] == [1, 2, 3, 4]
         assert all(total == 4 for _, total, _ in seen)
+
+
+#: A small point of each runner that builds its config from the params.
+RUNNER_POINTS = {
+    "montecarlo-basic": {"formula": "sqrt", "num_events": 200},
+    "montecarlo-comprehensive": {"formula": "sqrt", "num_events": 200},
+    "flowsim": {
+        "formula": "sqrt",
+        "duration": 3.0,
+        "generator": {"kind": "fixed-population", "num_flows": 5},
+    },
+}
+
+
+class TestPointConfigs:
+    """The montecarlo-* and flowsim runners pass the params that name
+    config fields to the config, whose own rules check them."""
+
+    @pytest.mark.parametrize("runner", sorted(RUNNER_POINTS))
+    @pytest.mark.parametrize("conflict", [
+        {"loss_event_rate": 0.1, "coefficient_of_variation": 0.9,
+         "profile": {"kind": "uniform", "history_length": 4},
+         "history_length": 8},
+        {"loss_process": {"kind": "deterministic", "value": 10.0},
+         "coefficient_of_variation": 0.9},
+        {"loss_process": {"kind": "deterministic", "value": 10.0},
+         "loss_event_rate": 0.1},
+    ])
+    def test_conflicting_point_fields_are_an_error_row(self, runner, conflict):
+        # Each ran with one of the two values dropped, except the last
+        # montecarlo case, which failed with the runner's own message.
+        with pytest.raises(ValueError) as rule:
+            api.SimConfig(formula="sqrt", **conflict)
+        params = {**RUNNER_POINTS[runner], **conflict}
+        outcome = execute_point({"runner": runner, "params": params, "seed": 3})
+        assert outcome["status"] == "error"
+        assert outcome["error"] == f"ValueError: {rule.value}"
+
+    @pytest.mark.parametrize("runner", sorted(RUNNER_POINTS))
+    def test_a_non_config_key_changes_only_the_derived_seed(self, runner):
+        spec = ExperimentSpec(
+            name="replications",
+            runner=runner,
+            base={**RUNNER_POINTS[runner], "loss_event_rate": 0.1,
+                  "coefficient_of_variation": 0.9},
+            grid={"replication": [0, 1]},
+            seed=5,
+        )
+        campaign = ExperimentRunner().run(spec)
+        campaign.raise_errors()
+        first, second = campaign.results
+        assert first.point.seed != second.point.seed
+        assert canonical_values(campaign)[0] != canonical_values(campaign)[1]
+        for result in campaign.results:
+            params = dict(result.point.params)
+            del params["replication"]
+            alone = resolve_runner(runner)(params, result.point.seed)
+            assert json.dumps(alone, sort_keys=True) == json.dumps(
+                result.value, sort_keys=True
+            )
+
+    def test_the_classic_montecarlo_form_still_requires_a_cv(self):
+        outcome = execute_point({
+            "runner": "montecarlo-basic",
+            "params": {"formula": "sqrt", "loss_event_rate": 0.1,
+                       "num_events": 200},
+            "seed": 3,
+        })
+        assert outcome["error"] == "KeyError: 'coefficient_of_variation'"
+
+    def test_num_events_follows_simconfigs_integer_rule(self):
+        # The runner used to truncate it with int(), as /predict never did.
+        outcome = execute_point({
+            "runner": "montecarlo-basic",
+            "params": {"formula": "sqrt", "loss_event_rate": 0.1,
+                       "coefficient_of_variation": 0.9, "num_events": 2e3},
+            "seed": 3,
+        })
+        assert outcome["error"] == (
+            "ValueError: num_events must be an integer, got 2000.0"
+        )
+
+
+EXAMPLE_SPECS = pathlib.Path(__file__).resolve().parents[1] / "examples" / "specs"
+
+
+# Neither CI nor any other test runs these three specs.
+@pytest.mark.parametrize("name", [
+    "formula_profile_zoo.json", "loss_process_zoo.json", "shortflow_flowsim.json",
+])
+def test_zoo_example_spec_runs_every_point(name):
+    spec = ExperimentSpec.from_json((EXAMPLE_SPECS / name).read_text())
+    campaign = ExperimentRunner().run(spec)
+    assert campaign.num_points > 0
+    assert [result.status for result in campaign.results] == (
+        ["ok"] * campaign.num_points
+    ), campaign.failures()
 
 
 class TestStore:

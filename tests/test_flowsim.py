@@ -54,6 +54,36 @@ class TestFlowSimConfig:
                 coefficient_of_variation=0.5,
             )
 
+    @pytest.mark.parametrize("point", [
+        {},
+        {"loss_event_rate": 0.1,
+         "loss_process": {"kind": "deterministic", "value": 10.0}},
+        {"loss_process": {"kind": "deterministic", "value": 10.0},
+         "coefficient_of_variation": 0.5},
+        {"loss_event_rate": 0.1, "profile": "uniform", "history_length": 4},
+        {"loss_event_rate": 0.1, "seed": -1},
+        {"loss_event_rate": 0.1, "seed": 1.5},
+        {"loss_event_rate": 0.1, "seed": True},
+        {"loss_event_rate": 0.1, "seed": "3"},
+    ])
+    def test_point_rules_and_messages_are_simconfigs(self, point):
+        # The four seeds used to be accepted: True ran as seed 1, the
+        # others failed only inside numpy.
+        with pytest.raises(ValueError) as expected:
+            api.SimConfig(formula="sqrt", **point)
+        with pytest.raises(ValueError) as flowsim:
+            FlowSimConfig(formula="sqrt", **point)
+        assert str(flowsim.value) == str(expected.value)
+
+    def test_resolves_its_point_as_simconfig_does(self):
+        point = {"formula": {"kind": "pftk-simplified", "rtt": 0.2},
+                 "loss_event_rate": 0.05, "coefficient_of_variation": 0.6,
+                 "history_length": 4}
+        config, expected = FlowSimConfig(**point), api.SimConfig(**point)
+        assert config.resolve_formula() == expected.resolve_formula()
+        assert config.resolve_loss_process() == expected.resolve_loss_process()
+        assert config.resolve_profile() == expected.resolve_profile()
+
     def test_rejects_unknown_sampling(self):
         with pytest.raises(ValueError, match="sampling"):
             FlowSimConfig(

@@ -670,6 +670,52 @@ class TestHttpFrontend:
 
         run(body)
 
+    def test_shutdown_cancels_an_overdue_handler_quietly(self, monkeypatch):
+        # A compute that outlives the shutdown wait is aborted: no
+        # response, and on Python 3.11 no "Exception in callback" report
+        # of the handler's CancelledError.
+        monkeypatch.setattr(http, "REQUEST_DEADLINE_S", 0.3)
+
+        class SlowService:
+            async def predict(self, payload):
+                await asyncio.sleep(30.0)
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(
+                lambda _loop, context: reported.append(context)
+            )
+            bound = loop.create_future()
+            server = asyncio.create_task(http.serve_forever(
+                SlowService(), port=0, ready=bound.set_result
+            ))
+            host, port = await bound
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(
+                    b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: 2\r\n\r\n{}"
+                )
+                await writer.drain()
+                await asyncio.sleep(0.2)
+                server.cancel()
+                started = time.monotonic()
+                with pytest.raises(asyncio.CancelledError):
+                    await server
+                elapsed = time.monotonic() - started
+                raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert raw == b""
+            assert 0.3 <= elapsed < 5.0
+            assert reported == []
+
+        run(body)
+
     def test_stalled_request_is_closed_at_the_deadline(self, monkeypatch):
         monkeypatch.setattr(http, "REQUEST_DEADLINE_S", 0.2)
 
