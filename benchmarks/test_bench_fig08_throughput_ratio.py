@@ -7,7 +7,8 @@ in some configurations even though it is conservative.
 """
 
 from repro.analysis import throughput_ratio
-from repro.simulator import ns2_config, run_dumbbell
+from repro.api import Ns2Scenario
+from repro.simulator import run_dumbbell
 
 from conftest import print_table
 
@@ -20,12 +21,11 @@ def generate_figure8():
     rows = []
     for history_length in HISTORY_LENGTHS:
         for count in CONNECTIONS:
-            config = ns2_config(
+            config = Ns2Scenario(
                 num_connections=count,
                 history_length=history_length,
                 duration=DURATION,
-                seed=700 + 10 * count + history_length,
-            )
+            ).build(seed=700 + 10 * count + history_length)
             result = run_dumbbell(config)
             rows.append([history_length, count, throughput_ratio(result)])
     return rows

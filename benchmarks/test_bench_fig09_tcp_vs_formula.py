@@ -8,9 +8,10 @@ except at large throughputs -- i.e. with few competing connections TCP does
 not obey the formula.
 """
 
+from repro.api import Ns2Scenario
 from repro.core import PftkStandardFormula
 from repro.measurement import flow_observation
-from repro.simulator import ns2_config, run_dumbbell
+from repro.simulator import run_dumbbell
 
 from conftest import print_table
 
@@ -21,7 +22,7 @@ DURATION = 120.0
 def generate_figure9():
     rows = []
     for count in CONNECTIONS:
-        config = ns2_config(num_connections=count, duration=DURATION, seed=900 + count)
+        config = Ns2Scenario(num_connections=count, duration=DURATION).build(seed=900 + count)
         result = run_dumbbell(config)
         # The simulated receiver acknowledges every packet (no delayed acks),
         # so the matching PFTK constant uses b = 1.

@@ -9,8 +9,9 @@ negative in a few cases) -- the empirical justification of condition (C1).
 
 import math
 
+from repro.api import InternetScenario, LabScenario
 from repro.measurement import normalized_covariance_from_flow
-from repro.simulator import internet_config, lab_config, run_dumbbell
+from repro.simulator import run_dumbbell
 
 from conftest import print_table
 
@@ -19,16 +20,16 @@ DURATION = 150.0
 
 def scenario_set():
     return {
-        "DT 64": lab_config(2, queue_type="droptail", buffer_packets=64,
-                            duration=DURATION, seed=1001),
-        "DT 100": lab_config(2, queue_type="droptail", buffer_packets=100,
-                             duration=DURATION, seed=1002),
-        "RED": lab_config(2, queue_type="red", buffer_packets=None,
-                          duration=DURATION, seed=1003),
-        "INRIA": internet_config("INRIA", 2, duration=DURATION, seed=1004),
-        "UMASS": internet_config("UMASS", 2, duration=DURATION, seed=1005),
-        "KTH": internet_config("KTH", 2, duration=DURATION, seed=1006),
-        "UMELB": internet_config("UMELB", 2, duration=DURATION, seed=1007),
+        "DT 64": LabScenario(2, queue_type="droptail", buffer_packets=64,
+                             duration=DURATION).build(seed=1001),
+        "DT 100": LabScenario(2, queue_type="droptail", buffer_packets=100,
+                              duration=DURATION).build(seed=1002),
+        "RED": LabScenario(2, queue_type="red", buffer_packets=None,
+                           duration=DURATION).build(seed=1003),
+        "INRIA": InternetScenario("INRIA", 2, duration=DURATION).build(seed=1004),
+        "UMASS": InternetScenario("UMASS", 2, duration=DURATION).build(seed=1005),
+        "KTH": InternetScenario("KTH", 2, duration=DURATION).build(seed=1006),
+        "UMELB": InternetScenario("UMELB", 2, duration=DURATION).build(seed=1007),
     }
 
 

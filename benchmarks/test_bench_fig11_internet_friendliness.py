@@ -7,7 +7,8 @@ non-TCP-friendly (ratio well above one).
 """
 
 from repro.analysis import pair_breakdowns
-from repro.simulator import INTERNET_PATHS, internet_config, run_dumbbell
+from repro.api import InternetScenario
+from repro.simulator import INTERNET_PATHS, run_dumbbell
 
 from conftest import print_table
 
@@ -19,8 +20,8 @@ def generate_figure11():
     rows = []
     for path_index, path in enumerate(sorted(INTERNET_PATHS)):
         for count in CONNECTIONS:
-            config = internet_config(
-                path, count, duration=DURATION, seed=1100 + 10 * path_index + count
+            config = InternetScenario(path, count, duration=DURATION).build(
+                seed=1100 + 10 * path_index + count
             )
             result = run_dumbbell(config)
             for pair in pair_breakdowns(result):

@@ -7,7 +7,8 @@ varying the number of competing connections.
 """
 
 from repro.analysis import pair_breakdowns
-from repro.simulator import lab_config, run_dumbbell
+from repro.api import LabScenario
+from repro.simulator import run_dumbbell
 
 from conftest import print_table
 
@@ -19,13 +20,12 @@ def generate_lab_breakdown():
     rows = []
     for queue_label, queue_type in (("DropTail 100", "droptail"), ("RED", "red")):
         for count in CONNECTIONS:
-            config = lab_config(
+            config = LabScenario(
                 count,
                 queue_type=queue_type,
                 buffer_packets=100,
                 duration=DURATION,
-                seed=1900 + count,
-            )
+            ).build(seed=1900 + count)
             result = run_dumbbell(config)
             for pair in pair_breakdowns(result):
                 breakdown = pair.breakdown

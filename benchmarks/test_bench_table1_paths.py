@@ -2,12 +2,13 @@
 
 Table I of the paper records, per receiver (INRIA, UMASS, KTH, UMELB), the
 access rate, hop count and round-trip time of the path from EPFL.  Those
-parameters seed the Internet-analogue scenario builder; this benchmark
+parameters seed the Internet-analogue scenario family; this benchmark
 prints the table and verifies the scenarios built from it are consistent
 (RTT of the simulated path matches the table entry).
 """
 
-from repro.simulator import INTERNET_PATHS, internet_config, run_dumbbell
+from repro.api import InternetScenario
+from repro.simulator import INTERNET_PATHS, run_dumbbell
 
 from conftest import print_table
 
@@ -18,7 +19,7 @@ def generate_table1():
     rows = []
     for name in sorted(INTERNET_PATHS):
         profile = INTERNET_PATHS[name]
-        config = internet_config(name, 1, duration=DURATION, seed=2100)
+        config = InternetScenario(name, 1, duration=DURATION).build(seed=2100)
         result = run_dumbbell(config)
         measured_rtts = [flow.mean_rtt() for flow in result.all_flows()
                          if flow.mean_rtt() > 0.0]

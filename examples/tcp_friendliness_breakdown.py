@@ -22,7 +22,8 @@ Run with::
 import argparse
 
 from repro.analysis import pair_breakdowns, throughput_ratio
-from repro.simulator import ns2_config, run_dumbbell
+from repro.api import Ns2Scenario
+from repro.simulator import run_dumbbell
 
 
 def main() -> None:
@@ -34,11 +35,10 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     arguments = parser.parse_args()
 
-    config = ns2_config(
+    config = Ns2Scenario(
         num_connections=arguments.connections,
         duration=arguments.duration,
-        seed=arguments.seed,
-    )
+    ).build(seed=arguments.seed)
     print(f"Running dumbbell: {config.num_tfrc} TFRC + {config.num_tcp} TCP flows, "
           f"{config.capacity_mbps} Mb/s RED bottleneck, RTT {config.rtt_seconds*1e3:.0f} ms, "
           f"{config.duration:.0f} s simulated ...")

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.formulas import LossThroughputFormula, PftkStandardFormula
+from ..core.formulas import LossThroughputFormula
 from ..core.friendliness import FlowObservation, FriendlinessBreakdown, breakdown
 from ..measurement.collectors import flow_observation
 from ..simulator.scenarios import DumbbellResult
@@ -41,12 +41,7 @@ class PairBreakdown:
 
 def _formula_for(result: DumbbellResult,
                  formula: Optional[LossThroughputFormula]) -> LossThroughputFormula:
-    if formula is not None:
-        return formula
-    configured = result.config.formula
-    if configured is not None:
-        return configured
-    return PftkStandardFormula(rtt=result.config.rtt_seconds)
+    return formula if formula is not None else result.config.resolve_formula()
 
 
 def pair_breakdowns(

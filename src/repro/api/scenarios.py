@@ -3,10 +3,11 @@
 The paper's packet-level experiments all share one topology -- TFRC, TCP
 and probe flows over a single bottleneck -- and differ only in the
 parameters of the queue, capacity, delays and flow counts.  This module
-gives each family a small frozen dataclass that is pure data (exact JSON
-round-trip through :data:`repro.api.SCENARIOS`) and knows how to
-``build()`` the concrete :class:`~repro.simulator.scenarios.DumbbellConfig`
-the simulator consumes:
+is the one description of each setup: a small frozen dataclass that is
+pure data (exact JSON round-trip through :data:`repro.api.SCENARIOS`)
+and whose ``build(seed)`` constructs the concrete
+:class:`~repro.simulator.scenarios.DumbbellConfig` the simulator
+consumes:
 
 * :class:`Ns2Scenario` -- the ns-2 analogue (Section V-A.2, RED);
 * :class:`LabScenario` -- the lab analogue (Section V-A.3, DropTail/RED);
@@ -14,24 +15,22 @@ the simulator consumes:
 * :class:`CustomDumbbellScenario` -- a fully explicit dumbbell for
   scenarios outside the paper's three families.
 
-Splitting "family description" (this module) from "simulator input"
-(:class:`DumbbellConfig`) is what keeps the experiment layer declarative:
-a campaign grid can sweep scenario configs without importing the
-simulator.
+The three paper families run equal numbers of TFRC and TCP flows and
+warm up for a fifth of the run, at most 20 s.  Splitting "family
+description" (this module) from "simulator input"
+(:class:`DumbbellConfig`) is what keeps the experiment layer
+declarative: a campaign grid can sweep scenario configs without
+importing the simulator.
 """
 
 from __future__ import annotations
 
 import abc
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
-from ..simulator.scenarios import (
-    DumbbellConfig,
-    internet_config,
-    lab_config,
-    ns2_config,
-)
+from ..simulator.scenarios import INTERNET_PATHS, DumbbellConfig
 
 __all__ = [
     "ScenarioFamily",
@@ -50,9 +49,28 @@ class ScenarioFamily(abc.ABC):
         """Materialise the simulator configuration for this scenario."""
 
 
+def _paired(family: Any, seed: Optional[int], **fields: Any) -> DumbbellConfig:
+    """A paper family's config: ``num_connections`` TFRC and TCP flows."""
+    return DumbbellConfig(
+        num_tfrc=family.num_connections,
+        num_tcp=family.num_connections,
+        capacity_mbps=family.capacity_mbps,
+        history_length=family.history_length,
+        duration=family.duration,
+        warmup=min(20.0, family.duration / 5.0),
+        seed=seed,
+        **fields,
+    )
+
+
 @dataclass(frozen=True)
 class Ns2Scenario(ScenarioFamily):
-    """The ns-2-analogue family: RED bottleneck, RTT about 50 ms."""
+    """The ns-2-analogue family: RED bottleneck, RTT 50 ms.
+
+    The paper uses 15 Mb/s; the default here is 1.5 Mb/s so that per-flow
+    packet rates (and hence loss-event statistics) at small connection
+    counts remain comparable in a run that completes quickly.
+    """
 
     num_connections: int = 1
     history_length: int = 8
@@ -60,12 +78,8 @@ class Ns2Scenario(ScenarioFamily):
     capacity_mbps: float = 1.5
 
     def build(self, seed: Optional[int] = None) -> DumbbellConfig:
-        return ns2_config(
-            num_connections=self.num_connections,
-            history_length=self.history_length,
-            duration=self.duration,
-            capacity_mbps=self.capacity_mbps,
-            seed=seed,
+        return _paired(
+            self, seed, rtt_seconds=0.05, queue_type="red", tfrc_comprehensive=True
         )
 
 
@@ -73,8 +87,11 @@ class Ns2Scenario(ScenarioFamily):
 class LabScenario(ScenarioFamily):
     """The lab-analogue family: DropTail or RED, comprehensive disabled.
 
-    ``buffer_packets`` may be None with ``queue_type="red"`` to derive the
-    buffer from the bandwidth-delay product, as in the paper's RED setup.
+    RTT 50 ms (25 ms of added propagation each way), PFTK-standard,
+    ``L = 8``, as in the paper's testbed.  A ``buffer_packets`` of None
+    is 100 packets for DropTail and derived from the bandwidth-delay
+    product for RED, as in the paper's RED setup; any other value must
+    be at least 1.
     """
 
     num_connections: int = 1
@@ -84,26 +101,40 @@ class LabScenario(ScenarioFamily):
     duration: float = 200.0
     capacity_mbps: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.buffer_packets is not None and not self.buffer_packets >= 1:
+            raise ValueError(
+                f"buffer_packets must be None or at least 1, got {self.buffer_packets!r}"
+            )
+
     def build(self, seed: Optional[int] = None) -> DumbbellConfig:
-        config = lab_config(
-            self.num_connections,
+        if self.buffer_packets is not None:
+            buffer_packets: Optional[int] = int(self.buffer_packets)
+        elif self.queue_type == "red":
+            buffer_packets = None
+        else:
+            buffer_packets = 100
+        return _paired(
+            self,
+            seed,
+            rtt_seconds=0.05,
             queue_type=self.queue_type,
-            buffer_packets=(
-                int(self.buffer_packets) if self.buffer_packets else 100
-            ),
-            history_length=self.history_length,
-            duration=self.duration,
-            capacity_mbps=self.capacity_mbps,
-            seed=seed,
+            buffer_packets=buffer_packets,
+            tfrc_comprehensive=False,
         )
-        if self.queue_type == "red" and self.buffer_packets is None:
-            config.buffer_packets = None
-        return config
 
 
 @dataclass(frozen=True)
 class InternetScenario(ScenarioFamily):
-    """The Internet-analogue family for one of the Table I paths."""
+    """The Internet-analogue family for one of the Table I paths.
+
+    The path's RTT parameterises the propagation delay; the DropTail
+    bottleneck (buffer derived from the bandwidth-delay product) models
+    the constrained segment of the path, scaled down from the access
+    rates of Table I so that runs are fast; cross traffic is the
+    competing TCP flows themselves, as in the paper, where TFRC and TCP
+    probes are launched in equal numbers.
+    """
 
     path_name: str = "INRIA"
     num_connections: int = 1
@@ -112,13 +143,16 @@ class InternetScenario(ScenarioFamily):
     capacity_mbps: float = 1.0
 
     def build(self, seed: Optional[int] = None) -> DumbbellConfig:
-        return internet_config(
-            self.path_name,
-            self.num_connections,
-            history_length=self.history_length,
-            duration=self.duration,
-            capacity_mbps=self.capacity_mbps,
-            seed=seed,
+        if self.path_name not in INTERNET_PATHS:
+            raise KeyError(
+                f"unknown path {self.path_name!r}; valid names are {sorted(INTERNET_PATHS)}"
+            )
+        return _paired(
+            self,
+            seed,
+            rtt_seconds=INTERNET_PATHS[self.path_name].rtt_seconds,
+            queue_type="droptail",
+            tfrc_comprehensive=True,
         )
 
 
@@ -143,21 +177,4 @@ class CustomDumbbellScenario(ScenarioFamily):
     warmup: float = 20.0
 
     def build(self, seed: Optional[int] = None) -> DumbbellConfig:
-        return DumbbellConfig(
-            num_tfrc=self.num_tfrc,
-            num_tcp=self.num_tcp,
-            num_poisson=self.num_poisson,
-            num_cbr=self.num_cbr,
-            capacity_mbps=self.capacity_mbps,
-            rtt_seconds=self.rtt_seconds,
-            queue_type=self.queue_type,
-            buffer_packets=self.buffer_packets,
-            red_min_fraction=self.red_min_fraction,
-            red_max_fraction=self.red_max_fraction,
-            history_length=self.history_length,
-            tfrc_comprehensive=self.tfrc_comprehensive,
-            probe_rate_fraction=self.probe_rate_fraction,
-            duration=self.duration,
-            warmup=self.warmup,
-            seed=seed,
-        )
+        return DumbbellConfig(seed=seed, **dataclasses.asdict(self))

@@ -54,14 +54,7 @@ import json
 from typing import List, Optional, Sequence
 
 from . import api, telemetry
-from .analysis import (
-    CongestionModel,
-    claim3_loss_event_rates,
-    claim4_prediction,
-    loss_rate_ratio,
-    pair_breakdowns,
-    throughput_ratio,
-)
+from .analysis import CongestionModel, claim3_loss_event_rates, claim4_prediction
 from .core import SqrtFormula
 from .experiments import (
     ExperimentRunner,
@@ -69,8 +62,11 @@ from .experiments import (
     preset,
     preset_names,
 )
-from .experiments.registry import FIGURE3_CV
-from .simulator import AudioSource, Simulator, ns2_config, run_dumbbell
+from .experiments.registry import (
+    FIGURE3_CV,
+    run_audio_scenario,
+    run_dumbbell_scenario,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -116,35 +112,27 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
 
 
 def _command_dumbbell(arguments: argparse.Namespace) -> int:
-    config = ns2_config(
+    scenario = api.Ns2Scenario(
         num_connections=arguments.connections,
         duration=arguments.duration,
         history_length=arguments.window,
-        seed=arguments.seed,
     )
-    result = run_dumbbell(config)
-    rows = []
-    for pair in pair_breakdowns(result):
-        breakdown = pair.breakdown
-        rows.append(
-            [
-                pair.tfrc.loss_event_rate,
-                breakdown.conservativeness_ratio,
-                breakdown.loss_rate_ratio,
-                breakdown.rtt_ratio,
-                breakdown.tcp_obedience_ratio,
-                breakdown.throughput_ratio,
-            ]
-        )
+    value = run_dumbbell_scenario(
+        {"scenario": api.SCENARIOS.to_config(scenario)}, arguments.seed
+    )
+    columns = ("tfrc_loss_event_rate", "conservativeness_ratio", "loss_rate_ratio",
+               "rtt_ratio", "tcp_obedience_ratio", "throughput_ratio")
+    rows = [[pair[name] for name in columns] for pair in value["pairs"]]
+    connections = scenario.num_connections
     print(
-        f"Dumbbell: {config.num_tfrc} TFRC + {config.num_tcp} TCP over RED, "
-        f"{config.capacity_mbps} Mb/s, duration {config.duration:.0f} s"
+        f"Dumbbell: {connections} TFRC + {connections} TCP over RED, "
+        f"{scenario.capacity_mbps} Mb/s, duration {scenario.duration:.0f} s"
     )
     _print_rows(
         ["p (TFRC)", "x/f(p,r)", "p'/p", "r'/r", "x'/f(p',r')", "x/x'"], rows
     )
-    print(f"scenario p'(TCP)/p(TFRC) = {loss_rate_ratio(result):.3f}, "
-          f"x(TFRC)/x'(TCP) = {throughput_ratio(result):.3f}")
+    print(f"scenario p'(TCP)/p(TFRC) = {value['loss_rate_ratio']:.3f}, "
+          f"x(TFRC)/x'(TCP) = {value['throughput_ratio']:.3f}")
     return 0
 
 
@@ -181,21 +169,21 @@ def _command_claim4(arguments: argparse.Namespace) -> int:
 
 
 def _command_audio(arguments: argparse.Namespace) -> int:
-    formula = api.FORMULAS.from_config({"kind": arguments.formula, "rtt": 1.0})
-    simulator = Simulator(seed=arguments.seed)
-    source = AudioSource(
-        simulator,
-        loss_probability=arguments.loss_probability,
-        formula=formula,
-        history_length=arguments.window,
-        packet_period=arguments.packet_period,
+    value = run_audio_scenario(
+        {
+            "formula": {"kind": arguments.formula, "rtt": 1.0},
+            "loss_probability": arguments.loss_probability,
+            "history_length": arguments.window,
+            "packet_period": arguments.packet_period,
+            "duration": arguments.duration,
+        },
+        arguments.seed,
     )
-    simulator.run(until=arguments.duration)
     print("Audio source through a Bernoulli dropper (Claim 2 / Figure 6)")
     _print_rows(
         ["formula", "p", "x_bar/f(p)"],
         [[arguments.formula, arguments.loss_probability,
-          source.normalized_throughput()]],
+          value["normalized_throughput"]]],
     )
     return 0
 

@@ -40,8 +40,9 @@ component API in :mod:`repro.api`:
 Either config's own rules check the params it is given, so a point
 that names both ``profile`` and ``history_length``, or a
 ``loss_process`` with a cv or a ``loss_event_rate``, is an error row;
-any other key (a ``replication`` axis, say) only enters the point's
-derived seed.
+so is a montecarlo point whose ``control`` differs from its runner's.
+The runner's derived seed replaces a ``seed`` param, and any other key
+(a ``replication`` axis, say) only enters the point's derived seed.
 
 Custom kinds can be registered with :func:`register_runner`; the function
 must live at module level so it survives pickling into worker processes.
@@ -65,7 +66,6 @@ from ..api.simulate import SimConfig
 from ..api.simulate import simulate as _simulate_point
 # Unused here; bound so perfbench's traced pass can still wrap it by name.
 from ..api.simulate import simulate_batch as _simulate_batch  # noqa: F401
-from ..core.formulas import PftkStandardFormula
 from ..lossprocess.base import derive_point_seed
 from .spec import ExperimentSpec
 
@@ -143,12 +143,13 @@ def _config_from_params(config_type, params: Dict[str, Any], **owned: Any):
 def _run_montecarlo(
     params: Dict[str, Any], seed: Optional[int], comprehensive: bool
 ) -> Dict[str, Any]:
-    config = _config_from_params(
-        SimConfig,
-        params,
-        control="comprehensive" if comprehensive else "basic",
-        seed=seed,
-    )
+    control = "comprehensive" if comprehensive else "basic"
+    # The control enters the point's key, so a point may not name another.
+    if params.get("control", control) != control:
+        raise ValueError(
+            f"point control {params['control']!r} differs from the runner's {control!r}"
+        )
+    config = _config_from_params(SimConfig, params, control=control, seed=seed)
     if config.loss_process is None and "coefficient_of_variation" not in params:
         # Required in the classic form: a missing (or misspelled) cv key
         # fails the point rather than silently running at the
@@ -182,40 +183,57 @@ def _run_montecarlo(
     }
 
 
-def _scenario_from_params(params: Dict[str, Any]):
-    """Build the scenario component from a point's ``scenario`` config."""
+def _dumbbell_point(
+    params: Dict[str, Any], seed: Optional[int]
+) -> Tuple[Dict[str, Any], Any]:
+    """The point's scenario family: the ``family`` and ``num_connections``
+    that label its value, and its built simulator config."""
     if "scenario" not in params:
         raise ValueError(
             "dumbbell points need a 'scenario' component config, e.g. "
             "{'scenario': {'kind': 'ns2', 'num_connections': 2}}; the flat "
             "family=/num_connections=/... form is no longer accepted"
         )
-    return SCENARIOS.from_config(params["scenario"])
+    scenario = SCENARIOS.from_config(params["scenario"])
+    config = scenario.build(seed)
+    label = {
+        "family": SCENARIOS.to_config(scenario)["kind"],
+        "num_connections": int(getattr(scenario, "num_connections", config.num_tfrc)),
+    }
+    return label, config
+
+
+def _scenario_ratios(result) -> Dict[str, float]:
+    """The scenario's ``p'/p`` and ``x/x'``, nan where one is undefined."""
+    from ..analysis.breakdown import loss_rate_ratio, throughput_ratio
+
+    ratios = {}
+    for name, ratio in (
+        ("loss_rate_ratio", loss_rate_ratio),
+        ("throughput_ratio", throughput_ratio),
+    ):
+        try:
+            ratios[name] = _float_or_nan(ratio(result))
+        except ValueError:
+            ratios[name] = float("nan")
+    return ratios
 
 
 def run_dumbbell_scenario(params: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
     """One packet-level dumbbell scenario, summarised per flow and per pair."""
     # Imported lazily to keep a montecarlo-only campaign from paying for
     # the analysis/measurement stack in every worker process.
-    from ..analysis.breakdown import loss_rate_ratio, pair_breakdowns, throughput_ratio
+    from ..analysis.breakdown import pair_breakdowns
     from ..measurement.collectors import scenario_summaries
     from ..simulator.scenarios import run_dumbbell
 
-    scenario = _scenario_from_params(params)
-    family = SCENARIOS.to_config(scenario)["kind"]
-    config = scenario.build(seed)
-    num_connections = int(getattr(scenario, "num_connections", config.num_tfrc))
-
+    label, config = _dumbbell_point(params, seed)
     result = run_dumbbell(config)
 
-    # scenario_summaries has no formula fallback of its own; use the same
-    # default as the breakdown layer (the config's formula, else
-    # PFTK-standard at the scenario RTT) so normalized throughputs are
-    # populated.
-    summary_formula = config.formula or PftkStandardFormula(rtt=config.rtt_seconds)
-
+    # scenario_summaries has no formula fallback of its own; normalise by
+    # the formula the TFRC senders ran, as the breakdown layer does.
     flows = []
-    for summary in scenario_summaries(result, formula=summary_formula):
+    for summary in scenario_summaries(result, formula=config.resolve_formula()):
         flows.append(
             {
                 "label": summary.label,
@@ -242,21 +260,11 @@ def run_dumbbell_scenario(params: Dict[str, Any], seed: Optional[int]) -> Dict[s
                 "throughput_ratio": _float_or_nan(pair.breakdown.throughput_ratio),
             }
         )
-    try:
-        scenario_loss_ratio = _float_or_nan(loss_rate_ratio(result))
-    except ValueError:
-        scenario_loss_ratio = float("nan")
-    try:
-        scenario_throughput_ratio = _float_or_nan(throughput_ratio(result))
-    except ValueError:
-        scenario_throughput_ratio = float("nan")
     return {
-        "family": family,
-        "num_connections": num_connections,
+        **label,
         "flows": flows,
         "pairs": pairs,
-        "loss_rate_ratio": scenario_loss_ratio,
-        "throughput_ratio": scenario_throughput_ratio,
+        **_scenario_ratios(result),
         "measured_duration": float(result.measured_duration),
     }
 
@@ -272,18 +280,12 @@ def run_dumbbell_batch(params: Dict[str, Any], seed: Optional[int]) -> Dict[str,
     scheme the campaign grid uses).  Returns per-replication
     friendliness ratios plus their mean over the finite values.
     """
-    from ..analysis.breakdown import loss_rate_ratio, throughput_ratio
     from ..simulator.scenarios import run_dumbbell
 
-    scenario = _scenario_from_params(params)
-    family = SCENARIOS.to_config(scenario)["kind"]
+    label, base_config = _dumbbell_point(params, seed)
     replications = int(params.get("replications", 1))
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    base_config = scenario.build(seed)
-    num_connections = int(
-        getattr(scenario, "num_connections", base_config.num_tfrc)
-    )
 
     runs: List[Dict[str, Any]] = []
     for replication in range(replications):
@@ -295,20 +297,11 @@ def run_dumbbell_batch(params: Dict[str, Any], seed: Optional[int]) -> Dict[str,
         result = run_dumbbell(
             dataclasses.replace(base_config, seed=rep_seed)
         )
-        try:
-            ratio_loss = _float_or_nan(loss_rate_ratio(result))
-        except ValueError:
-            ratio_loss = float("nan")
-        try:
-            ratio_throughput = _float_or_nan(throughput_ratio(result))
-        except ValueError:
-            ratio_throughput = float("nan")
         runs.append(
             {
                 "replication": replication,
                 "seed": rep_seed,
-                "loss_rate_ratio": ratio_loss,
-                "throughput_ratio": ratio_throughput,
+                **_scenario_ratios(result),
                 "measured_duration": float(result.measured_duration),
             }
         )
@@ -318,8 +311,7 @@ def run_dumbbell_batch(params: Dict[str, Any], seed: Optional[int]) -> Dict[str,
         return float(sum(values) / len(values)) if values else float("nan")
 
     return {
-        "family": family,
-        "num_connections": num_connections,
+        **label,
         "replications": replications,
         "loss_rate_ratio": _finite_mean("loss_rate_ratio"),
         "throughput_ratio": _finite_mean("throughput_ratio"),

@@ -2,7 +2,10 @@
 
 Event engine, DropTail/RED queues, a bottleneck link, TCP and TFRC
 senders, Poisson/CBR probes, the Claim 2 audio source, and the dumbbell
-scenario builders mirroring the paper's ns-2, lab and Internet setups.
+topology (:class:`DumbbellConfig`, :func:`run_dumbbell`) that every
+packet-level experiment runs on.  The paper's ns-2, lab and Internet
+setups are the scenario families of :mod:`repro.api.scenarios`, which
+build their :class:`DumbbellConfig`.
 """
 
 from .engine import Event, Simulator
@@ -14,9 +17,6 @@ from .scenarios import (
     INTERNET_PATHS,
     DumbbellConfig,
     DumbbellResult,
-    internet_config,
-    lab_config,
-    ns2_config,
     run_dumbbell,
 )
 from .sink import Receiver
@@ -44,8 +44,5 @@ __all__ = [
     "DumbbellConfig",
     "DumbbellResult",
     "run_dumbbell",
-    "ns2_config",
-    "lab_config",
-    "internet_config",
     "INTERNET_PATHS",
 ]

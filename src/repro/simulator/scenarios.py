@@ -1,32 +1,30 @@
-"""Scenario builders: the dumbbell topologies of the paper's experiments.
+"""The dumbbell: the one topology of the paper's packet-level experiments.
 
-Three experiment families share the same shape -- a set of TFRC, TCP and
-probe flows sharing a single bottleneck -- and differ only in queue
-discipline, capacity, delays and flow counts:
+A set of TFRC, TCP and probe flows shares a single bottleneck; a
+:class:`DumbbellConfig` fixes the queue discipline, capacity, delays and
+flow counts, and :func:`run_dumbbell` returns per-flow
+:class:`~repro.simulator.flowstats.FlowStats` plus scenario-level
+metadata, from which the analysis layer computes the TCP-friendliness
+breakdown.
 
-* the **ns-2 experiments** (Section V-A.2): RED bottleneck at 15 Mb/s,
-  RTT about 50 ms, equal numbers of TFRC and TCP Sack connections, with
-  buffer/thresholds set to 5/2, 1/4 and 5/4 of the bandwidth-delay
-  product;
-* the **lab experiments** (Section V-A.3): a 10 Mb/s bottleneck with
-  DropTail (64 or 100 packets) or RED, 25 ms added propagation each way;
-* the **Internet experiments** (Section V-A.4): paths to INRIA / UMASS /
-  KTH / UMELB parameterised by Table I (access rate, RTT).
+The paper's three setups are the scenario families of
+:mod:`repro.api.scenarios`, each of which builds its
+:class:`DumbbellConfig`: the ns-2 experiments (Section V-A.2, RED), the
+lab experiments (Section V-A.3, DropTail or RED) and the Internet
+experiments (Section V-A.4), whose paths Table I parameterises
+(:data:`INTERNET_PATHS`).
 
-The scenario runner returns per-flow :class:`~repro.simulator.flowstats.
-FlowStats` plus scenario-level metadata, from which the analysis layer
-computes the TCP-friendliness breakdown.
-
-The default capacities and durations are scaled down from the paper's so
-that a scenario runs in seconds of wall-clock time in pure Python; the
-scaling preserves the ratio of buffer to bandwidth-delay product and the
-per-flow share of the bottleneck, which are what the claims depend on.
+The families' default capacities and durations are scaled down from the
+paper's so that a scenario runs in seconds of wall-clock time in pure
+Python; the scaling preserves the ratio of buffer to bandwidth-delay
+product and the per-flow share of the bottleneck, which are what the
+claims depend on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.formulas import LossThroughputFormula, PftkStandardFormula
 from .engine import Simulator
@@ -42,9 +40,6 @@ __all__ = [
     "DumbbellConfig",
     "DumbbellResult",
     "run_dumbbell",
-    "ns2_config",
-    "lab_config",
-    "internet_config",
     "INTERNET_PATHS",
 ]
 
@@ -131,6 +126,13 @@ class DumbbellConfig:
         bits = self.capacity_mbps * 1e6 * self.rtt_seconds
         return max(int(bits / (8 * self.packet_size)), 4)
 
+    def resolve_formula(self) -> LossThroughputFormula:
+        """The TFRC senders' formula: ``formula``, else PFTK-standard at
+        ``rtt_seconds`` -- also what the analysis layer normalises by."""
+        if self.formula is not None:
+            return self.formula
+        return PftkStandardFormula(rtt=self.rtt_seconds)
+
 
 @dataclass
 class DumbbellResult:
@@ -189,195 +191,64 @@ def _build_queue(config: DumbbellConfig) -> QueueDiscipline:
 def run_dumbbell(config: DumbbellConfig) -> DumbbellResult:
     """Run one dumbbell scenario and return the per-flow measurements.
 
-    Flow statistics (packets, loss events, RTT samples) are reset at the
-    end of the warm-up period so that the returned counters reflect the
-    steady-state portion only.
+    Flow ``i`` starts at ``0.01 * i`` seconds, TFRC flows first, then TCP,
+    Poisson and CBR.  Flow statistics (packets, loss events, RTT samples)
+    are reset at the end of the warm-up period so that the returned
+    counters reflect the steady-state portion only.
     """
     if config.duration <= config.warmup:
         raise ValueError("duration must exceed warmup")
     simulator = Simulator(seed=config.seed)
-    queue = _build_queue(config)
     capacity_bps = config.capacity_mbps * 1e6
     link = BottleneckLink(
         simulator,
-        queue,
+        _build_queue(config),
         capacity_bps=capacity_bps,
         propagation_delay=config.rtt_seconds / 4.0,
     )
-    formula = config.formula or PftkStandardFormula(rtt=config.rtt_seconds)
-    access_delay = config.rtt_seconds / 2.0
-    fair_share = capacity_bps / (
-        8.0
-        * config.packet_size
-        * max(config.num_tfrc + config.num_tcp + config.num_poisson + config.num_cbr, 1)
-    )
-    max_rate = 4.0 * capacity_bps / (8.0 * config.packet_size)
+    counts = (config.num_tfrc, config.num_tcp, config.num_poisson, config.num_cbr)
+    fair_share = capacity_bps / (8.0 * config.packet_size * max(sum(counts), 1))
+    probe = {"rate": max(config.probe_rate_fraction * fair_share, 1.0)}
+    tfrc = {
+        "formula": config.resolve_formula(),
+        "history_length": config.history_length,
+        "comprehensive": config.tfrc_comprehensive,
+        "max_rate": 4.0 * capacity_bps / (8.0 * config.packet_size),
+    }
+    kinds = ((TfrcSender, tfrc), (TcpSender, {}), (PoissonSource, probe), (CbrSource, probe))
 
-    flow_id = 0
-    tfrc_senders: List[TfrcSender] = []
-    tcp_senders: List[TcpSender] = []
-    probe_senders: List[PoissonSource] = []
-    cbr_senders: List[CbrSource] = []
-
-    for index in range(config.num_tfrc):
-        sender = TfrcSender(
-            simulator,
-            link,
-            flow_id,
-            formula=formula,
-            access_delay=access_delay,
-            history_length=config.history_length,
-            comprehensive=config.tfrc_comprehensive,
-            packet_size=config.packet_size,
-            max_rate=max_rate,
-            start_time=0.01 * index,
-        )
-        tfrc_senders.append(sender)
-        flow_id += 1
-    for index in range(config.num_tcp):
-        sender = TcpSender(
-            simulator,
-            link,
-            flow_id,
-            access_delay=access_delay,
-            packet_size=config.packet_size,
-            start_time=0.01 * (config.num_tfrc + index),
-        )
-        tcp_senders.append(sender)
-        flow_id += 1
-    for index in range(config.num_poisson):
-        probe = PoissonSource(
-            simulator,
-            link,
-            flow_id,
-            rate=max(config.probe_rate_fraction * fair_share, 1.0),
-            access_delay=access_delay,
-            packet_size=config.packet_size,
-            start_time=0.01 * (config.num_tfrc + config.num_tcp + index),
-        )
-        probe_senders.append(probe)
-        flow_id += 1
-    for index in range(config.num_cbr):
-        probe = CbrSource(
-            simulator,
-            link,
-            flow_id,
-            rate=max(config.probe_rate_fraction * fair_share, 1.0),
-            access_delay=access_delay,
-            packet_size=config.packet_size,
-            start_time=0.01 * (config.num_tfrc + config.num_tcp + config.num_cbr + index),
-        )
-        cbr_senders.append(probe)
-        flow_id += 1
+    groups = []
+    first = 0
+    for count, (sender_type, options) in zip(counts, kinds):
+        groups.append([
+            sender_type(
+                simulator,
+                link,
+                flow_id,
+                access_delay=config.rtt_seconds / 2.0,
+                packet_size=config.packet_size,
+                start_time=0.01 * flow_id,
+                **options,
+            )
+            for flow_id in range(first, first + count)
+        ])
+        first += count
 
     # Warm up, then reset the counters that feed the long-run estimates.
     simulator.run(until=config.warmup)
-    all_senders = tfrc_senders + tcp_senders + probe_senders + cbr_senders
-    for sender in all_senders:
-        sender.stats.reset()
+    for group in groups:
+        for sender in group:
+            sender.stats.reset()
     simulator.run(until=config.duration)
 
-    result = DumbbellResult(
+    tfrc_flows, tcp_flows, poisson_flows, cbr_flows = (
+        [sender.stats for sender in group] for group in groups
+    )
+    return DumbbellResult(
         config=config,
-        tfrc_flows=[sender.stats for sender in tfrc_senders],
-        tcp_flows=[sender.stats for sender in tcp_senders],
-        poisson_flows=[probe.stats for probe in probe_senders],
-        cbr_flows=[probe.stats for probe in cbr_senders],
+        tfrc_flows=tfrc_flows,
+        tcp_flows=tcp_flows,
+        poisson_flows=poisson_flows,
+        cbr_flows=cbr_flows,
         measured_duration=config.duration - config.warmup,
-    )
-    return result
-
-
-def ns2_config(
-    num_connections: int,
-    history_length: int = 8,
-    duration: float = 200.0,
-    capacity_mbps: float = 1.5,
-    seed: Optional[int] = 1,
-) -> DumbbellConfig:
-    """ns-2-analogue configuration (Section V-A.2), scaled down.
-
-    ``num_connections`` TFRC and the same number of TCP flows share a RED
-    bottleneck; RTT about 50 ms.  The paper uses 15 Mb/s; the default here
-    is 1.5 Mb/s so that per-flow packet rates (and hence loss-event
-    statistics) at small connection counts remain comparable in a run that
-    completes quickly, with ``capacity_mbps`` available to raise it.
-    """
-    return DumbbellConfig(
-        num_tfrc=num_connections,
-        num_tcp=num_connections,
-        capacity_mbps=capacity_mbps,
-        rtt_seconds=0.05,
-        queue_type="red",
-        history_length=history_length,
-        tfrc_comprehensive=True,
-        duration=duration,
-        warmup=min(20.0, duration / 5.0),
-        seed=seed,
-    )
-
-
-def lab_config(
-    num_connections: int,
-    queue_type: str = "droptail",
-    buffer_packets: int = 100,
-    history_length: int = 8,
-    duration: float = 200.0,
-    capacity_mbps: float = 1.0,
-    seed: Optional[int] = 1,
-) -> DumbbellConfig:
-    """Lab-analogue configuration (Section V-A.3).
-
-    DropTail with 64 or 100 packet buffers, or RED; 25 ms of added
-    propagation delay each way; the comprehensive control element of TFRC
-    disabled, PFTK-standard, ``L = 8`` -- as in the paper's testbed.
-    """
-    return DumbbellConfig(
-        num_tfrc=num_connections,
-        num_tcp=num_connections,
-        capacity_mbps=capacity_mbps,
-        rtt_seconds=0.05,
-        queue_type=queue_type,
-        buffer_packets=buffer_packets,
-        history_length=history_length,
-        tfrc_comprehensive=False,
-        duration=duration,
-        warmup=min(20.0, duration / 5.0),
-        seed=seed,
-    )
-
-
-def internet_config(
-    path_name: str,
-    num_connections: int,
-    history_length: int = 8,
-    duration: float = 200.0,
-    capacity_mbps: float = 1.0,
-    seed: Optional[int] = 1,
-) -> DumbbellConfig:
-    """Internet-analogue configuration for one of the Table I paths.
-
-    The path's RTT parameterises the propagation delay; the bottleneck
-    capacity models the constrained segment of the path (scaled down from
-    the access rates of Table I so that runs are fast); cross traffic is
-    represented by the competing TCP flows themselves, as in the paper
-    where TFRC and TCP probes are launched in equal numbers.
-    """
-    if path_name not in INTERNET_PATHS:
-        raise KeyError(
-            f"unknown path {path_name!r}; valid names are {sorted(INTERNET_PATHS)}"
-        )
-    profile = INTERNET_PATHS[path_name]
-    return DumbbellConfig(
-        num_tfrc=num_connections,
-        num_tcp=num_connections,
-        capacity_mbps=capacity_mbps,
-        rtt_seconds=profile.rtt_seconds,
-        queue_type="droptail",
-        buffer_packets=None,
-        history_length=history_length,
-        tfrc_comprehensive=True,
-        duration=duration,
-        warmup=min(20.0, duration / 5.0),
-        seed=seed,
     )

@@ -15,27 +15,28 @@ Three source kinds complete the paper's experimental cast:
   independent of the send rate, which is the regime of the second part of
   Theorem 2.
 
-Probe sources detect their losses the same way TFRC does (gap detection on
+Probe sources detect their losses on the path TFRC uses
+(:class:`~repro.simulator.sender.GapLossDetector`: gap detection on
 per-packet acks) and aggregate loss events over one nominal RTT so that
 their measured ``p`` is comparable with the adaptive flows'.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..core.estimator import MovingAverageEstimator, tfrc_weights
 from ..core.formulas import LossThroughputFormula
 from .engine import Simulator
 from .flowstats import FlowStats
 from .link import BottleneckLink
-from .packets import Ack, Packet, DEFAULT_PACKET_SIZE
-from .sink import Receiver
+from .packets import Packet, DEFAULT_PACKET_SIZE
+from .sender import GapLossDetector
 
 __all__ = ["PoissonSource", "CbrSource", "AudioSource"]
 
 
-class _ProbeBase:
+class _ProbeBase(GapLossDetector):
     """Common machinery of the non-adaptive probe sources."""
 
     label = "probe"
@@ -52,37 +53,10 @@ class _ProbeBase:
     ) -> None:
         if rate <= 0.0:
             raise ValueError("rate must be positive")
-        if access_delay < 0.0:
-            raise ValueError("access_delay must be non-negative")
-        self.simulator = simulator
-        self.link = link
-        self.flow_id = flow_id
+        super().__init__(simulator, link, flow_id, access_delay, packet_size, start_time)
         self.rate = float(rate)
-        self.access_delay = float(access_delay)
-        self.packet_size = int(packet_size)
-        self.stats = FlowStats(flow_id=flow_id, label=self.label)
-
-        self.next_sequence = 0
-        self._highest_echoed = -1
-        self._send_times: Dict[int, float] = {}
-        self._last_loss_event_start_time = -1e9
-        self._sequence_at_last_loss_event = -1
-        self._had_first_loss = False
-
-        self.receiver = Receiver(
-            simulator,
-            flow_id,
-            reverse_delay=self.access_delay / 2.0,
-            ack_callback=self.on_ack,
-        )
-        link.attach_receiver(flow_id, self._on_forward_delivery)
-        self.simulator.schedule_at(max(start_time, simulator.now), self._send_next)
-
-    # ------------------------------------------------------------------
-    def _on_forward_delivery(self, packet: Packet) -> None:
-        self.simulator.schedule(
-            self.access_delay / 2.0, lambda: self.receiver.on_packet(packet)
-        )
+        # Loss events aggregate over the nominal RTT, not the live estimate.
+        self.current_rtt = self.access_delay if self.access_delay > 0 else 0.05
 
     def _inter_packet_time(self) -> float:
         raise NotImplementedError
@@ -100,33 +74,7 @@ class _ProbeBase:
         self.link.send(packet)
         self.simulator.schedule(self._inter_packet_time(), self._send_next)
 
-    # ------------------------------------------------------------------
-    def on_ack(self, ack: Ack) -> None:
-        echoed = ack.echoed_sequence
-        self.stats.packets_acked += 1
-        self.stats.rtt_samples.append(self.simulator.now - ack.echoed_send_time)
-        if echoed > self._highest_echoed:
-            for sequence in range(self._highest_echoed + 1, echoed):
-                if sequence in self._send_times:
-                    self._on_packet_lost(sequence)
-            self._highest_echoed = echoed
-        self._send_times.pop(echoed, None)
-
-    def _on_packet_lost(self, sequence: int) -> None:
-        send_time = self._send_times.pop(sequence, self.simulator.now)
-        self.stats.packets_lost += 1
-        rtt = self.access_delay if self.access_delay > 0 else 0.05
-        if send_time - self._last_loss_event_start_time <= rtt:
-            return
-        if self._had_first_loss:
-            interval = sequence - self._sequence_at_last_loss_event
-            if interval > 0:
-                self.stats.loss_event_intervals.append(float(interval))
-        self._had_first_loss = True
-        self.stats.loss_event_times.append(self.simulator.now)
-        self.stats.rate_at_loss_events.append(self.rate)
-        self._last_loss_event_start_time = send_time
-        self._sequence_at_last_loss_event = sequence
+    _start = _send_next
 
 
 class PoissonSource(_ProbeBase):

@@ -19,18 +19,17 @@ are not sampled (Karn's algorithm).
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 from .engine import Event, Simulator
-from .flowstats import FlowStats
 from .link import BottleneckLink
 from .packets import Ack, Packet, DEFAULT_PACKET_SIZE
-from .sink import Receiver
+from .sender import WiredSender
 
 __all__ = ["TcpSender"]
 
 
-class TcpSender:
+class TcpSender(WiredSender):
     """AIMD window-based sender with fast recovery and RTO.
 
     Parameters
@@ -58,6 +57,7 @@ class TcpSender:
         Simulation time at which the flow starts.
     """
 
+    label = "tcp"
     DUPACK_THRESHOLD = 3
     MIN_RTO = 0.2
     INITIAL_RTO = 1.0
@@ -73,17 +73,10 @@ class TcpSender:
         max_window: float = 10_000.0,
         start_time: float = 0.0,
     ) -> None:
-        if access_delay < 0.0:
-            raise ValueError("access_delay must be non-negative")
         if packet_size <= 0:
             raise ValueError("packet_size must be positive")
-        self.simulator = simulator
-        self.link = link
-        self.flow_id = flow_id
-        self.packet_size = int(packet_size)
-        self.access_delay = float(access_delay)
+        super().__init__(simulator, link, flow_id, access_delay, packet_size, start_time)
         self.max_window = float(max_window)
-        self.stats = FlowStats(flow_id=flow_id, label="tcp")
 
         # Congestion control state.
         self.cwnd = 1.0
@@ -104,27 +97,6 @@ class TcpSender:
         # Loss-event aggregation (one event per RTT of losses).
         self._last_loss_event_time = -1e9
         self._packets_at_last_loss_event = 0
-
-        # Receiver and wiring.
-        self.receiver = Receiver(
-            simulator,
-            flow_id,
-            reverse_delay=self.access_delay / 2.0,
-            ack_callback=self.on_ack,
-        )
-        link.attach_receiver(flow_id, self._on_forward_delivery)
-
-        self.simulator.schedule_at(max(start_time, simulator.now), self._start)
-
-    # ------------------------------------------------------------------
-    # Wiring helpers
-    # ------------------------------------------------------------------
-    def _on_forward_delivery(self, packet: Packet) -> None:
-        # Apply the sender-side access delay on the forward path before the
-        # packet reaches the receiver.
-        self.simulator.schedule(
-            self.access_delay / 2.0, lambda: self.receiver.on_packet(packet)
-        )
 
     def _start(self) -> None:
         self._send_allowed_packets()

@@ -2,9 +2,10 @@
 
 Implements the TFRC protocol at the level of detail the paper's claims
 need: per-packet pacing at the computed rate, loss-event detection with
-one-RTT aggregation, the moving-average loss-event interval estimator
-(TFRC weights, window ``L``), an EWMA round-trip-time estimator, and the
-rate update ``X = f(p, r)`` evaluated at every loss event and -- when the
+one-RTT aggregation and an EWMA round-trip-time estimator (both shared
+with the probes, :mod:`repro.simulator.sender`), the moving-average
+loss-event interval estimator (TFRC weights, window ``L``), and the rate
+update ``X = f(p, r)`` evaluated at every loss event and -- when the
 *comprehensive* control element is enabled, as in the ns-2 and Internet
 experiments -- also between loss events when the open loss interval grows
 large enough to raise the estimate (equation (4) of the paper).  The lab
@@ -20,20 +21,19 @@ until the first loss event rather than tracking the receive rate.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..core.estimator import MovingAverageEstimator, tfrc_weights
 from ..core.formulas import LossThroughputFormula
 from .engine import Simulator
-from .flowstats import FlowStats
 from .link import BottleneckLink
-from .packets import Ack, Packet, DEFAULT_PACKET_SIZE
-from .sink import Receiver
+from .packets import Packet, DEFAULT_PACKET_SIZE
+from .sender import GapLossDetector
 
 __all__ = ["TfrcSender"]
 
 
-class TfrcSender:
+class TfrcSender(GapLossDetector):
     """Rate-based sender driven by a loss-throughput formula.
 
     Parameters
@@ -62,6 +62,8 @@ class TfrcSender:
         Simulation time at which the flow starts.
     """
 
+    label = "tfrc"
+
     def __init__(
         self,
         simulator: Simulator,
@@ -75,72 +77,25 @@ class TfrcSender:
         max_rate: float = 10_000.0,
         start_time: float = 0.0,
     ) -> None:
-        if access_delay < 0.0:
-            raise ValueError("access_delay must be non-negative")
         if max_rate <= 0.0:
             raise ValueError("max_rate must be positive")
-        self.simulator = simulator
-        self.link = link
-        self.flow_id = flow_id
-        self.formula = formula
-        self.access_delay = float(access_delay)
-        self.comprehensive = bool(comprehensive)
-        self.packet_size = int(packet_size)
-        self.max_rate = float(max_rate)
-        self.stats = FlowStats(flow_id=flow_id, label="tfrc")
-
         self.estimator = MovingAverageEstimator(tfrc_weights(history_length))
+        super().__init__(simulator, link, flow_id, access_delay, packet_size, start_time)
+        self.formula = formula
+        self.comprehensive = bool(comprehensive)
+        self.max_rate = float(max_rate)
         self.history_length = int(history_length)
         # One-entry memo of f: (loss rate, f(loss rate)).
         self._memo_loss_rate: Optional[float] = None
         self._memo_formula_rate = 0.0
 
-        # Rate state.
-        self.rate = 1.0 / max(self.access_delay, 1e-3)  # ~1 packet per RTT.
-        self.rate = min(self.rate, self.max_rate)
+        # Rate state: about one packet per RTT, then slow start.
+        self.rate = min(1.0 / max(self.access_delay, 1e-3), self.max_rate)
         self.in_slow_start = True
 
-        # RTT estimation (EWMA with TFRC's 0.9 smoothing).
-        self.rtt_estimate: Optional[float] = None
-
-        # Loss detection state.
-        self.next_sequence = 0
-        self._highest_echoed = -1
-        self._send_times: Dict[int, float] = {}
-        self._last_loss_event_start_time = -1e9
-        self._sequence_at_last_loss_event = -1
-        self._had_first_loss = False
-
-        self.receiver = Receiver(
-            simulator,
-            flow_id,
-            reverse_delay=self.access_delay / 2.0,
-            ack_callback=self.on_ack,
-        )
-        link.attach_receiver(flow_id, self._on_forward_delivery)
-
-        self.simulator.schedule_at(max(start_time, simulator.now), self._send_next)
-
     # ------------------------------------------------------------------
-    # Wiring
+    # Loss-event estimation
     # ------------------------------------------------------------------
-    def _on_forward_delivery(self, packet: Packet) -> None:
-        self.simulator.schedule(
-            self.access_delay / 2.0, lambda: self.receiver.on_packet(packet)
-        )
-
-    # ------------------------------------------------------------------
-    # RTT and loss-event estimation
-    # ------------------------------------------------------------------
-    def _sample_rtt(self, sample: float) -> None:
-        if sample <= 0.0:
-            return
-        self.stats.rtt_samples.append(sample)
-        if self.rtt_estimate is None:
-            self.rtt_estimate = sample
-        else:
-            self.rtt_estimate = 0.9 * self.rtt_estimate + 0.1 * sample
-
     @property
     def current_rtt(self) -> float:
         """Best current RTT estimate (falls back to the fixed access delay)."""
@@ -210,48 +165,21 @@ class TfrcSender:
         interval = 1.0 / max(self.rate, 1e-6)
         self.simulator.schedule(interval, self._send_next)
 
-    # ------------------------------------------------------------------
-    # Ack processing and loss detection
-    # ------------------------------------------------------------------
-    def on_ack(self, ack: Ack) -> None:
-        """Process a per-packet acknowledgment."""
-        echoed = ack.echoed_sequence
-        self.stats.packets_acked += 1
-        self._sample_rtt(self.simulator.now - ack.echoed_send_time)
+    _start = _send_next
 
-        if echoed > self._highest_echoed:
-            lost_sequences = [
-                sequence
-                for sequence in range(self._highest_echoed + 1, echoed)
-                if sequence in self._send_times
-            ]
-            for sequence in lost_sequences:
-                self._on_packet_lost(sequence)
-            self._highest_echoed = echoed
-        self._send_times.pop(echoed, None)
-
+    # ------------------------------------------------------------------
+    # Loss events
+    # ------------------------------------------------------------------
     def _on_packet_lost(self, sequence: int) -> None:
-        send_time = self._send_times.pop(sequence, self.simulator.now)
-        self.stats.packets_lost += 1
-        rtt = self.current_rtt
-        if send_time - self._last_loss_event_start_time <= rtt:
-            return  # Within the current loss event; aggregated.
-        # A new loss event begins.
-        if self._had_first_loss:
-            interval = sequence - self._sequence_at_last_loss_event
-            if interval > 0:
-                self.stats.loss_event_intervals.append(float(interval))
-                self.estimator.record_interval(float(interval))
-        else:
+        interval = super()._on_packet_lost(sequence)
+        if interval is None:
+            return
+        if self.in_slow_start:
             # First loss event: seed the history with the current interval
             # so that the formula-based rate starts near the current rate,
             # mirroring TFRC's history initialisation.
-            initial = max(float(sequence + 1), 1.0)
-            self.estimator.seed_history([initial])
-            self._had_first_loss = True
+            self.estimator.seed_history([max(float(interval), 1.0)])
             self.in_slow_start = False
-        self.stats.loss_event_times.append(self.simulator.now)
-        self.stats.rate_at_loss_events.append(self.rate)
-        self._last_loss_event_start_time = send_time
-        self._sequence_at_last_loss_event = sequence
+        elif interval > 0:
+            self.estimator.record_interval(float(interval))
         self._update_rate()

@@ -8,6 +8,7 @@ vectorised control kernel against the loop implementations.
 """
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -197,6 +198,102 @@ class TestRegistryRoundTrip:
         assert config.buffer_packets is None  # derived from the BDP
         assert config.seed == 5
         assert not config.tfrc_comprehensive  # lab runs disable it
+
+
+# ----------------------------------------------------------------------
+# Scenario families: the DumbbellConfig each one builds
+# ----------------------------------------------------------------------
+def _built(num_connections, capacity_mbps, rtt_seconds, queue_type,
+           buffer_packets, history_length, tfrc_comprehensive, duration, warmup):
+    """The DumbbellConfig fields of a paper family's build (no seed)."""
+    return {
+        "num_tfrc": num_connections, "num_tcp": num_connections,
+        "num_poisson": 0, "num_cbr": 0, "capacity_mbps": capacity_mbps,
+        "rtt_seconds": rtt_seconds, "queue_type": queue_type,
+        "buffer_packets": buffer_packets, "red_min_fraction": 0.25,
+        "red_max_fraction": 1.25, "history_length": history_length,
+        "tfrc_comprehensive": tfrc_comprehensive, "probe_rate_fraction": 0.25,
+        "duration": duration, "warmup": warmup, "packet_size": 1000,
+        "formula": None,
+    }
+
+
+#: Each family and build branch -> the fields of its built DumbbellConfig.
+SCENARIO_BUILDS = {
+    "ns2": (
+        {"kind": "ns2", "num_connections": 3, "history_length": 4,
+         "duration": 60.0, "capacity_mbps": 2.0},
+        _built(3, 2.0, 0.05, "red", None, 4, True, 60.0, 12.0),
+    ),
+    "lab-droptail-64": (
+        {"kind": "lab", "num_connections": 2, "queue_type": "droptail",
+         "buffer_packets": 64},
+        _built(2, 1.0, 0.05, "droptail", 64, 8, False, 200.0, 20.0),
+    ),
+    "lab-droptail-100": (
+        {"kind": "lab", "num_connections": 2, "queue_type": "droptail",
+         "buffer_packets": 100},
+        _built(2, 1.0, 0.05, "droptail", 100, 8, False, 200.0, 20.0),
+    ),
+    "lab-droptail-none": (
+        {"kind": "lab", "num_connections": 2, "queue_type": "droptail",
+         "buffer_packets": None},
+        _built(2, 1.0, 0.05, "droptail", 100, 8, False, 200.0, 20.0),
+    ),
+    "lab-red-none": (
+        {"kind": "lab", "num_connections": 2, "queue_type": "red",
+         "buffer_packets": None},
+        _built(2, 1.0, 0.05, "red", None, 8, False, 200.0, 20.0),
+    ),
+    **{
+        f"internet-{path}": (
+            {"kind": "internet", "path_name": path, "num_connections": 2},
+            _built(2, 1.0, rtt, "droptail", None, 8, True, 200.0, 20.0),
+        )
+        for path, rtt in (("INRIA", 0.03), ("UMASS", 0.097), ("KTH", 0.046),
+                          ("UMELB", 0.35))
+    },
+    "dumbbell-example": (
+        api.SCENARIOS.to_config(api.SCENARIOS.examples()["dumbbell"]),
+        {"num_tfrc": 2, "num_tcp": 1, "num_poisson": 0, "num_cbr": 0,
+         "capacity_mbps": 1.5, "rtt_seconds": 0.05, "queue_type": "droptail",
+         "buffer_packets": 50, "red_min_fraction": 0.25, "red_max_fraction": 1.25,
+         "history_length": 8, "tfrc_comprehensive": True,
+         "probe_rate_fraction": 0.25, "duration": 200.0, "warmup": 20.0,
+         "packet_size": 1000, "formula": None},
+    ),
+}
+
+
+class TestScenarioBuilds:
+    @pytest.mark.parametrize("seed", [7, None])
+    @pytest.mark.parametrize("case", sorted(SCENARIO_BUILDS))
+    def test_family_builds_its_dumbbell_config(self, case, seed):
+        config, expected = SCENARIO_BUILDS[case]
+        built = api.SCENARIOS.from_config(config).build(seed)
+        assert dataclasses.asdict(built) == {**expected, "seed": seed}
+
+    def test_unknown_internet_path_raises_key_error(self):
+        scenario = api.SCENARIOS.from_config(
+            {"kind": "internet", "path_name": "NOWHERE", "num_connections": 2}
+        )
+        with pytest.raises(KeyError, match="unknown path 'NOWHERE'"):
+            scenario.build(7)
+
+    @pytest.mark.parametrize("buffer_packets", [0, -5, 0.5, float("nan")])
+    def test_lab_rejects_a_buffer_below_one_packet(self, buffer_packets):
+        # A falsy buffer used to run silently as the 100-packet default.
+        with pytest.raises(ValueError, match="buffer_packets"):
+            api.LabScenario(buffer_packets=buffer_packets)
+        spec = ExperimentSpec(
+            name="lab-buffer", runner="dumbbell",
+            grid={"scenario": [{"kind": "lab", "buffer_packets": buffer_packets,
+                                "duration": 10.0}]},
+            seed=1,
+        )
+        (result,) = ExperimentRunner(workers=1).run(spec).results
+        assert result.status == "error"
+        assert "buffer_packets must be None or at least 1" in result.error
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Ns2Scenario
 from repro.core.estimator import MovingAverageEstimator, tfrc_weights, uniform_weights
 from repro.core.formulas import PftkSimplifiedFormula, PftkStandardFormula
 from repro.simulator import (
@@ -92,7 +93,7 @@ class ReferenceSimulator(Simulator):
 # ----------------------------------------------------------------------
 class TestTupleHeapMatchesObjectHeap:
     def test_ns2_dumbbell(self, monkeypatch):
-        config = scenarios.ns2_config(num_connections=2, duration=20.0, seed=3)
+        config = Ns2Scenario(num_connections=2, duration=20.0).build(seed=3)
         engine = scenarios.run_dumbbell(config)
 
         references = []

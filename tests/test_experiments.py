@@ -389,6 +389,30 @@ class TestPointConfigs:
                 result.value, sort_keys=True
             )
 
+    @pytest.mark.parametrize("runner, other", [
+        ("montecarlo-basic", "comprehensive"),
+        ("montecarlo-comprehensive", "basic"),
+    ])
+    def test_a_control_other_than_the_runners_is_an_error_row(self, runner, other):
+        # It used to run as the runner's control, yet key as the point's.
+        params = {**RUNNER_POINTS[runner], "loss_event_rate": 0.1,
+                  "coefficient_of_variation": 0.9, "control": other}
+        outcome = execute_point({"runner": runner, "params": params, "seed": 3})
+        own = runner.removeprefix("montecarlo-")
+        assert outcome["status"] == "error"
+        assert outcome["error"] == (
+            f"ValueError: point control {other!r} differs from the runner's {own!r}"
+        )
+
+    @pytest.mark.parametrize("runner", ["montecarlo-basic", "montecarlo-comprehensive"])
+    def test_the_runners_own_control_still_runs(self, runner):
+        params = {**RUNNER_POINTS[runner], "loss_event_rate": 0.1,
+                  "coefficient_of_variation": 0.9}
+        named = {**params, "control": runner.removeprefix("montecarlo-")}
+        outcome = execute_point({"runner": runner, "params": named, "seed": 3})
+        assert outcome["status"] == "ok"
+        assert outcome["value"] == resolve_runner(runner)(params, 3)
+
     def test_the_classic_montecarlo_form_still_requires_a_cv(self):
         outcome = execute_point({
             "runner": "montecarlo-basic",

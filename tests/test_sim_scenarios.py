@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import LabScenario, Ns2Scenario
 from repro.core.formulas import PftkStandardFormula
 from repro.measurement import (
     aggregate_kind,
@@ -13,20 +14,13 @@ from repro.measurement import (
     scenario_summaries,
     summarize_flow,
 )
-from repro.simulator import (
-    DumbbellConfig,
-    INTERNET_PATHS,
-    internet_config,
-    lab_config,
-    ns2_config,
-    run_dumbbell,
-)
+from repro.simulator import DumbbellConfig, INTERNET_PATHS, run_dumbbell
 
 
 @pytest.fixture(scope="module")
 def small_red_result():
     """One shared ns-2-analogue run used by several read-only tests."""
-    config = ns2_config(num_connections=2, duration=80.0, seed=5)
+    config = Ns2Scenario(num_connections=2, duration=80.0).build(seed=5)
     return run_dumbbell(config)
 
 
@@ -44,10 +38,6 @@ class TestDumbbellConfig:
         config = DumbbellConfig(queue_type="codel", duration=30.0, warmup=1.0)
         with pytest.raises(ValueError):
             run_dumbbell(config)
-
-    def test_internet_config_requires_known_path(self):
-        with pytest.raises(KeyError):
-            internet_config("NOWHERE", 1)
 
     def test_table1_paths_present(self):
         assert set(INTERNET_PATHS) == {"INRIA", "UMASS", "KTH", "UMELB"}
@@ -88,7 +78,7 @@ class TestDumbbellRun(object):
         assert total >= 0.5 * capacity_pkts
 
     def test_seed_reproducibility(self):
-        config = ns2_config(num_connections=1, duration=40.0, seed=11)
+        config = Ns2Scenario(num_connections=1, duration=40.0).build(seed=11)
         first = run_dumbbell(config)
         second = run_dumbbell(config)
         assert [f.packets_sent for f in first.all_flows()] == [
@@ -96,12 +86,34 @@ class TestDumbbellRun(object):
         ]
 
     def test_droptail_lab_scenario_runs(self):
-        config = lab_config(num_connections=1, queue_type="droptail",
-                            buffer_packets=20, duration=60.0, seed=7)
+        config = LabScenario(num_connections=1, queue_type="droptail",
+                             buffer_packets=20, duration=60.0).build(seed=7)
         result = run_dumbbell(config)
         assert result.config.tfrc_comprehensive is False
         for flow in result.all_flows():
             assert flow.packets_sent > 100
+
+    def test_every_flow_starts_at_its_flow_id(self, monkeypatch):
+        # CBR probe i used to start at 0.01 * (num_tfrc + num_tcp + num_cbr + i).
+        from repro.simulator import scenarios
+
+        starts = {}
+
+        def recording(sender_type):
+            def build(*args, **kwargs):
+                sender = sender_type(*args, **kwargs)
+                starts[sender.flow_id] = (sender.stats.label, kwargs["start_time"])
+                return sender
+            return build
+
+        for name in ("TfrcSender", "TcpSender", "PoissonSource", "CbrSource"):
+            monkeypatch.setattr(scenarios, name, recording(getattr(scenarios, name)))
+        config = DumbbellConfig(num_tfrc=1, num_tcp=1, num_poisson=2, num_cbr=1,
+                                duration=2.0, warmup=1.0, seed=3)
+        result = run_dumbbell(config)
+        labels = ["tfrc", "tcp", "poisson", "poisson", "cbr"]
+        assert starts == {i: (label, 0.01 * i) for i, label in enumerate(labels)}
+        assert [flow.flow_id for flow in result.all_flows()] == list(range(5))
 
     def test_poisson_probe_included(self):
         config = DumbbellConfig(num_tfrc=1, num_tcp=1, num_poisson=1,
