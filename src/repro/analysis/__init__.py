@@ -18,12 +18,6 @@ from .few_flows import (
     simulate_equation_based_on_link,
 )
 from .phases import PhaseStudyPoint, phase_study, switching_sweep
-from .shortflow import (
-    ShortFlowFriendliness,
-    ShortFlowPoint,
-    compare_latency_models,
-    shortflow_friendliness,
-)
 from .many_sources import (
     Claim3Result,
     CongestionModel,
@@ -55,10 +49,6 @@ __all__ = [
     "PhaseStudyPoint",
     "phase_study",
     "switching_sweep",
-    "ShortFlowPoint",
-    "ShortFlowFriendliness",
-    "shortflow_friendliness",
-    "compare_latency_models",
     "PairBreakdown",
     "pair_breakdowns",
     "aggregate_breakdown",

@@ -90,8 +90,9 @@ class LabScenario(ScenarioFamily):
     RTT 50 ms (25 ms of added propagation each way), PFTK-standard,
     ``L = 8``, as in the paper's testbed.  A ``buffer_packets`` of None
     is 100 packets for DropTail and derived from the bandwidth-delay
-    product for RED, as in the paper's RED setup; any other value must
-    be at least 1.
+    product for RED, as in the paper's RED setup (``queue_type`` is read
+    as the queue builder reads it: stripped, case-insensitive); any
+    other value must be at least 1.
     """
 
     num_connections: int = 1
@@ -110,7 +111,7 @@ class LabScenario(ScenarioFamily):
     def build(self, seed: Optional[int] = None) -> DumbbellConfig:
         if self.buffer_packets is not None:
             buffer_packets: Optional[int] = int(self.buffer_packets)
-        elif self.queue_type == "red":
+        elif self.queue_type.strip().lower() == "red":
             buffer_packets = None
         else:
             buffer_packets = 100

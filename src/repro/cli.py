@@ -287,31 +287,29 @@ def _print_sim_results(results: Sequence[api.SimResult]) -> None:
 
 
 def _command_shortflow(arguments: argparse.Namespace) -> int:
-    from .analysis import shortflow_friendliness
-
-    model = api.LATENCY_MODELS.from_config(
-        {
-            "kind": arguments.model,
+    if not 0.0 < arguments.crossover <= 1.0:
+        raise SystemExit(
+            f"shortflow: --crossover must be in (0, 1], got {arguments.crossover}"
+        )
+    spec = ExperimentSpec(
+        name="shortflow",
+        runner="shortflow",
+        base={
+            "latency_model": {
+                "kind": arguments.model,
+                "initial_window": arguments.initial_window,
+            },
+            "formula": {"kind": arguments.formula},
+            "loss_event_rate": arguments.loss_rate,
             "rtt": arguments.rtt,
-            "initial_window": arguments.initial_window,
-        }
+        },
+        grid={"transfer_size": arguments.sizes},
     )
-    formula = api.FORMULAS.from_config(
-        {"kind": arguments.formula, "rtt": arguments.rtt}
-    )
-    curve = shortflow_friendliness(
-        model, formula, arguments.sizes, arguments.loss_rate
-    )
-    rows = [
-        [
-            point.transfer_size,
-            point.latency,
-            point.transfer_rate,
-            point.steady_state_rate,
-            point.rate_ratio,
-        ]
-        for point in curve.points
-    ]
+    campaign = ExperimentRunner().run(spec)
+    campaign.raise_errors()
+    columns = ("transfer_size", "latency", "transfer_rate",
+               "steady_state_rate", "rate_ratio")
+    rows = [[result.value[name] for name in columns] for result in campaign.results]
     print(
         f"Short-flow latency ({arguments.model} vs {arguments.formula}): "
         f"p={arguments.loss_rate}, rtt={arguments.rtt}s"
@@ -319,7 +317,9 @@ def _command_shortflow(arguments: argparse.Namespace) -> int:
     _print_rows(
         ["size (pkt)", "E[latency] s", "size/E[lat]", "f(p)", "ratio"], rows
     )
-    crossover = curve.crossover_size(arguments.crossover)
+    crossover = next(
+        (row[0] for row in rows if row[-1] >= arguments.crossover), None
+    )
     if crossover is None:
         print(
             f"no swept size reaches {arguments.crossover:.0%} of steady state"

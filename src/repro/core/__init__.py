@@ -59,12 +59,8 @@ from .friendliness import (
 )
 from .throughput import (
     ThroughputDecomposition,
-    basic_control_throughput,
-    comprehensive_control_lower_bound,
-    comprehensive_control_throughput,
     decompose_throughput,
     proposition3_correction,
-    throughput_from_trace,
 )
 
 __all__ = [
@@ -94,12 +90,8 @@ __all__ = [
     "run_comprehensive_control",
     # throughput
     "ThroughputDecomposition",
-    "basic_control_throughput",
-    "comprehensive_control_lower_bound",
-    "comprehensive_control_throughput",
     "decompose_throughput",
     "proposition3_correction",
-    "throughput_from_trace",
     # convexity
     "ConvexityReport",
     "analyze_formula_convexity",

@@ -17,23 +17,23 @@ Palm expectations of functions of the loss-event intervals:
 
   with the closed-form correction term ``V_n`` given in the paper.
 
-This module evaluates these expressions from *samples* of the joint law of
-``(theta_0, theta_hat_0, theta_hat_1)``.  Samples may come from a
-:class:`~repro.core.control.ControlTrace`, from a Monte-Carlo draw of an
-i.i.d. loss model, or from measurement of a packet-level simulation.  The
-companion decomposition of Proposition 1's comment (the convexity term and
-the covariance term) is also provided because it is what Claim 1 reasons
-about.
+The expressions are evaluated from *samples* of the joint law of
+``(theta_0, theta_hat_0, theta_hat_1)`` in one place,
+:func:`repro.montecarlo.vectorized_analytic.basic_throughput_rows` and
+:func:`~repro.montecarlo.vectorized_analytic.comprehensive_throughput_rows`
+(a 1-D sample is one row).  This module keeps the closed-form
+Proposition 3 correction they apply, and the decomposition of
+Proposition 1's comment (the convexity term and the covariance term),
+because it is what Claim 1 reasons about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .control import ControlTrace
 from .formulas import (
     LossThroughputFormula,
     PftkSimplifiedFormula,
@@ -42,12 +42,8 @@ from .formulas import (
 
 __all__ = [
     "ThroughputDecomposition",
-    "basic_control_throughput",
-    "comprehensive_control_lower_bound",
-    "comprehensive_control_throughput",
     "proposition3_correction",
     "decompose_throughput",
-    "throughput_from_trace",
 ]
 
 
@@ -58,42 +54,6 @@ def _validate_samples(intervals: np.ndarray, estimates: np.ndarray) -> None:
         raise ValueError("samples must be non-empty 1-D arrays")
     if np.any(intervals <= 0.0) or np.any(estimates <= 0.0):
         raise ValueError("intervals and estimates must be strictly positive")
-
-
-def basic_control_throughput(
-    formula: LossThroughputFormula,
-    intervals: Sequence[float],
-    estimates: Sequence[float],
-) -> float:
-    """Evaluate Proposition 1 from joint samples of ``(theta_0, theta_hat_0)``.
-
-    Parameters
-    ----------
-    formula:
-        The loss-throughput formula used by the control.
-    intervals:
-        Samples of the loss-event interval ``theta_0`` (packets).
-    estimates:
-        Matching samples of the estimator ``theta_hat_0`` in force during
-        the interval.
-    """
-    interval_array = np.asarray(intervals, dtype=float)
-    estimate_array = np.asarray(estimates, dtype=float)
-    _validate_samples(interval_array, estimate_array)
-    rates = np.asarray(formula.rate_of_interval(estimate_array), dtype=float)
-    mean_interval = float(np.mean(interval_array))
-    mean_duration = float(np.mean(interval_array / rates))
-    return mean_interval / mean_duration
-
-
-def comprehensive_control_lower_bound(
-    formula: LossThroughputFormula,
-    intervals: Sequence[float],
-    estimates: Sequence[float],
-) -> float:
-    """Proposition 2: the basic-control expression lower-bounds the
-    comprehensive control's throughput."""
-    return basic_control_throughput(formula, intervals, estimates)
 
 
 def proposition3_correction(
@@ -140,35 +100,6 @@ def proposition3_correction(
         + (nxt - now) / rate_now
     ) / first_weight
     return np.where(nxt > now, correction, 0.0)
-
-
-def comprehensive_control_throughput(
-    formula: LossThroughputFormula,
-    intervals: Sequence[float],
-    estimates_now: Sequence[float],
-    estimates_next: Sequence[float],
-    first_weight: float,
-) -> float:
-    """Evaluate Proposition 3 from joint samples.
-
-    The sample arrays must be aligned: entry ``n`` holds ``theta_n``,
-    ``theta_hat_n`` and ``theta_hat_{n+1}``.
-    """
-    interval_array = np.asarray(intervals, dtype=float)
-    now = np.asarray(estimates_now, dtype=float)
-    _validate_samples(interval_array, now)
-    rates = np.asarray(formula.rate_of_interval(now), dtype=float)
-    corrections = proposition3_correction(
-        formula, estimates_now, estimates_next, first_weight
-    )
-    mean_interval = float(np.mean(interval_array))
-    mean_duration = float(np.mean(interval_array / rates - corrections))
-    if mean_duration <= 0.0:
-        raise ValueError(
-            "mean corrected duration is non-positive; the sample is too small "
-            "or inconsistent with Proposition 3's assumptions"
-        )
-    return mean_interval / mean_duration
 
 
 @dataclass(frozen=True)
@@ -225,7 +156,7 @@ def decompose_throughput(
         np.mean(interval_array * inverse_rates) - mean_interval * mean_inverse_rate
     )
     correction = covariance / (mean_interval * mean_inverse_rate)
-    throughput = basic_control_throughput(formula, interval_array, estimate_array)
+    throughput = mean_interval / float(np.mean(interval_array / rates))
     loss_event_rate = 1.0 / mean_interval
     normalized = throughput / float(formula.rate(loss_event_rate))
     return ThroughputDecomposition(
@@ -235,12 +166,3 @@ def decompose_throughput(
         normalized_throughput=normalized,
         loss_event_rate=loss_event_rate,
     )
-
-
-def throughput_from_trace(trace: ControlTrace) -> float:
-    """Return the empirical throughput of a control trace.
-
-    Equivalent to ``trace.throughput``; provided for discoverability next
-    to the analytic expressions.
-    """
-    return trace.throughput

@@ -35,7 +35,8 @@ component API in :mod:`repro.api`:
     Closed-form short-flow expected transfer latency (the
     ``repro.api.LATENCY_MODELS`` registry, CSA00 by default) over
     (transfer size, loss-event rate, RTT) axes, with an optional
-    steady-state formula comparison per point.
+    steady-state formula comparison per point at the point's one RTT;
+    comparing latency models is a ``latency_model`` grid axis.
 
 Either config's own rules check the params it is given, so a point
 that names both ``profile`` and ``history_length``, or a
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..api.components import FORMULAS, LATENCY_MODELS, SCENARIOS
@@ -117,6 +119,21 @@ def runner_kinds() -> List[str]:
 def _float_or_nan(value: float) -> float:
     value = float(value)
     return value if math.isfinite(value) else float("nan")
+
+
+def _typed_param(params: Dict[str, Any], name: str, default: Any) -> Any:
+    """The point's ``name`` param (or ``default``), which must have the
+    default's type: an integer (not a bool) or a bool.  Coercing it
+    instead would run ``4.9`` as 4 or ``"false"`` as True while the
+    point's key records the value as given."""
+    value = params.get(name, default)
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def run_montecarlo_basic(params: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
@@ -283,7 +300,7 @@ def run_dumbbell_batch(params: Dict[str, Any], seed: Optional[int]) -> Dict[str,
     from ..simulator.scenarios import run_dumbbell
 
     label, base_config = _dumbbell_point(params, seed)
-    replications = int(params.get("replications", 1))
+    replications = _typed_param(params, "replications", 1)
     if replications < 1:
         raise ValueError("replications must be at least 1")
 
@@ -330,9 +347,9 @@ def run_audio_scenario(params: Dict[str, Any], seed: Optional[int]) -> Dict[str,
         simulator,
         loss_probability=float(params["loss_probability"]),
         formula=formula,
-        history_length=int(params.get("history_length", 4)),
+        history_length=_typed_param(params, "history_length", 4),
         packet_period=float(params.get("packet_period", 0.002)),
-        comprehensive=bool(params.get("comprehensive", True)),
+        comprehensive=_typed_param(params, "comprehensive", True),
     )
     simulator.run(until=float(params.get("duration", 200.0)))
     intervals = source.stats.loss_event_intervals
@@ -384,25 +401,23 @@ def run_flowsim_scenario(params: Dict[str, Any], seed: Optional[int]) -> Dict[st
 def _shortflow_model_and_formula(params: Dict[str, Any]):
     """Resolve the point's latency model and comparison formula.
 
-    An ``rtt`` axis overrides the round-trip time of both components, so
-    one spec can sweep RTT without enumerating per-RTT configs.  The
-    override goes through the config dict (not ``dataclasses.replace``)
-    so derived defaults -- CSA00's ``rto = 2 * rtt`` fill-in -- re-derive
-    at the new RTT unless the spec pinned them explicitly.
+    A point has one RTT: its ``rtt`` param, or else the latency model's.
+    The formula's config is built at that RTT, so ``rate_ratio`` compares
+    the transfer with ``f(p, r)`` at the RTT the transfer itself sees.
+    The ``rtt`` param goes through the config dict (not
+    ``dataclasses.replace``) so derived defaults -- CSA00's
+    ``rto = 2 * rtt`` fill-in -- re-derive at the new RTT unless the
+    spec pinned them explicitly.
     """
     model_config = dict(params.get("latency_model") or {"kind": "csa00"})
-    formula_config = params.get("formula")
-    formula_config = dict(formula_config) if formula_config is not None else None
     if "rtt" in params:
         model_config["rtt"] = float(params["rtt"])
-        if formula_config is not None:
-            formula_config["rtt"] = float(params["rtt"])
     model = LATENCY_MODELS.from_config(model_config)
-    formula = (
-        FORMULAS.from_config(formula_config)
-        if formula_config is not None
-        else None
-    )
+    formula = params.get("formula")
+    if formula is not None:
+        if isinstance(formula, str):
+            formula = {"kind": formula}
+        formula = FORMULAS.from_config({**formula, "rtt": float(model.rtt)})
     return model, formula
 
 
@@ -412,9 +427,10 @@ def run_shortflow_point(params: Dict[str, Any], seed: Optional[int]) -> Dict[str
     The point names a ``latency_model`` config (any registered
     ``repro.api.LATENCY_MODELS`` kind, default CSA00), a transfer size in
     packets and a loss-event rate, plus an optional steady-state
-    ``formula`` for comparison.  The model is closed form, so the seed is
-    unused; the runner keeps the common signature for the campaign
-    machinery.
+    ``formula`` for comparison at the point's RTT (see
+    :func:`_shortflow_model_and_formula`).  The model is closed form, so
+    the seed is unused; the runner keeps the common signature for the
+    campaign machinery.
     """
     model, formula = _shortflow_model_and_formula(params)
     size = float(params["transfer_size"])

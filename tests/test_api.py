@@ -32,6 +32,7 @@ from repro.montecarlo.vectorized import (
     vectorized_control_summaries,
     vectorized_control_trace,
 )
+from repro.simulator.scenarios import _build_queue
 
 REGISTRIES = {
     "formula": api.FORMULAS,
@@ -279,6 +280,19 @@ class TestScenarioBuilds:
         )
         with pytest.raises(KeyError, match="unknown path 'NOWHERE'"):
             scenario.build(7)
+
+    @pytest.mark.parametrize("queue_type", ["RED", " Red "])
+    def test_lab_red_buffer_reads_queue_type_as_the_queue_builder_does(
+        self, queue_type
+    ):
+        # "RED" used to get a fixed 100-packet RED queue, "red" the one
+        # derived from the bandwidth-delay product.
+        def built(spelling):
+            return api.LabScenario(queue_type=spelling, buffer_packets=None).build(1)
+
+        config = built(queue_type)
+        assert dataclasses.replace(config, queue_type="red") == built("red")
+        assert _build_queue(config).capacity_packets == 15
 
     @pytest.mark.parametrize("buffer_packets", [0, -5, 0.5, float("nan")])
     def test_lab_rejects_a_buffer_below_one_packet(self, buffer_packets):

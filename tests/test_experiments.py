@@ -435,6 +435,48 @@ class TestPointConfigs:
         )
 
 
+#: Cheap points of the runners that read integer or bool params themselves.
+TYPED_POINTS = {
+    "audio": {"formula": {"kind": "sqrt", "rtt": 1.0},
+              "loss_probability": 0.2, "duration": 5.0},
+    "dumbbell-batch": {"scenario": {"kind": "ns2", "num_connections": 1,
+                                    "duration": 5.0}},
+}
+
+
+class TestTypedRunnerParams:
+    """``audio`` and ``dumbbell-batch`` check their integer and bool
+    params instead of coercing them."""
+
+    @pytest.mark.parametrize("runner, name, value, expected", [
+        ("audio", "history_length", 4.9, "an integer"),
+        ("audio", "history_length", True, "an integer"),
+        ("audio", "comprehensive", "false", "a bool"),
+        ("audio", "comprehensive", 0, "a bool"),
+        ("dumbbell-batch", "replications", 2.7, "an integer"),
+        ("dumbbell-batch", "replications", "2", "an integer"),
+    ])
+    def test_a_mistyped_param_is_an_error_row(self, runner, name, value, expected):
+        # 4.9 ran as L = 4, 2.7 as 2 replications and "false" as the
+        # comprehensive control, while the point's key recorded the value
+        # as given.
+        params = {**TYPED_POINTS[runner], name: value}
+        outcome = execute_point({"runner": runner, "params": params, "seed": 3})
+        assert outcome["status"] == "error"
+        assert outcome["error"] == (
+            f"ValueError: {name} must be {expected}, got {value!r}"
+        )
+
+    def test_integer_and_bool_params_still_run(self):
+        params = {**TYPED_POINTS["audio"], "history_length": np.int64(2),
+                  "comprehensive": False}
+        value = resolve_runner("audio")(params, 3)
+        assert value == resolve_runner("audio")(
+            {**params, "history_length": 2}, 3
+        )
+        assert value["packets_sent"] > 0
+
+
 EXAMPLE_SPECS = pathlib.Path(__file__).resolve().parents[1] / "examples" / "specs"
 
 

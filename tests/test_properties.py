@@ -12,7 +12,7 @@ from repro.core.formulas import (
     PftkStandardFormula,
     SqrtFormula,
 )
-from repro.core.throughput import basic_control_throughput
+from repro.montecarlo.vectorized_analytic import basic_throughput_rows
 from repro.palm import (
     event_average,
     length_biased_average,
@@ -125,7 +125,7 @@ class TestControlProperties:
     def test_proposition1_equals_trace_throughput(self, data):
         formula = SqrtFormula(rtt=0.1)
         trace = run_basic_control(formula, data, weights=uniform_weights(2), warmup=2)
-        analytic = basic_control_throughput(formula, trace.intervals, trace.estimates)
+        analytic = basic_throughput_rows(formula, trace.intervals, trace.estimates)
         assert analytic == pytest.approx(trace.throughput, rel=1e-9)
 
     @given(value=intervals, count=st.integers(min_value=12, max_value=60))

@@ -5,8 +5,8 @@ independent plain-``math`` re-derivation of the documented equations
 (and against frozen literal references to 1e-9), the p-domain and
 constructor validation, the ``LATENCY_MODELS`` registry round-trip, the
 ``shortflow`` experiment runner with its ``fig-shortflow`` preset (whose
-in-process run equals a process-pool run), the analysis-layer
-friendliness-vs-size curves, and the ``shortflow`` CLI command.
+in-process run equals a process-pool run) and its friendliness-vs-size
+curves, and the ``shortflow`` CLI command that runs them.
 """
 
 import json
@@ -16,15 +16,11 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.analysis import (
-    ShortFlowFriendliness,
-    compare_latency_models,
-    shortflow_friendliness,
-)
 from repro.cli import main as cli_main
 from repro.core.formulas import PftkStandardFormula
+from repro.core.friendliness import FlowObservation, breakdown
 from repro.core.shortflow import Csa00LatencyModel, LatencyModel
-from repro.experiments import preset
+from repro.experiments import ExperimentRunner, ExperimentSpec, preset
 from repro.experiments.registry import (
     run_campaign_batched,
     run_shortflow_point,
@@ -301,99 +297,126 @@ class TestShortflowRunner:
 
 
 # ----------------------------------------------------------------------
-# Analysis: friendliness vs flow size
+# Friendliness vs flow size: shortflow campaigns
 # ----------------------------------------------------------------------
-class TestShortflowAnalysis:
+def shortflow_curve(sizes, **grid):
+    """Run a ``shortflow`` spec over ``transfer_size`` (plus ``grid``
+    axes) against PFTK-standard at p = 0.05 and RTT 0.1 s; the latency
+    model is the runner's default CSA00 unless ``grid`` sweeps it.
+    Returns the point values."""
+    spec = ExperimentSpec(
+        name="curve",
+        runner="shortflow",
+        base={"formula": {"kind": "pftk-standard"}, "loss_event_rate": 0.05,
+              "rtt": 0.1},
+        grid={**grid, "transfer_size": [float(size) for size in sizes]},
+    )
+    campaign = ExperimentRunner().run(spec)
+    campaign.raise_errors()
+    return [result.value for result in campaign.results]
+
+
+class TestShortflowCurves:
     def test_ratio_climbs_with_size_towards_one(self):
-        curve = shortflow_friendliness(
-            Csa00LatencyModel(rtt=0.1),
-            PftkStandardFormula(rtt=0.1),
-            sizes=[4.0, 16.0, 64.0, 256.0, 4096.0],
-            loss_event_rate=0.05,
-        )
-        ratios = curve.rate_ratios()
-        assert list(ratios) == sorted(ratios)
+        ratios = [value["rate_ratio"]
+                  for value in shortflow_curve([4, 16, 64, 256, 4096])]
+        assert ratios == sorted(ratios)
         assert ratios[0] < 0.5
         assert all(0.0 < ratio < 1.5 for ratio in ratios)
 
-    def test_breakdown_reuses_friendliness_machinery(self):
-        curve = shortflow_friendliness(
-            Csa00LatencyModel(rtt=0.1),
-            PftkStandardFormula(rtt=0.1),
-            sizes=[64.0],
-            loss_event_rate=0.05,
-        )
-        point = curve.points[0]
-        # By construction the two observations share p and RTT, so the
-        # breakdown isolates the conservativeness (throughput) axis.
-        assert point.breakdown.throughput_ratio == pytest.approx(
-            point.transfer_rate / point.steady_state_rate
-        )
-        assert point.rate_ratio == point.breakdown.throughput_ratio
+    def test_rate_ratio_is_the_friendliness_throughput_ratio(self):
+        # The short flow against an idealised long-lived TCP at the same
+        # p and RTT: the breakdown isolates the throughput axis, and its
+        # ratio is the point's rate_ratio.
+        (value,) = shortflow_curve([64])
+        formula = PftkStandardFormula(rtt=0.1)
+        source = FlowObservation(value["transfer_rate"], 0.05, 0.1)
+        tcp = FlowObservation(value["steady_state_rate"], 0.05, 0.1)
+        ratios = breakdown(source, tcp, formula)
+        assert ratios.throughput_ratio == pytest.approx(value["rate_ratio"])
+        assert ratios.conservativeness_ratio == pytest.approx(value["rate_ratio"])
+        assert (ratios.loss_rate_ratio, ratios.rtt_ratio) == (1.0, 1.0)
 
-    def test_crossover_size(self):
-        curve = shortflow_friendliness(
-            Csa00LatencyModel(rtt=0.1),
-            PftkStandardFormula(rtt=0.1),
-            sizes=[4.0, 16.0, 64.0, 256.0, 4096.0],
-            loss_event_rate=0.05,
+    def test_latency_model_axis_compares_models(self):
+        values = shortflow_curve(
+            [16, 64],
+            latency_model=[{"kind": "csa00", "initial_window": 2},
+                           {"kind": "csa00", "initial_window": 4}],
         )
-        assert curve.crossover_size(0.5) == 16.0
-        # An unreachable threshold reports None rather than guessing.
-        tiny = shortflow_friendliness(
-            Csa00LatencyModel(rtt=0.1),
-            PftkStandardFormula(rtt=0.1),
-            sizes=[4.0],
-            loss_event_rate=0.05,
-        )
-        assert tiny.crossover_size(1.0) is None
-        with pytest.raises(ValueError):
-            curve.crossover_size(0.0)
-        with pytest.raises(ValueError):
-            curve.crossover_size(1.5)
-
-    def test_requires_sizes(self):
-        with pytest.raises(ValueError):
-            shortflow_friendliness(
-                Csa00LatencyModel(rtt=0.1),
-                PftkStandardFormula(rtt=0.1),
-                sizes=[],
-                loss_event_rate=0.05,
-            )
-
-    def test_compare_latency_models(self):
-        curves = compare_latency_models(
-            {
-                "w1=2": Csa00LatencyModel(rtt=0.1, initial_window=2),
-                "w1=4": Csa00LatencyModel(rtt=0.1, initial_window=4),
-            },
-            PftkStandardFormula(rtt=0.1),
-            sizes=[16.0, 64.0],
-            loss_event_rate=0.05,
-        )
-        assert set(curves) == {"w1=2", "w1=4"}
-        assert all(isinstance(c, ShortFlowFriendliness) for c in curves.values())
-        assert curves["w1=2"].label == "w1=2"
+        window2, window4 = values[:2], values[2:]
         # A larger initial window finishes slow start sooner, so its
         # short-flow rate ratio is at least as high at every size.
-        for a, b in zip(curves["w1=4"].rate_ratios(),
-                        curves["w1=2"].rate_ratios()):
-            assert a >= b
+        for two, four in zip(window2, window4):
+            assert two["transfer_size"] == four["transfer_size"]
+            assert four["rate_ratio"] >= two["rate_ratio"]
+
+    def test_formula_runs_at_the_models_rtt_without_an_rtt_param(self):
+        # A point names one RTT for both sides; the formula's own rtt
+        # used to stay at 1.0 here and report a ratio of 8.02.
+        point = {
+            "latency_model": {"kind": "csa00", "rtt": 0.1},
+            "formula": {"kind": "pftk-standard", "rtt": 1.0},
+            "transfer_size": 64.0,
+            "loss_event_rate": 0.02,
+        }
+        value = run_shortflow_point(point, seed=None)
+        for formula in ({"kind": "pftk-standard", "rtt": 0.1}, "pftk-standard"):
+            assert value == run_shortflow_point({**point, "formula": formula}, None)
+        assert value["rtt"] == 0.1
+        assert value["rate_ratio"] == pytest.approx(0.80197, abs=1e-5)
 
 
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+#: ``shortflow`` stdout, recorded before the command ran on the runner.
+CLI_DEFAULTS = """\
+Short-flow latency (csa00 vs pftk-standard): p=0.02, rtt=0.1s
+size (pkt)    E[latency] s  size/E[lat]   f(p)          ratio       
+4.0000        0.5121        7.8106        51.7948       0.1508      
+16.0000       0.7793        20.5316       51.7948       0.3964      
+64.0000       1.5408        41.5379       51.7948       0.8020      
+256.0000      5.1708        49.5086       51.7948       0.9559      
+1024.0000     20.3196       50.3946       51.7948       0.9730      
+first size at >= 50% of steady state: 64 packets
+"""
+CLI_FOUR_SIZES = """\
+Short-flow latency (csa00 vs pftk-standard): p=0.05, rtt=0.1s
+size (pkt)    E[latency] s  size/E[lat]   f(p)          ratio       
+4.0000        0.7455        5.3655        26.0631       0.2059      
+16.0000       1.1427        14.0022       26.0631       0.5372      
+64.0000       2.7476        23.2931       26.0631       0.8937      
+256.0000      9.6896        26.4202       26.0631       1.0137      
+first size at >= 50% of steady state: 16 packets
+"""
+
+
 class TestShortflowCli:
-    def test_shortflow_prints_curve_and_crossover(self, capsys):
-        exit_code = cli_main([
-            "shortflow", "--loss-rate", "0.05", "--rtt", "0.1",
-            "--sizes", "4", "16", "64", "256",
-        ])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "E[latency] s" in captured.out
-        assert "first size at >= 50% of steady state: 16 packets" in captured.out
+    @pytest.mark.parametrize("argv, expected", [
+        ([], CLI_DEFAULTS),
+        (["--loss-rate", "0.05", "--rtt", "0.1", "--sizes", "4", "16", "64",
+          "256"], CLI_FOUR_SIZES),
+    ], ids=["defaults", "four-sizes"])
+    def test_stdout_is_pinned(self, capsys, argv, expected):
+        assert cli_main(["shortflow", *argv]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_crossover_size(self, capsys):
+        base = ["shortflow", "--loss-rate", "0.05", "--rtt", "0.1"]
+        assert cli_main([*base, "--sizes", "4", "16", "64", "256", "4096"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "first size at >= 50% of steady state: 16 packets\n"
+        )
+        # An unreachable threshold reports no size rather than guessing.
+        assert cli_main([*base, "--sizes", "4", "--crossover", "1.0"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "no swept size reaches 100% of steady state\n"
+        )
+
+    @pytest.mark.parametrize("crossover", ["0", "-0.5", "1.5"])
+    def test_crossover_outside_the_unit_interval_exits(self, crossover):
+        with pytest.raises(SystemExit, match=r"--crossover must be in \(0, 1\]"):
+            cli_main(["shortflow", "--crossover", crossover])
 
     def test_fig_shortflow_runs_from_the_cli(self, capsys):
         exit_code = cli_main([

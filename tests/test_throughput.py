@@ -1,4 +1,8 @@
-"""Unit tests for the analytic throughput expressions (Propositions 1-3)."""
+"""Unit tests for the analytic throughput expressions (Propositions 1-3).
+
+Propositions 1 and 3 are evaluated on 1-D samples by the row kernels of
+:mod:`repro.montecarlo.vectorized_analytic` (a 1-D sample is one row).
+"""
 
 import numpy as np
 import pytest
@@ -6,14 +10,12 @@ import pytest
 from repro.core.control import run_basic_control, run_comprehensive_control
 from repro.core.estimator import tfrc_weights
 from repro.core.formulas import PftkSimplifiedFormula, PftkStandardFormula, SqrtFormula
-from repro.core.throughput import (
-    basic_control_throughput,
-    comprehensive_control_lower_bound,
-    comprehensive_control_throughput,
-    decompose_throughput,
-    proposition3_correction,
-)
+from repro.core.throughput import decompose_throughput, proposition3_correction
 from repro.lossprocess import ShiftedExponentialIntervals, make_rng
+from repro.montecarlo.vectorized_analytic import (
+    basic_throughput_rows,
+    comprehensive_throughput_rows,
+)
 
 
 def _trace(formula, p=0.1, cv=0.999, count=20_000, seed=3, comprehensive=False):
@@ -28,7 +30,7 @@ class TestProposition1:
         """Proposition 1 evaluated on the trace's own samples equals the
         trace throughput exactly (it is the same expectation)."""
         trace = _trace(pftk_simplified)
-        analytic = basic_control_throughput(
+        analytic = basic_throughput_rows(
             pftk_simplified, trace.intervals, trace.estimates
         )
         assert analytic == pytest.approx(trace.throughput, rel=1e-12)
@@ -36,22 +38,14 @@ class TestProposition1:
     def test_equals_formula_for_deterministic_samples(self, sqrt_formula):
         intervals = np.full(100, 30.0)
         estimates = np.full(100, 30.0)
-        result = basic_control_throughput(sqrt_formula, intervals, estimates)
+        result = basic_throughput_rows(sqrt_formula, intervals, estimates)
         assert result == pytest.approx(sqrt_formula.rate(1.0 / 30.0))
-
-    def test_input_validation(self, sqrt_formula):
-        with pytest.raises(ValueError):
-            basic_control_throughput(sqrt_formula, [], [])
-        with pytest.raises(ValueError):
-            basic_control_throughput(sqrt_formula, [1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            basic_control_throughput(sqrt_formula, [1.0, -2.0], [1.0, 1.0])
 
 
 class TestProposition2:
     def test_lower_bounds_comprehensive_throughput(self, pftk_simplified):
         trace = _trace(pftk_simplified, comprehensive=True, seed=11)
-        bound = comprehensive_control_lower_bound(
+        bound = basic_throughput_rows(
             pftk_simplified, trace.intervals, trace.estimates
         )
         assert trace.throughput >= bound * (1.0 - 1e-9)
@@ -99,10 +93,10 @@ class TestProposition3:
         intervals = trace.intervals[:-1]
         estimates_now = trace.estimates[:-1]
         weights = tfrc_weights(8)
-        prop3 = comprehensive_control_throughput(
+        prop3 = comprehensive_throughput_rows(
             pftk_simplified, intervals, estimates_now, estimates_next, weights[0]
         )
-        prop1 = basic_control_throughput(pftk_simplified, intervals, estimates_now)
+        prop1 = basic_throughput_rows(pftk_simplified, intervals, estimates_now)
         assert prop3 >= prop1 * (1.0 - 1e-9)
 
     def test_matches_simulated_comprehensive_control(self, sqrt_formula):
@@ -114,7 +108,7 @@ class TestProposition3:
         intervals = trace.intervals[:-1]
         estimates_now = trace.estimates[:-1]
         weights = tfrc_weights(8)
-        prop3 = comprehensive_control_throughput(
+        prop3 = comprehensive_throughput_rows(
             sqrt_formula, intervals, estimates_now, estimates_next, weights[0]
         )
         assert prop3 == pytest.approx(trace.throughput, rel=0.02)
