@@ -407,11 +407,13 @@ def _shortflow_model_and_formula(params: Dict[str, Any]):
     The ``rtt`` param goes through the config dict (not
     ``dataclasses.replace``) so derived defaults -- CSA00's
     ``rto = 2 * rtt`` fill-in -- re-derive at the new RTT unless the
-    spec pinned them explicitly.
+    spec pinned them explicitly.  Either config may be a kind string.
     """
-    model_config = dict(params.get("latency_model") or {"kind": "csa00"})
+    model_config = params.get("latency_model") or "csa00"
+    if isinstance(model_config, str):
+        model_config = {"kind": model_config}
     if "rtt" in params:
-        model_config["rtt"] = float(params["rtt"])
+        model_config = {**model_config, "rtt": float(params["rtt"])}
     model = LATENCY_MODELS.from_config(model_config)
     formula = params.get("formula")
     if formula is not None:

@@ -21,8 +21,8 @@ registered loss-throughput formula against the configured loss process
 ``sampling="csa00"``
     Size-bounded flows send at the short-flow effective rate
     ``size / E[latency]`` of a registered latency model
-    (``repro.api.LATENCY_MODELS``, CSA00 at the formula's RTT by
-    default), so a finite transfer completes on the model-predicted
+    (``repro.api.LATENCY_MODELS``, CSA00 by default, built at the
+    formula's RTT), so a finite transfer completes on the model-predicted
     expected latency (quantised to interval boundaries) instead of the
     long-flow steady state; unbounded flows keep ``f(p)``.
 
@@ -140,20 +140,24 @@ class FlowSimConfig:
 
         return GENERATORS.from_config(self.generator)
 
-    def resolve_latency_model(self, default_rtt: float = 1.0):
-        """The short-flow latency model of ``sampling="csa00"``.
+    def resolve_latency_model(self, rtt: float):
+        """The short-flow latency model of ``sampling="csa00"``, at ``rtt``.
 
-        Defaults to CSA00 at ``default_rtt`` (the caller passes the
-        resolved formula's RTT, keeping the short-flow and steady-state
-        rates on the same path) when no ``latency_model`` config is
-        given.
+        The caller passes the resolved formula's RTT, so short flows and
+        the steady-state rate they are compared with see one path.  A
+        ``latency_model`` config (default CSA00; a dict or a kind string)
+        is built with ``rtt`` put into it, whatever RTT it names, so
+        derived defaults such as CSA00's ``rto = 2 * rtt`` re-derive
+        unless the config pins them.  A ready instance is used as given.
         """
         from ..api.components import LATENCY_MODELS
-        from ..core.shortflow import Csa00LatencyModel
 
-        if self.latency_model is not None:
-            return LATENCY_MODELS.from_config(self.latency_model)
-        return Csa00LatencyModel(rtt=float(default_rtt))
+        config = self.latency_model or "csa00"
+        if isinstance(config, str):
+            config = {"kind": config}
+        if isinstance(config, Mapping):
+            config = {**config, "rtt": float(rtt)}
+        return LATENCY_MODELS.from_config(config)
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -255,7 +259,7 @@ class FlowSimulation:
         self.process = config.resolve_loss_process()
         self.generator = config.resolve_generator()
         self.latency_model = (
-            config.resolve_latency_model(default_rtt=float(self.formula.rtt))
+            config.resolve_latency_model(float(self.formula.rtt))
             if config.sampling == "csa00"
             else None
         )

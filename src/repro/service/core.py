@@ -29,6 +29,14 @@ Batch requests are sharded across the thread pool through
 :mod:`repro.service.workers` when the grid form allows it -- the merged
 response is bit-for-bit the unsharded ``simulate_batch`` result.
 
+A warm ``/predict`` hit can skip all of that.  The service keeps a map,
+bounded like the LRU, from the SHA-256 digest of an exact request body
+that :meth:`~PredictionService.predict` answered to its key, value and
+encoded hit response.  The HTTP front-end asks
+:meth:`~PredictionService.stored_hit` before it decodes a body: while
+the key is still in the LRU, the hit is counted as ``predict`` counts
+one and the stored bytes are the response.
+
 Requests, computes and cache lookups are counted only in the process-wide
 :mod:`repro.telemetry` registry, which :meth:`PredictionService.stats`
 reads.
@@ -37,7 +45,10 @@ reads.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import time
+from collections import OrderedDict
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,6 +68,7 @@ __all__ = [
     "batch_request_key",
     "canonical_batch_request",
     "canonical_sim_request",
+    "encode_body",
     "prediction_key",
 ]
 
@@ -71,6 +83,16 @@ MAX_BATCH_ROWS = 100_000
 
 class BadRequest(ValueError):
     """A request the service refuses: malformed shape or invalid config."""
+
+
+#: One encoder for every response body; ``json.dumps(..., allow_nan=False)``
+#: would build a new one per call.
+_RESPONSE_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def encode_body(payload: Mapping[str, Any]) -> bytes:
+    """A response payload as strict-JSON UTF-8 bytes."""
+    return _RESPONSE_ENCODER.encode(payload).encode("utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +233,20 @@ def batch_request_key(config: api.BatchConfig) -> str:
 # ----------------------------------------------------------------------
 # The service
 # ----------------------------------------------------------------------
+def _prediction_response(key: str, cache: str, value: Any) -> Dict[str, Any]:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "key": key,
+        "cache": cache,
+        "result": value,
+    }
+
+
+def _hit_entry(key: str, value: Any) -> Tuple[str, Any, bytes]:
+    """A :attr:`PredictionService.stored_hits` entry, its hit encoded once."""
+    return key, value, encode_body(_prediction_response(key, "hit", value))
+
+
 @dataclass
 class ServiceConfig:
     """Tuning knobs of one :class:`PredictionService` instance."""
@@ -246,6 +282,12 @@ class PredictionService:
             thread_name_prefix="repro-service",
         )
         self._inflight: Dict[str, asyncio.Task] = {}
+        #: SHA-256 digest of a ``/predict`` body -> (key, value, encoded
+        #: hit response), least recently used first; see :meth:`stored_hit`.
+        #: Touched only from the event loop's thread, so it has no lock.
+        self.stored_hits: "OrderedDict[bytes, Tuple[str, Any, bytes]]" = (
+            OrderedDict()
+        )
         self.started_at = time.time()
 
     # ------------------------------------------------------------------
@@ -318,12 +360,46 @@ class PredictionService:
             lambda: loop.run_in_executor(self._executor, compute),
             "service-prediction",
         )
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "key": key,
-            "cache": cache,
-            "result": value,
-        }
+        return _prediction_response(key, cache, value)
+
+    def stored_hit(self, body: bytes) -> Optional[bytes]:
+        """The encoded hit response to a ``/predict`` body seen before.
+
+        None, for the caller to take :meth:`predict`'s path, when no
+        answered body had these exact bytes or its key has left the LRU
+        (a key only in the persistent store included).  Otherwise the
+        hit is counted as :meth:`predict` counts one -- a request, then a
+        :meth:`MemoisingStore.get` that counts ``memo.hit`` and refreshes
+        the key's recency -- and the stored bytes are returned.
+        """
+        digest = hashlib.sha256(body).digest()
+        entry = self.stored_hits.get(digest)
+        if entry is None or entry[0] not in self.memo.memory:
+            return None
+        telemetry.incr("service.requests_predict")
+        key, value, hit_body = entry
+        memoised = self.memo.get(key)
+        if memoised is not value:
+            # Recomputed or reloaded since the body was stored.
+            self.stored_hits[digest] = entry = _hit_entry(key, memoised)
+            hit_body = entry[2]
+        self.stored_hits.move_to_end(digest)
+        return hit_body
+
+    def store_hit(self, body: bytes, response: Mapping[str, Any]) -> None:
+        """Remember the hit response to a body :meth:`predict` answered.
+
+        The map holds at most ``cache_capacity`` bodies and drops the
+        least recently used.  Keyed by digest, so a large body costs no
+        more than a small one.
+        """
+        digest = hashlib.sha256(body).digest()
+        self.stored_hits[digest] = _hit_entry(
+            response["key"], response["result"]
+        )
+        self.stored_hits.move_to_end(digest)
+        if len(self.stored_hits) > self.config.cache_capacity:
+            self.stored_hits.popitem(last=False)
 
     async def predict_batch(self, payload: Any) -> Dict[str, Any]:
         """Evaluate (or recall) a whole ``BatchConfig``-shaped grid."""

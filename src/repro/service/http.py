@@ -15,9 +15,14 @@ path                      method  body
 Responses are strict JSON (non-finite floats already nullified by the
 service core).  Invalid JSON, wrong shapes, unknown component kinds and
 invalid parameters are 400s with an ``{"error": ...}`` body; unknown
-paths 404; wrong methods 405; anything unexpected 500.  Connections are
-keep-alive: one handler loops over requests until the client closes or
-sends ``Connection: close``.
+paths 404; wrong methods 405; anything unexpected 500.  A ``/predict``
+body the service has answered before is looked up by its bytes first
+(:meth:`~repro.service.core.PredictionService.stored_hit`): a warm hit
+is written from stored bytes, without decoding JSON.
+
+Connections are keep-alive: one handler loops over requests until the
+client closes or sends ``Connection: close``.  An HTTP/1.0 request is
+keep-alive only if it sends ``Connection: keep-alive``.
 
 What one client can hold is bounded.  A request line or header line
 longer than :data:`MAX_LINE_BYTES`, more than :data:`MAX_HEADERS` header
@@ -42,7 +47,7 @@ import asyncio
 import json
 from typing import Any, Dict, Optional, Set, Tuple
 
-from .core import BadRequest, PredictionService, SCHEMA_VERSION
+from .core import BadRequest, PredictionService, SCHEMA_VERSION, encode_body
 
 __all__ = ["start_service", "serve_forever"]
 
@@ -75,15 +80,7 @@ class _HttpError(Exception):
         self.message = message
 
 
-#: One encoder for every response; ``json.dumps(..., allow_nan=False)``
-#: would build a new one per call.
-_RESPONSE_ENCODER = json.JSONEncoder(allow_nan=False)
-
-
-def _encode_response(
-    status: int, payload: Dict[str, Any], keep_alive: bool
-) -> bytes:
-    body = _RESPONSE_ENCODER.encode(payload).encode("utf-8")
+def _response(status: int, body: bytes, keep_alive: bool) -> bytes:
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
         f"Content-Type: application/json\r\n"
@@ -94,10 +91,15 @@ def _encode_response(
     return head + body
 
 
+def _error_body(message: str) -> bytes:
+    return encode_body({"error": message, "schema_version": SCHEMA_VERSION})
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """Parse one request; None when the client closed between requests."""
+) -> Optional[Tuple[str, str, bool, bytes]]:
+    """Parse one request into ``(method, path, keep_alive, body)``; None
+    when the client closed between requests."""
     try:
         line = await reader.readuntil(b"\r\n")
     except asyncio.IncompleteReadError as exc:
@@ -109,7 +111,7 @@ async def _read_request(
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise _HttpError(400, "malformed request line")
-    method, path, _version = parts
+    method, path, version = parts
     headers: Dict[str, str] = {}
     count = 0
     while True:
@@ -141,7 +143,12 @@ async def _read_request(
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
             raise _HttpError(400, "truncated body") from exc
-    return method, path, headers, body
+    connection = headers.get("connection", "").lower()
+    if version == "HTTP/1.0":
+        keep_alive = connection == "keep-alive"
+    else:
+        keep_alive = connection != "close"
+    return method, path, keep_alive, body
 
 
 def _parse_json_body(body: bytes) -> Any:
@@ -153,24 +160,34 @@ def _parse_json_body(body: bytes) -> Any:
 
 async def _dispatch(
     service: PredictionService, method: str, path: str, body: bytes
-) -> Tuple[int, Dict[str, Any]]:
+) -> Tuple[int, bytes]:
+    """Route one request; returns the status and the encoded body."""
     path = path.split("?", 1)[0]
     if path == "/healthz":
         if method != "GET":
             raise _HttpError(405, "use GET for /healthz")
-        return 200, {"status": "ok", "schema_version": SCHEMA_VERSION}
+        return 200, encode_body(
+            {"status": "ok", "schema_version": SCHEMA_VERSION}
+        )
     if path == "/stats":
         if method != "GET":
             raise _HttpError(405, "use GET for /stats")
-        return 200, service.stats()
+        return 200, encode_body(service.stats())
     if path == "/predict":
         if method != "POST":
             raise _HttpError(405, "use POST for /predict")
-        return 200, await service.predict(_parse_json_body(body))
+        stored = service.stored_hit(body)
+        if stored is not None:
+            return 200, stored
+        response = await service.predict(_parse_json_body(body))
+        service.store_hit(body, response)
+        return 200, encode_body(response)
     if path == "/predict/batch":
         if method != "POST":
             raise _HttpError(405, "use POST for /predict/batch")
-        return 200, await service.predict_batch(_parse_json_body(body))
+        return 200, encode_body(
+            await service.predict_batch(_parse_json_body(body))
+        )
     raise _HttpError(404, f"no route for {path}")
 
 
@@ -213,32 +230,21 @@ async def _handle_connection(
                     idle.discard(writer)
                 if request is None:
                     return
-                method, path, headers, body = request
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                )
-                status, payload = await _dispatch(service, method, path, body)
+                method, path, keep_alive, body = request
+                status, answer = await _dispatch(service, method, path, body)
             except _HttpError as exc:
-                status, payload = exc.status, {
-                    "error": exc.message,
-                    "schema_version": SCHEMA_VERSION,
-                }
+                status, answer = exc.status, _error_body(exc.message)
                 keep_alive = keep_alive and status != 400
             except BadRequest as exc:
-                status, payload = 400, {
-                    "error": str(exc),
-                    "schema_version": SCHEMA_VERSION,
-                }
+                status, answer = 400, _error_body(str(exc))
             except (ConnectionError, asyncio.CancelledError):
                 raise
             except Exception as exc:  # noqa: BLE001 - the 500 boundary
-                status, payload = 500, {
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "schema_version": SCHEMA_VERSION,
-                }
+                status = 500
+                answer = _error_body(f"{type(exc).__name__}: {exc}")
             if connections.closing:
                 keep_alive = False
-            writer.write(_encode_response(status, payload, keep_alive))
+            writer.write(_response(status, answer, keep_alive))
             await writer.drain()
             if not keep_alive:
                 return

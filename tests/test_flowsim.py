@@ -390,6 +390,29 @@ class TestShortFlowSampling:
             assert record.packets_sent >= record.size
             assert latency < record.duration <= latency + 2.0 * interval
 
+    @pytest.mark.parametrize("model", [
+        None,
+        "csa00",
+        {"kind": "csa00", "initial_window": 2},
+        {"kind": "csa00", "rtt": 1.0},
+    ])
+    def test_latency_model_runs_at_the_formulas_rtt(self, model):
+        # A config that names no rtt used to run at CSA00's default 1.0 s
+        # against a formula at 0.1 s; the rto re-derives as 2 * rtt.
+        from repro.flowsim import FlowSimulation
+
+        simulation = FlowSimulation(FlowSimConfig(
+            formula={"kind": "sqrt", "rtt": 0.1},
+            generator={"kind": "poisson-arrivals", "arrival_rate": 2.0,
+                       "mean_size": 40.0},
+            loss_event_rate=0.05,
+            sampling="csa00",
+            latency_model=model,
+            duration=10.0,
+        ))
+        assert simulation.latency_model.rtt == 0.1
+        assert simulation.latency_model.rto == 0.2
+
     def test_unbounded_flows_keep_the_steady_state_rate(self):
         formula = api.FORMULAS.from_config({"kind": "sqrt", "rtt": 0.1})
         result = run_flowsim(

@@ -4,11 +4,13 @@ Covers the service core directly (single-flight coalescing and a
 cancelled coalesced requester, cache hits, stats accuracy, the
 batch-vs-``simulate_batch`` differential) and the HTTP front-end over a
 real loopback socket (schema round-trip, malformed request handling,
-routing, the header cap and the request deadline).  No pytest-asyncio:
+routing, the header cap, the request deadline, HTTP/1.0 connections and
+warm hits answered from stored bytes).  No pytest-asyncio:
 each test drives its own event loop with ``asyncio.run``.
 """
 
 import asyncio
+import hashlib
 import json
 import socket
 import threading
@@ -28,6 +30,7 @@ from repro.service import (
     plan_shards,
     start_service,
 )
+from tests.test_cache_keys import GOLDEN_HIT_BODY, GOLDEN_HIT_REQUEST
 
 NUM_EVENTS = 2000
 
@@ -441,8 +444,8 @@ async def _post_json(host, port, path, payload):
 
 class TestHttpFrontend:
     @staticmethod
-    async def _with_server(body):
-        service = _service()
+    async def _with_server(body, **overrides):
+        service = _service(**overrides)
         server = await start_service(service, port=0)
         host, port = server.sockets[0].getsockname()[:2]
         try:
@@ -677,6 +680,9 @@ class TestHttpFrontend:
         monkeypatch.setattr(http, "REQUEST_DEADLINE_S", 0.3)
 
         class SlowService:
+            def stored_hit(self, body):
+                return None
+
             async def predict(self, payload):
                 await asyncio.sleep(30.0)
 
@@ -733,5 +739,333 @@ class TestHttpFrontend:
                 await writer.wait_closed()
             assert closed == b""
             assert elapsed < 2.0
+
+        run(lambda: self._with_server(body))
+
+
+# ----------------------------------------------------------------------
+# HTTP/1.0 connections and warm hits answered from stored bytes
+# ----------------------------------------------------------------------
+def _request(method, path, body=b"", version="HTTP/1.1", headers=()):
+    head = [f"{method} {path} {version}", *headers]
+    if body:
+        head.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+
+
+async def _read_response(reader):
+    """One response on an open connection: (status, head, body)."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+    return int(head.split()[1]), head, await reader.readexactly(length)
+
+
+async def _exchange(host, port, request):
+    """Send one request on a new connection and read to end-of-file;
+    a connection the server keeps open fails the test after 2 s."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(request)
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(), timeout=2.0)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    end = raw.index(b"\r\n\r\n") + 4
+    return int(raw.split()[1]), raw[:end], raw[end:]
+
+
+def _post(body, version="HTTP/1.1", close=True):
+    headers = ("Connection: close",) if close else ()
+    return _request("POST", "/predict", body, version, headers)
+
+
+def _counting_keys(monkeypatch):
+    """Count prediction_key calls: a hit from stored bytes makes none."""
+    calls = []
+    key = service_core.prediction_key
+
+    def counted(config):
+        calls.append(config)
+        return key(config)
+
+    monkeypatch.setattr(service_core, "prediction_key", counted)
+    return calls
+
+
+#: The golden point of tests/test_cache_keys.py, respelled: keys
+#: reordered and the formula's rtt left to its default.
+RESPELLED_HIT_REQUEST = {
+    "seed": 7,
+    "num_events": 1000,
+    "history_length": 8,
+    "coefficient_of_variation": 0.999,
+    "loss_event_rate": 0.05,
+    "formula": {"kind": "pftk-simplified"},
+}
+
+#: A history at cache capacity 2: a miss, repeated hits, a respelled
+#: body, a refused body sent twice, evictions, a known body whose key was
+#: evicted, and a batch.  Each step's expected (status, cache, SHA-256
+#: of the response body), and /stats after the history less its
+#: ``uptime_s``, were recorded at commit f734c95, before hits were
+#: answered from stored bytes.
+STORED_HISTORY = [
+    ("/predict", GOLDEN_HIT_REQUEST, 200, "miss",
+     "ea8c8e30fef878c870751a7ddac1d6b70704041f1006a2dfc7ced3ca17e50213"),
+    ("/predict", GOLDEN_HIT_REQUEST, 200, "hit",
+     "1906467e9ff39fab013aef1401755a5baf7f150e7518cfff3d0fc5c29bb77e6b"),
+    ("/predict", GOLDEN_HIT_REQUEST, 200, "hit",
+     "1906467e9ff39fab013aef1401755a5baf7f150e7518cfff3d0fc5c29bb77e6b"),
+    ("/predict", RESPELLED_HIT_REQUEST, 200, "hit",
+     "1906467e9ff39fab013aef1401755a5baf7f150e7518cfff3d0fc5c29bb77e6b"),
+    ("/predict", dict(GOLDEN_HIT_REQUEST, seed=-3), 400, None,
+     "70e53b71d9071b5334c13840b341ca393ae155c8b55c50f63af6db8a718818ba"),
+    ("/predict", dict(GOLDEN_HIT_REQUEST, seed=-3), 400, None,
+     "70e53b71d9071b5334c13840b341ca393ae155c8b55c50f63af6db8a718818ba"),
+    ("/predict", dict(GOLDEN_HIT_REQUEST, seed=8), 200, "miss",
+     "ed2eb60adcdfdac2376c33e1c9f9e475d7a33fecb74ec57ff41edbdef305f0ab"),
+    ("/predict", dict(GOLDEN_HIT_REQUEST, seed=9), 200, "miss",
+     "63e4e28ac485f30f294b6db51dd75d99e3d06ec0bc710869a1a155c4d64a7f98"),
+    ("/predict", GOLDEN_HIT_REQUEST, 200, "miss",
+     "ea8c8e30fef878c870751a7ddac1d6b70704041f1006a2dfc7ced3ca17e50213"),
+    ("/predict", GOLDEN_HIT_REQUEST, 200, "hit",
+     "1906467e9ff39fab013aef1401755a5baf7f150e7518cfff3d0fc5c29bb77e6b"),
+    ("/predict/batch", dict(BATCH_PAYLOAD, num_events=1000), 200, "miss",
+     "6ec4923f0b7cc7c6d293d5bc5f0300a4d2e0fc5d6cbb0ec901bd8500c68cffd0"),
+    ("/predict/batch", dict(BATCH_PAYLOAD, num_events=1000), 200, "hit",
+     "35a04eddf652c249d247137c7c9afb5e598495269af928e8ac330efc253abc07"),
+    ("/predict", dict(GOLDEN_HIT_REQUEST, seed=9), 200, "miss",
+     "63e4e28ac485f30f294b6db51dd75d99e3d06ec0bc710869a1a155c4d64a7f98"),
+]
+
+STORED_HISTORY_STATS = {
+    "schema_version": 1,
+    "workers": 2,
+    "requests": {"predict": 11, "batch": 2, "bad": 2},
+    "computes": {"predict": 5, "batch": 1, "shards": 2},
+    "coalesced": 0,
+    "cache": {
+        "hits": 5, "store_hits": 0, "misses": 6, "puts": 6, "evictions": 4,
+        "memory_size": 2, "capacity": 2, "persistent": False,
+    },
+}
+
+
+class TestStoredHits:
+    _with_server = staticmethod(TestHttpFrontend._with_server)
+
+    def test_http10_request_without_keep_alive_is_closed(self):
+        async def body(service, host, port):
+            status, head, payload = await _exchange(
+                host, port, _request("GET", "/healthz", version="HTTP/1.0")
+            )
+            assert status == 200 and b"Connection: close\r\n" in head
+            assert json.loads(payload)["status"] == "ok"
+
+        run(lambda: self._with_server(body))
+
+    def test_http10_keep_alive_serves_sequential_requests(self):
+        async def body(service, host, port):
+            request = _request(
+                "GET", "/healthz", version="HTTP/1.0",
+                headers=("Connection: keep-alive",),
+            )
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                for _ in range(2):
+                    writer.write(request)
+                    status, head, _ = await _read_response(reader)
+                    assert status == 200
+                    assert b"Connection: keep-alive\r\n" in head
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        run(lambda: self._with_server(body))
+
+    def test_request_history_matches_the_recorded_one(self):
+        async def body(service, host, port):
+            for path, payload, status, cache, digest in STORED_HISTORY:
+                got, _, answer = await _exchange(
+                    host, port,
+                    _request("POST", path, json.dumps(payload).encode(),
+                             headers=("Connection: close",)),
+                )
+                assert (got, json.loads(answer).get("cache")) == (
+                    status, cache
+                ), path
+                assert hashlib.sha256(answer).hexdigest() == digest
+            _, _, answer = await _exchange(
+                host, port,
+                _request("GET", "/stats", headers=("Connection: close",)),
+            )
+            stats = json.loads(answer)
+            del stats["uptime_s"]
+            assert stats == STORED_HISTORY_STATS
+
+        run(lambda: self._with_server(body, cache_capacity=2))
+
+    def test_refused_bodies_never_enter_the_map(self):
+        async def body(service, host, port):
+            for raw in (
+                json.dumps(dict(PREDICT_PAYLOAD, seed=-3)).encode(),
+                b"{not json",
+            ):
+                for _ in range(2):
+                    status, _, _ = await _exchange(host, port, _post(raw))
+                    assert status == 400
+            assert len(service.stored_hits) == 0
+            assert _counter("service.bad_requests") == 2
+
+        run(lambda: self._with_server(body))
+
+    def test_known_body_whose_key_was_evicted_computes_once(
+        self, monkeypatch
+    ):
+        golden = json.dumps(GOLDEN_HIT_REQUEST).encode()
+
+        async def body(service, host, port):
+            keys = _counting_keys(monkeypatch)
+            await _exchange(host, port, _post(golden))  # miss
+            await _exchange(
+                host, port,
+                _request("POST", "/predict/batch",
+                         json.dumps(dict(BATCH_PAYLOAD, num_events=1000))
+                         .encode(), headers=("Connection: close",)),
+            )
+            await _exchange(  # evicts the golden key, not its body
+                host, port, _post(json.dumps(PREDICT_PAYLOAD).encode())
+            )
+            assert len(service.stored_hits) == 2
+            status, _, answer = await _exchange(host, port, _post(golden))
+            assert json.loads(answer)["cache"] == "miss"
+            assert _counter("service.computes_predict") == 3
+            status, _, answer = await _exchange(host, port, _post(golden))
+            assert answer == GOLDEN_HIT_BODY
+            assert _counter("service.computes_predict") == 3
+            assert len(keys) == 3  # the second golden hit made no key
+
+            # Evict it again, and let a respelled body recompute the key:
+            # the stored body answers from the recomputed value.
+            await _exchange(
+                host, port, _post(json.dumps(PREDICT_PAYLOAD).encode())
+            )
+            await _exchange(
+                host, port,
+                _post(json.dumps(dict(PREDICT_PAYLOAD, seed=8)).encode()),
+            )
+            await _exchange(
+                host, port, _post(json.dumps(RESPELLED_HIT_REQUEST).encode())
+            )
+            computes = _counter("service.computes_predict")
+            status, _, answer = await _exchange(host, port, _post(golden))
+            assert answer == GOLDEN_HIT_BODY
+            assert _counter("service.computes_predict") == computes
+
+        run(lambda: self._with_server(body, cache_capacity=2))
+
+    def test_stored_hit_refreshes_its_keys_recency(self):
+        golden = json.dumps(GOLDEN_HIT_REQUEST).encode()
+
+        async def body(service, host, port):
+            for raw in (
+                golden,  # miss
+                json.dumps(PREDICT_PAYLOAD).encode(),  # miss
+                golden,  # stored hit: now the most recent key
+                json.dumps(dict(PREDICT_PAYLOAD, seed=8)).encode(),
+            ):
+                await _exchange(host, port, _post(raw))
+            status, _, answer = await _exchange(host, port, _post(golden))
+            assert answer == GOLDEN_HIT_BODY
+            assert _counter("service.computes_predict") == 3
+            assert _counter("memo.lru.eviction") == 1
+
+        run(lambda: self._with_server(body, cache_capacity=2))
+
+    def test_stored_body_answers_with_the_lrus_current_value(self):
+        # A key recomputed or reloaded since its body was stored holds a
+        # new value object; the stored bytes follow it.
+        golden = json.dumps(GOLDEN_HIT_REQUEST).encode()
+
+        async def body(service, host, port):
+            _, _, answer = await _exchange(host, port, _post(golden))
+            key = json.loads(answer)["key"]
+            reloaded = dict(service.memo.memory.get(key), throughput=0.5)
+            service.memo.memory.put(key, reloaded)
+            _, _, answer = await _exchange(host, port, _post(golden))
+            assert json.loads(answer)["result"] == reloaded
+            assert service.stored_hits[hashlib.sha256(golden).digest()][1] is (
+                reloaded
+            )
+
+        run(lambda: self._with_server(body))
+
+    def test_map_never_holds_more_than_the_cache_capacity(self):
+        golden = json.dumps(GOLDEN_HIT_REQUEST).encode()
+
+        async def body(service, host, port):
+            # Five spellings of one point: one key, five bodies.
+            variants = [golden + b" " * spaces for spaces in range(5)]
+            for raw in variants:
+                status, _, _ = await _exchange(host, port, _post(raw))
+                assert status == 200
+                assert len(service.stored_hits) <= 2
+            assert list(service.stored_hits) == [
+                hashlib.sha256(raw).digest() for raw in variants[-2:]
+            ]
+            assert _counter("service.computes_predict") == 1
+
+        run(lambda: self._with_server(body, cache_capacity=2))
+
+    def test_padded_megabyte_body_hits_without_a_stored_copy(
+        self, monkeypatch
+    ):
+        golden = json.dumps(GOLDEN_HIT_REQUEST).encode()
+        padded = golden + b" " * (1 << 20)
+
+        async def body(service, host, port):
+            keys = _counting_keys(monkeypatch)
+            await _exchange(host, port, _post(golden))  # miss
+            for _ in range(2):  # a hit by key, then from stored bytes
+                status, _, answer = await _exchange(host, port, _post(padded))
+                assert status == 200 and answer == GOLDEN_HIT_BODY
+            assert len(keys) == 2
+            assert hashlib.sha256(padded).digest() in service.stored_hits
+            for digest, (key, _, hit_body) in service.stored_hits.items():
+                assert len(digest) == 32
+                assert hit_body == GOLDEN_HIT_BODY
+
+        run(lambda: self._with_server(body))
+
+    def test_golden_hit_is_served_from_stored_bytes(self, monkeypatch):
+        golden = json.dumps(GOLDEN_HIT_REQUEST).encode()
+
+        async def body(service, host, port):
+            keys = _counting_keys(monkeypatch)
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                answers = []
+                for _ in range(3):  # a miss, then two stored hits
+                    writer.write(_post(golden, close=False))
+                    status, head, answer = await _read_response(reader)
+                    assert b"Connection: keep-alive\r\n" in head
+                    answers.append(answer)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert json.loads(answers[0])["cache"] == "miss"
+            assert answers[1:] == [GOLDEN_HIT_BODY] * 2
+            for version in ("HTTP/1.1", "HTTP/1.0"):
+                status, head, answer = await _exchange(
+                    host, port, _post(golden, version, close=version == "HTTP/1.1")
+                )
+                assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+                assert b"Connection: close\r\n" in head
+                assert f"Content-Length: {len(answer)}".encode() in head
+                assert answer == GOLDEN_HIT_BODY
+            assert len(keys) == 1
+            assert _counter("service.requests_predict") == 5
+            assert _counter("memo.hit") == 4
 
         run(lambda: self._with_server(body))

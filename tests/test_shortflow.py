@@ -274,6 +274,21 @@ class TestShortflowRunner:
             10.0, 0.02
         )
 
+    def test_latency_model_may_be_a_kind_string(self):
+        # As the point's formula may; dict("csa00") used to fail the point.
+        point = {
+            "latency_model": {"kind": "csa00"},
+            "formula": "pftk-standard",
+            "transfer_size": 64.0,
+            "loss_event_rate": 0.02,
+        }
+        for rtt in ({}, {"rtt": 0.1}):
+            value = run_shortflow_point({**point, **rtt}, seed=None)
+            assert value == run_shortflow_point(
+                {**point, **rtt, "latency_model": "csa00"}, seed=None
+            )
+        assert value["rtt"] == 0.1
+
     def test_fig_shortflow_preset_shape(self):
         spec = preset("fig-shortflow")
         points = spec.expand()
