@@ -4,9 +4,11 @@ Covers the service core directly (single-flight coalescing and a
 cancelled coalesced requester, cache hits, stats accuracy, the
 batch-vs-``simulate_batch`` differential) and the HTTP front-end over a
 real loopback socket (schema round-trip, malformed request handling,
-routing, the header cap, the request deadline, HTTP/1.0 connections and
-warm hits answered from stored bytes).  No pytest-asyncio:
-each test drives its own event loop with ``asyncio.run``.
+routing, the header cap, the request deadline, HTTP/1.0 connections,
+warm hits answered from stored bytes, a conformance table of raw
+request bytes to exact response bytes, and clients that do not read,
+read slowly or pipeline a flood).  No pytest-asyncio: each test drives
+its own event loop with ``asyncio.run``.
 """
 
 import asyncio
@@ -1069,3 +1071,462 @@ class TestStoredHits:
             assert _counter("memo.hit") == 4
 
         run(lambda: self._with_server(body))
+
+
+# ----------------------------------------------------------------------
+# HTTP conformance: raw request bytes to exact response bytes
+# ----------------------------------------------------------------------
+def _head(*lines):
+    return ("\r\n".join(lines) + "\r\n\r\n").encode()
+
+
+def _predict_raw(body, length=None):
+    length = len(body) if length is None else length
+    return _head(
+        "POST /predict HTTP/1.1", "Host: x", f"Content-Length: {length}"
+    ) + body
+
+
+def _answer(status, reason, body, keep_alive=True):
+    return (
+        f"HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+    ).encode() + body
+
+
+def _error(status, reason, message, keep_alive=False):
+    body = json.dumps({"error": message, "schema_version": 1}).encode()
+    return _answer(status, reason, body, keep_alive)
+
+
+def _bad(message, keep_alive=False):
+    return _error(400, "Bad Request", message, keep_alive)
+
+
+def _pad_headers(count):
+    return [f"X-Pad-{i}: {i}" for i in range(count)]
+
+
+GOLDEN_BODY = json.dumps(GOLDEN_HIT_REQUEST).encode()  # 164 bytes
+BATCH_BODY = json.dumps(dict(BATCH_PAYLOAD, num_events=1000)).encode()
+HEALTHZ = _head("GET /healthz HTTP/1.1", "Host: x")
+HEALTHZ_BODY = b'{"status": "ok", "schema_version": 1}'
+HEALTHZ_ANSWER = _answer(200, "OK", HEALTHZ_BODY)
+NOT_FOUND = _error(404, "Not Found", "no route for /nope", keep_alive=True)
+NOT_ALLOWED = _error(
+    405, "Method Not Allowed", "use GET for /healthz", keep_alive=True
+)
+NOT_JSON = _bad(
+    "request body is not valid JSON: Expecting property name enclosed in "
+    "double quotes: line 1 column 2 (char 1)"
+)
+NOT_IMPLEMENTED = _error(
+    501, "Not Implemented", "Transfer-Encoding is not supported"
+)
+
+#: (id, raw request bytes, whether the client then sends end-of-file,
+#: the responses, whether the connection ended).  A response is its
+#: exact bytes or their SHA-256.  Recorded at commit 97d244b, sent each
+#: of the three ways, except the rows whose id starts with "framing":
+#: that commit answered 200 to a ``Content-Length`` of ``+164`` or
+#: ``1_64``, kept the last of two different ``Content-Length`` values
+#: (a 200 here), read a chunked POST as an empty body (400, not valid
+#: JSON), and answered a chunked GET with a 200 and then a 400
+#: (malformed request line) for the chunk bytes.
+CONFORMANCE = [
+    ("healthz", HEALTHZ, False, [HEALTHZ_ANSWER], False),
+    ("stats", _head("GET /stats HTTP/1.1", "Host: x"), False,
+     ["fabef8af322c89b4ea4b2cb6da9a0adee3d34f655e8ef5ce7bfc02d44bc247ae"],
+     False),
+    ("predict-miss-then-stored-hit", _predict_raw(GOLDEN_BODY) * 2, False,
+     ["6ab0f7be88768150d57a85881b3e5590be0dbe8fa149c56d96238a366d4623c0",
+      "88fdada62d519e8dfb9fdf3a127085fd1844142e6307799ea7bc68b3db2cfc59"],
+     False),
+    ("predict-batch",
+     _head("POST /predict/batch HTTP/1.1",
+           f"Content-Length: {len(BATCH_BODY)}") + BATCH_BODY, False,
+     ["31e4d6612fd24b1f2d3011ec0a738bcce8e8f2ecc30c1b3294a606ae82f23e53"],
+     False),
+    ("not-found", _head("GET /nope HTTP/1.1"), False, [NOT_FOUND], False),
+    ("method-not-allowed", _head("POST /healthz HTTP/1.1"), False,
+     [NOT_ALLOWED], False),
+    ("invalid-json-closes", _predict_raw(b"{not json"), False, [NOT_JSON],
+     True),
+    ("bad-request-keeps-the-connection",
+     _predict_raw(json.dumps(dict(GOLDEN_HIT_REQUEST, seed=-3)).encode()),
+     False,
+     [_bad("invalid SimConfig request: seed must be None or a non-negative "
+           "integer, got -3", keep_alive=True)],
+     False),
+    ("malformed-request-line", _head("GET /healthz", "Host: x"), False,
+     [_bad("malformed request line")], True),
+    ("bad-content-length",
+     _head("POST /predict HTTP/1.1", "Content-Length: abc"), False,
+     [_bad("bad Content-Length: 'abc'")], True),
+    ("negative-content-length",
+     _head("POST /predict HTTP/1.1", "Content-Length: -5"), False,
+     [_bad("negative Content-Length")], True),
+    ("oversized-content-length",
+     _head("POST /predict HTTP/1.1", "Content-Length: 8388609"), False,
+     [_error(413, "Payload Too Large",
+             "body of 8388609 bytes exceeds the limit")], True),
+    ("request-line-of-20-kib",
+     _head("GET /" + "a" * 20 * 1024 + " HTTP/1.1"), False,
+     [_bad("request line too long")], True),
+    ("header-line-of-20-kib",
+     _head("GET /healthz HTTP/1.1", "X-Long: " + "a" * 20 * 1024), False,
+     [_bad("truncated headers")], True),
+    ("request-line-at-the-limit",
+     _head("GET /" + "a" * (16 * 1024 - 14) + " HTTP/1.1"), False,
+     [_error(404, "Not Found", "no route for /" + "a" * (16 * 1024 - 14),
+             keep_alive=True)], False),
+    ("unended-line-two-bytes-past-the-limit", b"G" * (16 * 1024 + 2),
+     False, [_bad("request line too long")], True),
+    ("header-line-at-the-limit",
+     _head("GET /healthz HTTP/1.1", "X: " + "a" * (16 * 1024 - 3)), False,
+     [_bad("header line too long")], True),
+    ("100-headers", _head("GET /healthz HTTP/1.1", *_pad_headers(100)),
+     False, [HEALTHZ_ANSWER], False),
+    ("101-headers", _head("GET /healthz HTTP/1.1", *_pad_headers(101)),
+     False, [_bad("more than 100 headers")], True),
+    ("http10", _head("GET /healthz HTTP/1.0"), False,
+     [_answer(200, "OK", HEALTHZ_BODY, keep_alive=False)], True),
+    ("http10-keep-alive",
+     _head("GET /healthz HTTP/1.0", "Connection: keep-alive"), False,
+     [HEALTHZ_ANSWER], False),
+    ("three-pipelined", HEALTHZ + _head("GET /nope HTTP/1.1") + HEALTHZ,
+     False, [HEALTHZ_ANSWER, NOT_FOUND, HEALTHZ_ANSWER], False),
+    ("405-then-pipelined", _head("POST /healthz HTTP/1.1") + HEALTHZ, False,
+     [NOT_ALLOWED, HEALTHZ_ANSWER], False),
+    ("malformed-then-pipelined", _head("GET /healthz") + HEALTHZ, False,
+     [_bad("malformed request line")], True),
+    ("invalid-json-then-pipelined", _predict_raw(b"{not json") + HEALTHZ,
+     False, [NOT_JSON], True),
+    ("request-then-eof", HEALTHZ, True, [HEALTHZ_ANSWER], True),
+    ("eof-in-request-line", b"GET /heal", True,
+     [_bad("truncated request line")], True),
+    ("eof-in-head", b"GET /healthz HTTP/1.1\r\nHost: x\r\n", True,
+     [_bad("truncated headers")], True),
+    ("eof-in-body", _predict_raw(b'{"seed": 1', length=50), True,
+     [_bad("truncated body")], True),
+    ("framing-content-length-with-plus",
+     _predict_raw(GOLDEN_BODY, length="+164"), False,
+     [_bad("bad Content-Length: '+164'")], True),
+    ("framing-content-length-with-underscore",
+     _predict_raw(GOLDEN_BODY, length="1_64"), False,
+     [_bad("bad Content-Length: '1_64'")], True),
+    ("framing-two-different-content-lengths",
+     _head("GET /healthz HTTP/1.1", "Content-Length: 5",
+           "Content-Length: 0"), False,
+     [_bad("conflicting Content-Length headers")], True),
+    ("two-equal-content-lengths",
+     _head("GET /healthz HTTP/1.1", "Content-Length: 0",
+           "Content-Length: 0"), False, [HEALTHZ_ANSWER], False),
+    ("framing-chunked-predict",
+     _head("POST /predict HTTP/1.1", "Transfer-Encoding: chunked")
+     + b"2\r\n{}\r\n0\r\n\r\n", False, [NOT_IMPLEMENTED], True),
+    ("framing-chunked-healthz",
+     _head("GET /healthz HTTP/1.1", "Transfer-Encoding: chunked")
+     + b"0\r\n\r\n", False, [NOT_IMPLEMENTED], True),
+]
+
+#: The three ways a row is sent: whole, one byte per event-loop turn,
+#: and with its first head short of its last byte for 20 ms.
+WAYS = ("whole", "bytes", "incomplete-head")
+
+
+class _RawClient:
+    """A client on a raw non-blocking socket: a reset from the server
+    loses none of the bytes received before it."""
+
+    def __init__(self, sock, timeout=5.0):
+        self.sock = sock
+        self.timeout = timeout
+        self.data = b""
+        self.closed = False
+
+    @classmethod
+    async def connect(cls, port, rcvbuf=None):
+        sock = socket.socket()
+        if rcvbuf is not None:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(
+            sock, ("127.0.0.1", port)
+        )
+        return cls(sock)
+
+    async def send(self, raw, way="whole"):
+        """Send ``raw`` one of the :data:`WAYS`; False once the server
+        has reset the connection."""
+        if way == "whole":
+            parts = [raw]
+        elif way == "bytes":
+            parts = [raw[i:i + 1] for i in range(len(raw))]
+        else:
+            end = raw.find(b"\r\n\r\n")
+            cut = end + 3 if end >= 0 else len(raw) - 1
+            parts = [raw[:cut], raw[cut:]]
+        loop = asyncio.get_running_loop()
+        for part in parts:
+            try:
+                await loop.sock_sendall(self.sock, part)
+            except (BrokenPipeError, ConnectionResetError):
+                return False
+            await asyncio.sleep(0.02 if way == "incomplete-head" else 0)
+        return True
+
+    async def more(self, size=1 << 16):
+        try:
+            chunk = await asyncio.wait_for(
+                asyncio.get_running_loop().sock_recv(self.sock, size),
+                self.timeout,
+            )
+        except ConnectionResetError:
+            chunk = b""
+        self.closed = not chunk
+        self.data += chunk
+        return bool(chunk)
+
+    async def response(self):
+        """The next whole response; None at end-of-file or a reset."""
+        while b"\r\n\r\n" not in self.data:
+            if self.closed or not await self.more():
+                return None
+        end = self.data.index(b"\r\n\r\n") + 4
+        length = int(self.data.split(b"Content-Length: ")[1].split(b"\r")[0])
+        while len(self.data) < end + length:
+            if self.closed or not await self.more():
+                return None
+        response = self.data[:end + length]
+        self.data = self.data[end + length:]
+        return response
+
+    async def ended(self):
+        """True if the connection ended, False if a probe request is
+        answered; any other bytes are returned as they are."""
+        if not self.closed and not self.data:
+            await self.send(HEALTHZ)
+        answer = await self.response()
+        if answer is None:
+            return self.data or True
+        return False if answer == HEALTHZ_ANSWER else answer
+
+    def close(self):
+        self.sock.close()
+
+
+class FixedClock:
+    """``time`` for the service core: /stats reports a fixed uptime."""
+
+    @staticmethod
+    def time():
+        return 1000.0
+
+
+async def _converse(raw, way, eof, count):
+    """Send one row's bytes to a fresh service; its first ``count``
+    responses and whether the connection ended."""
+    telemetry.reset()
+    service = _service()
+    server = await start_service(service, port=0)
+    client = await _RawClient.connect(server.sockets[0].getsockname()[1])
+    try:
+        await client.send(raw, way)
+        if eof:
+            try:
+                client.sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+        responses = []
+        for _ in range(count):
+            response = await client.response()
+            if response is None:
+                break
+            responses.append(response)
+        return responses, await client.ended()
+    finally:
+        client.close()
+        server.close()
+        await server.wait_closed()
+        service.close()
+
+
+class TestConformance:
+    @pytest.mark.parametrize(
+        "raw, eof, expected, ended",
+        [row[1:] for row in CONFORMANCE],
+        ids=[row[0] for row in CONFORMANCE],
+    )
+    def test_row_reads_the_same_every_way(
+        self, monkeypatch, raw, eof, expected, ended
+    ):
+        monkeypatch.setattr(service_core, "time", FixedClock)
+
+        async def body():
+            for way in WAYS:
+                responses, got_ended = await _converse(
+                    raw, way, eof, len(expected)
+                )
+                shown = [
+                    response if isinstance(want, bytes)
+                    else hashlib.sha256(response).hexdigest()
+                    for response, want in zip(responses, expected)
+                ]
+                assert (shown, got_ended) == (expected, ended), way
+
+        run(body)
+
+
+# ----------------------------------------------------------------------
+# Clients that do not read, read slowly or pipeline a flood
+# ----------------------------------------------------------------------
+class LargeStats:
+    """A service whose /stats body is ``size`` bytes of padding."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def stats(self):
+        return {"blob": "x" * self.size}
+
+
+async def _serving(service, sndbuf=None):
+    """A server for ``service``; ``sndbuf`` caps the kernel send buffer
+    of the connections it accepts, so a response that is not read stays
+    in the server's own buffer."""
+    server = await start_service(service, port=0)
+    if sndbuf is not None:
+        server.sockets[0].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
+    return server, server.sockets[0].getsockname()[1]
+
+
+class TestSlowClients:
+    def test_client_that_never_reads_is_aborted_within_two_deadlines(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(http, "REQUEST_DEADLINE_S", 0.5)
+        size = 1024 * 1024
+
+        async def body():
+            server, port = await _serving(LargeStats(size), sndbuf=16 * 1024)
+            client = await _RawClient.connect(port, rcvbuf=4096)
+            try:
+                await client.send(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+                await asyncio.sleep(2 * http.REQUEST_DEADLINE_S)
+                while await client.more():
+                    pass
+            finally:
+                client.close()
+                server.close()
+                await server.wait_closed()
+            assert client.closed
+            assert len(client.data) < size
+
+        run(body)
+
+    def test_slow_reader_gets_the_whole_response(self, monkeypatch):
+        # 32 KiB every 0.15 s: the output shrinks within every deadline,
+        # though the response takes several deadlines to send.
+        monkeypatch.setattr(http, "REQUEST_DEADLINE_S", 0.5)
+        size = 1024 * 1024
+
+        async def body():
+            server, port = await _serving(LargeStats(size), sndbuf=16 * 1024)
+            client = await _RawClient.connect(port, rcvbuf=64 * 1024)
+            try:
+                started = time.monotonic()
+                await client.send(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+                response = None
+                while response is None:
+                    await asyncio.sleep(0.15)
+                    assert await client.more(32 * 1024)
+                    if b"\r\n\r\n" in client.data:
+                        head, _, payload = client.data.partition(b"\r\n\r\n")
+                        length = int(head.split(b"Content-Length: ")[1]
+                                     .split(b"\r")[0])
+                        if len(payload) == length:
+                            response = payload
+                elapsed = time.monotonic() - started
+            finally:
+                client.close()
+                server.close()
+                await server.wait_closed()
+            assert len(json.loads(response)["blob"]) == size
+            assert elapsed > 4 * http.REQUEST_DEADLINE_S
+
+        run(body)
+
+    def test_idle_connection_closes_a_deadline_after_its_last_response(
+        self, monkeypatch
+    ):
+        # The deadline restarts with each response: a request answered
+        # 0.2 s in moves the close from 0.3 s to about 0.5 s.
+        monkeypatch.setattr(http, "REQUEST_DEADLINE_S", 0.3)
+
+        async def body():
+            service = _service()
+            server, port = await _serving(service)
+            client = await _RawClient.connect(port)
+            try:
+                started = time.monotonic()
+                await asyncio.sleep(0.2)
+                await client.send(HEALTHZ)
+                assert await client.response() == HEALTHZ_ANSWER
+                assert await client.response() is None
+                elapsed = time.monotonic() - started
+            finally:
+                client.close()
+                server.close()
+                await server.wait_closed()
+                service.close()
+            assert 0.45 < elapsed < 1.5
+
+        run(body)
+
+    def test_pipelined_flood_neither_blocks_others_nor_loses_order(self):
+        # 2000 pipelined requests in one write, every 100th a 404 naming
+        # its index; the client reads nothing for 0.5 s.
+        requests = [
+            _head(f"GET /nope-{i} HTTP/1.1") if i % 100 == 99 else HEALTHZ
+            for i in range(2000)
+        ]
+        golden = _predict_raw(GOLDEN_BODY)
+
+        async def body():
+            service = _service()
+            server, port = await _serving(service, sndbuf=16 * 1024)
+            flood = await _RawClient.connect(port, rcvbuf=4096)
+            other = await _RawClient.connect(port)
+            try:
+                await other.send(golden)  # the miss
+                assert json.loads(
+                    (await other.response()).partition(b"\r\n\r\n")[2]
+                )["cache"] == "miss"
+                await flood.send(b"".join(requests))
+                await asyncio.sleep(0.1)
+                started = time.monotonic()
+                await other.send(golden)
+                hit = await other.response()
+                waited = time.monotonic() - started
+                await asyncio.sleep(0.4)
+                responses = [await flood.response() for _ in requests]
+                ended = await flood.ended()
+            finally:
+                flood.close()
+                other.close()
+                server.close()
+                await server.wait_closed()
+                service.close()
+            assert hit.endswith(b"\r\n\r\n" + GOLDEN_HIT_BODY)
+            assert waited < 0.4
+            for i, response in enumerate(responses):
+                assert response == (
+                    _error(404, "Not Found", f"no route for /nope-{i}",
+                           keep_alive=True)
+                    if i % 100 == 99 else HEALTHZ_ANSWER
+                ), i
+            assert ended is False
+
+        run(body)
