@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..core.estimator import tfrc_weights, uniform_weights
+from ..core.estimator import check_history_length, tfrc_weights, uniform_weights
 
 __all__ = [
     "WeightProfile",
@@ -54,10 +54,8 @@ class TfrcWeightProfile(WeightProfile):
     history_length: int = 8
 
     def __post_init__(self) -> None:
-        if self.history_length < 1:
-            raise ValueError(
-                f"history_length must be >= 1, got {self.history_length}"
-            )
+        length = check_history_length(self.history_length)
+        object.__setattr__(self, "history_length", length)
 
     def weights(self) -> np.ndarray:
         return tfrc_weights(self.history_length)
@@ -70,10 +68,8 @@ class UniformWeightProfile(WeightProfile):
     history_length: int = 8
 
     def __post_init__(self) -> None:
-        if self.history_length < 1:
-            raise ValueError(
-                f"history_length must be >= 1, got {self.history_length}"
-            )
+        length = check_history_length(self.history_length)
+        object.__setattr__(self, "history_length", length)
 
     def weights(self) -> np.ndarray:
         return uniform_weights(self.history_length)

@@ -53,6 +53,7 @@ from typing import (
 import numpy as np
 
 from .. import telemetry
+from ..core.estimator import check_history_length
 from ..lossprocess.base import check_seed, derive_point_seed, make_rng
 from ..lossprocess.iid import ShiftedExponentialIntervals
 # Unused here; bound so perfbench's traced pass can still wrap them by name.
@@ -210,7 +211,7 @@ class SimConfig:
     def resolve_profile(self):
         if self.profile is not None:
             return WEIGHT_PROFILES.from_config(self.profile)
-        length = 8 if self.history_length is None else int(self.history_length)
+        length = 8 if self.history_length is None else self.history_length
         return TfrcWeightProfile(history_length=length)
 
     # ------------------------------------------------------------------
@@ -419,8 +420,11 @@ class BatchConfig:
         ``profile`` is any :data:`~repro.api.WEIGHT_PROFILES` reference;
         the parametric kinds (``tfrc``, ``uniform``) take their window
         length from the batch's ``history_lengths`` axis, while a fixed
-        profile (e.g. ``custom``) must match it.
+        profile (e.g. ``custom``) must match it.  Either way the axis
+        value must be an integer (:func:`~repro.core.estimator.
+        check_history_length`).
         """
+        check_history_length(history_length)
         config = self.profile
         if isinstance(config, str):
             config = {"kind": config}
@@ -584,7 +588,7 @@ def simulate_batch(
         shared_noise=shared,
     ) as batch_span:
         windows = [
-            _window(config.profile_for(int(length)))
+            _window(config.profile_for(length))
             for length in config.history_lengths
         ]
         batch.results = _evaluate_grid(

@@ -217,7 +217,7 @@ def _command_simulate(arguments: argparse.Namespace) -> int:
                     None if loss_process else [float(cv) for cv in arguments.cvs]
                 ),
                 loss_processes=[loss_process] if loss_process else None,
-                history_lengths=[int(window) for window in arguments.windows],
+                history_lengths=arguments.windows,
                 control=arguments.control,
                 method=arguments.method,
                 num_events=arguments.events,

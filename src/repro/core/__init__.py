@@ -60,7 +60,6 @@ from .friendliness import (
 from .throughput import (
     ThroughputDecomposition,
     decompose_throughput,
-    proposition3_correction,
 )
 
 __all__ = [
@@ -91,7 +90,6 @@ __all__ = [
     # throughput
     "ThroughputDecomposition",
     "decompose_throughput",
-    "proposition3_correction",
     # convexity
     "ConvexityReport",
     "analyze_formula_convexity",

@@ -14,6 +14,7 @@ of the maximum.
 This module provides:
 
 * :func:`tfrc_weights` and :func:`uniform_weights` -- weight profiles,
+  whose window length passes :func:`check_history_length`,
 * :class:`MovingAverageEstimator` -- the estimator itself, in both its
   "at loss events" form (equation (2)) and the "between loss events" form
   used by the comprehensive control (equation (4), including the
@@ -24,18 +25,35 @@ This module provides:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "check_history_length",
     "tfrc_weights",
     "uniform_weights",
     "MovingAverageEstimator",
     "EstimatorTrace",
     "estimate_series",
 ]
+
+
+def check_history_length(history_length: int) -> int:
+    """Return a window length ``L`` as an ``int``, or raise ``ValueError``.
+
+    ``L`` must be an integer of at least one; a float, a string or a bool
+    is rejected rather than truncated.
+    """
+    if isinstance(history_length, bool) or not isinstance(
+        history_length, numbers.Integral
+    ):
+        raise ValueError(f"history_length must be an integer, got {history_length!r}")
+    if history_length < 1:
+        raise ValueError(f"history_length must be >= 1, got {history_length}")
+    return int(history_length)
 
 
 def tfrc_weights(history_length: int) -> np.ndarray:
@@ -53,9 +71,7 @@ def tfrc_weights(history_length: int) -> np.ndarray:
     history_length:
         The window length ``L``; must be a positive integer.
     """
-    if history_length < 1:
-        raise ValueError(f"history_length must be >= 1, got {history_length}")
-    length = int(history_length)
+    length = check_history_length(history_length)
     half = length // 2
     raw = np.ones(length, dtype=float)
     tail = length - half
@@ -71,9 +87,8 @@ def tfrc_weights(history_length: int) -> np.ndarray:
 
 def uniform_weights(history_length: int) -> np.ndarray:
     """Return equal weights ``w_l = 1/L`` (the plain moving average)."""
-    if history_length < 1:
-        raise ValueError(f"history_length must be >= 1, got {history_length}")
-    return np.full(int(history_length), 1.0 / int(history_length))
+    length = check_history_length(history_length)
+    return np.full(length, 1.0 / length)
 
 
 @dataclass

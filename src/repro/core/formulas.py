@@ -32,7 +32,16 @@ mappings used throughout the analysis:
 * ``g(x) = 1 / f(1/x)``       -- the functional whose convexity governs
   conservativeness (Theorem 1),
 * first and second derivatives of ``f`` and ``g`` (used by the bound (10)
-  and by the convexity diagnostics in :mod:`repro.core.convexity`).
+  and by the convexity diagnostics in :mod:`repro.core.convexity`),
+* ``growth_time(lower, upper)`` -- the integral of ``g`` over
+  ``[lower, upper]``: the time ODE (16) takes to grow the comprehensive
+  control's estimate, from which Proposition 3's correction follows.
+
+Each formula class carries its own closed forms (``_g``,
+``growth_time``) and inherits the generic ones, so no kernel dispatches
+on a formula's type.  A formula rejects a non-finite parameter, and a
+non-positive ``rtt``, ``rto``, ``c1`` or ``c2`` once the defaults are
+filled in.
 
 Constants follow the paper: ``c1 = sqrt(2 b / 3)`` and
 ``c2 = (3 / 2) * sqrt(3 b / 2)`` with ``b`` the number of packets covered by
@@ -42,6 +51,7 @@ one acknowledgment (``b = 2`` by default, as in practice).
 from __future__ import annotations
 
 import abc
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -57,6 +67,7 @@ __all__ = [
     "PftkSimplifiedFormula",
     "AimdFormula",
     "Msmo97Formula",
+    "check_parameters",
     "default_c1",
     "default_c2",
 ]
@@ -83,9 +94,36 @@ def default_c2(b: int = 2) -> float:
     return 1.5 * math.sqrt(3.0 * b / 2.0)
 
 
+#: Trapezoid points of the generic ``growth_time``, as in the loop oracle.
+_ODE_STEPS = 256
+
+#: Elements per pass of the generic ``growth_time``: bounds its
+#: ``(_ODE_STEPS, chunk)`` grids to a few MiB each.
+_ODE_CHUNK = 2048
+
+#: Parameters that must be positive once the defaults are filled in.
+_POSITIVE_PARAMETERS = ("rtt", "rto", "c1", "c2")
+
+
 def _as_array(p: ArrayLike) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     return arr
+
+
+def check_parameters(component) -> None:
+    """Reject a non-finite field of a dataclass component, and a
+    non-positive ``rtt``, ``rto``, ``c1`` or ``c2``.
+
+    Run after the fill-ins: JSON decoders read ``NaN``, ``Infinity`` and
+    ``1e999``, and a non-finite parameter would otherwise yield ``nan``
+    rates rather than an error.
+    """
+    for item in dataclasses.fields(component):
+        value = getattr(component, item.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{item.name} must be finite, got {value}")
+        if item.name in _POSITIVE_PARAMETERS and value <= 0.0:
+            raise ValueError(f"{item.name} must be positive, got {value}")
 
 
 def _validate_loss_rate(p: np.ndarray) -> None:
@@ -154,8 +192,32 @@ class LossThroughputFormula(abc.ABC):
         x_arr = _as_array(x)
         if (x_arr <= 0.0).any():
             raise ValueError("loss-event interval x must be strictly positive")
-        result = 1.0 / self.rate(1.0 / x_arr)
+        if not np.isfinite(x_arr).all():
+            raise ValueError("loss-event interval x must be finite")
+        result = self._g(x_arr)
         return result if isinstance(x, np.ndarray) else float(result)
+
+    def _g(self, x: np.ndarray) -> np.ndarray:
+        """``g`` on a positive array; formulas with a direct form override it."""
+        return 1.0 / self.rate(1.0 / x)
+
+    def growth_time(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Return the integral of ``g`` from ``lower`` to ``upper``, elementwise.
+
+        ``w1`` times the time ODE (16) takes to grow the comprehensive
+        control's estimate from ``lower`` to ``upper`` (1-D arrays).  The
+        generic form is the loop oracle's ``_ODE_STEPS``-point trapezoid,
+        ``_ODE_CHUNK`` elements at a time; closed forms override it.
+        """
+        integrals = np.empty_like(lower)
+        for start in range(0, lower.size, _ODE_CHUNK):
+            chunk = slice(start, start + _ODE_CHUNK)
+            grid = np.linspace(lower[chunk], upper[chunk], _ODE_STEPS, axis=0)
+            # g as the loop oracle evaluates it, not _g, which differs in
+            # the last bits: values stay equal to those stores already hold.
+            inverse_rate = 1.0 / self.rate_of_interval(grid)
+            integrals[chunk] = np.trapezoid(inverse_rate, grid, axis=0)
+        return integrals
 
     def g_second_derivative(self, x: ArrayLike, step: float = 1e-4) -> ArrayLike:
         """Numerically estimate ``g''(x)`` with a central difference.
@@ -222,8 +284,40 @@ class LossThroughputFormula(abc.ABC):
         return 0.5 * (low + high)
 
 
+class _InverseSqrtFormula(LossThroughputFormula):
+    """The inverse-square-root law ``f(p) = k / (scale * sqrt(p))``.
+
+    :class:`SqrtFormula`, :class:`AimdFormula` and :class:`Msmo97Formula`
+    differ only in ``k`` (:attr:`constant`) and ``scale``; the rate, its
+    derivative and ``g(x) = scale / (k sqrt(x))`` are written once here.
+    """
+
+    #: ``k``; AIMD and MSMO97 derive theirs from their parameters.
+    constant = 1.0
+
+    @property
+    def scale(self) -> float:
+        """``scale``: the round-trip time, times ``c1`` for SQRT."""
+        return self.rtt
+
+    def rate(self, p: ArrayLike) -> ArrayLike:
+        p_arr = _as_array(p)
+        _validate_loss_rate(p_arr)
+        result = self.constant / (self.scale * np.sqrt(p_arr))
+        return result if isinstance(p, np.ndarray) else float(result)
+
+    def rate_derivative(self, p: ArrayLike) -> ArrayLike:
+        p_arr = _as_array(p)
+        _validate_loss_rate(p_arr)
+        result = -0.5 * self.constant / (self.scale * p_arr**1.5)
+        return result if isinstance(p, np.ndarray) else float(result)
+
+    def _g(self, x: np.ndarray) -> np.ndarray:
+        return self.scale / (self.constant * np.sqrt(x))
+
+
 @dataclass(frozen=True)
-class SqrtFormula(LossThroughputFormula):
+class SqrtFormula(_InverseSqrtFormula):
     """The square-root loss-throughput formula (equation (5) of the paper).
 
     ``f(p) = 1 / (c1 * r * sqrt(p))`` with ``c1 = sqrt(2 b / 3)``.
@@ -238,36 +332,26 @@ class SqrtFormula(LossThroughputFormula):
     c1: float = field(default=0.0)
 
     def __post_init__(self) -> None:
-        if self.rtt <= 0.0:
-            raise ValueError(f"rtt must be positive, got {self.rtt}")
         # lint: allow[hygiene-float-eq] 0.0 is the exact fill-in sentinel
         if self.c1 == 0.0:
             object.__setattr__(self, "c1", default_c1(self.b))
+        check_parameters(self)
 
-    def rate(self, p: ArrayLike) -> ArrayLike:
-        p_arr = _as_array(p)
-        _validate_loss_rate(p_arr)
-        result = 1.0 / (self.c1 * self.rtt * np.sqrt(p_arr))
-        return result if isinstance(p, np.ndarray) else float(result)
+    @property
+    def scale(self) -> float:
+        return self.c1 * self.rtt
 
-    def rate_derivative(self, p: ArrayLike) -> ArrayLike:
-        p_arr = _as_array(p)
-        _validate_loss_rate(p_arr)
-        result = -0.5 / (self.c1 * self.rtt * p_arr**1.5)
-        return result if isinstance(p, np.ndarray) else float(result)
+    def growth_time(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Proposition 3's closed form: ``2 c1 r (sqrt(upper) - sqrt(lower))``."""
+        c1r = self.c1 * self.rtt
+        return 2.0 * c1r * (np.sqrt(upper) - np.sqrt(lower))
 
 
 @dataclass(frozen=True)
-class PftkStandardFormula(LossThroughputFormula):
-    """The PFTK throughput formula (equation (6) of the paper).
-
-    ``f(p) = 1 / (c1 r sqrt(p) + q min(1, c2 sqrt(p)) (p + 32 p^3))``.
-
-    ``q`` is the TCP retransmission timeout; the TFRC recommendation is
-    ``q = 4 r`` which is the default here.  Because of the ``min`` term,
-    ``x -> 1/f(1/x)`` is *almost* convex: the deviation-from-convexity ratio
-    is about 1.0026 (Figure 2 / Proposition 4).
-    """
+class _PftkFormula(LossThroughputFormula):
+    """The parameters and the rate ``1 / denominator(p)`` of the two PFTK
+    formulas.  ``q`` (``rto``) is the TCP retransmission timeout; the
+    TFRC recommendation ``q = 4 r`` is the default."""
 
     rtt: float = 1.0
     rto: float = -1.0
@@ -276,8 +360,6 @@ class PftkStandardFormula(LossThroughputFormula):
     c2: float = field(default=0.0)
 
     def __post_init__(self) -> None:
-        if self.rtt <= 0.0:
-            raise ValueError(f"rtt must be positive, got {self.rtt}")
         if self.rto <= 0.0:
             object.__setattr__(self, "rto", 4.0 * self.rtt)
         # lint: allow[hygiene-float-eq] 0.0 is the exact fill-in sentinel
@@ -286,17 +368,34 @@ class PftkStandardFormula(LossThroughputFormula):
         # lint: allow[hygiene-float-eq] 0.0 is the exact fill-in sentinel
         if self.c2 == 0.0:
             object.__setattr__(self, "c2", default_c2(self.b))
+        check_parameters(self)
 
+    @abc.abstractmethod
     def _denominator(self, p: np.ndarray) -> np.ndarray:
-        sqrt_p = np.sqrt(p)
-        timeout_term = np.minimum(1.0, self.c2 * sqrt_p) * (p + 32.0 * p**3)
-        return self.c1 * self.rtt * sqrt_p + self.rto * timeout_term
+        """``1 / f(p)``."""
 
     def rate(self, p: ArrayLike) -> ArrayLike:
         p_arr = _as_array(p)
         _validate_loss_rate(p_arr)
         result = 1.0 / self._denominator(p_arr)
         return result if isinstance(p, np.ndarray) else float(result)
+
+
+@dataclass(frozen=True)
+class PftkStandardFormula(_PftkFormula):
+    """The PFTK throughput formula (equation (6) of the paper).
+
+    ``f(p) = 1 / (c1 r sqrt(p) + q min(1, c2 sqrt(p)) (p + 32 p^3))``.
+
+    Because of the ``min`` term, ``x -> 1/f(1/x)`` is *almost* convex:
+    the deviation-from-convexity ratio is about 1.0026 (Figure 2 /
+    Proposition 4).
+    """
+
+    def _denominator(self, p: np.ndarray) -> np.ndarray:
+        sqrt_p = np.sqrt(p)
+        timeout_term = np.minimum(1.0, self.c2 * sqrt_p) * (p + 32.0 * p**3)
+        return self.c1 * self.rtt * sqrt_p + self.rto * timeout_term
 
     def rate_derivative(self, p: ArrayLike) -> ArrayLike:
         p_arr = _as_array(p)
@@ -315,9 +414,18 @@ class PftkStandardFormula(LossThroughputFormula):
         result = -denom_prime / denom**2
         return result if isinstance(p, np.ndarray) else float(result)
 
+    def _g(self, x: np.ndarray) -> np.ndarray:
+        # The denominator at p = s^2 by multiplication chains in
+        # s = x^{-1/2}, without fractional powers.
+        s = 1.0 / np.sqrt(x)
+        u = s * s
+        return self.c1 * self.rtt * s + self.rto * np.minimum(1.0, self.c2 * s) * (
+            u + 32.0 * u * u * u
+        )
+
 
 @dataclass(frozen=True)
-class PftkSimplifiedFormula(LossThroughputFormula):
+class PftkSimplifiedFormula(_PftkFormula):
     """The simplified PFTK formula recommended by TFRC (equation (7)).
 
     ``f(p) = 1 / (c1 r sqrt(p) + q c2 (p^{3/2} + 32 p^{7/2}))``.
@@ -328,34 +436,10 @@ class PftkSimplifiedFormula(LossThroughputFormula):
     simplified formula is smaller.
     """
 
-    rtt: float = 1.0
-    rto: float = -1.0
-    b: int = 2
-    c1: float = field(default=0.0)
-    c2: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        if self.rtt <= 0.0:
-            raise ValueError(f"rtt must be positive, got {self.rtt}")
-        if self.rto <= 0.0:
-            object.__setattr__(self, "rto", 4.0 * self.rtt)
-        # lint: allow[hygiene-float-eq] 0.0 is the exact fill-in sentinel
-        if self.c1 == 0.0:
-            object.__setattr__(self, "c1", default_c1(self.b))
-        # lint: allow[hygiene-float-eq] 0.0 is the exact fill-in sentinel
-        if self.c2 == 0.0:
-            object.__setattr__(self, "c2", default_c2(self.b))
-
     def _denominator(self, p: np.ndarray) -> np.ndarray:
         return self.c1 * self.rtt * np.sqrt(p) + self.rto * self.c2 * (
             p**1.5 + 32.0 * p**3.5
         )
-
-    def rate(self, p: ArrayLike) -> ArrayLike:
-        p_arr = _as_array(p)
-        _validate_loss_rate(p_arr)
-        result = 1.0 / self._denominator(p_arr)
-        return result if isinstance(p, np.ndarray) else float(result)
 
     def rate_derivative(self, p: ArrayLike) -> ArrayLike:
         p_arr = _as_array(p)
@@ -367,9 +451,25 @@ class PftkSimplifiedFormula(LossThroughputFormula):
         result = -denom_prime / denom**2
         return result if isinstance(p, np.ndarray) else float(result)
 
+    def _g(self, x: np.ndarray) -> np.ndarray:
+        # As PFTK-standard's, without the min term.
+        s = 1.0 / np.sqrt(x)
+        s3 = s * s * s
+        return self.c1 * self.rtt * s + self.rto * self.c2 * (s3 + 32.0 * s3 * s3 * s)
+
+    def growth_time(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Proposition 3's closed form of the integral of ``g``."""
+        c1r = self.c1 * self.rtt
+        c2q = self.c2 * self.rto
+        return (
+            2.0 * c1r * (np.sqrt(upper) - np.sqrt(lower))
+            - 2.0 * c2q * (upper**-0.5 - lower**-0.5)
+            - (64.0 / 5.0) * c2q * (upper**-2.5 - lower**-2.5)
+        )
+
 
 @dataclass(frozen=True)
-class AimdFormula(LossThroughputFormula):
+class AimdFormula(_InverseSqrtFormula):
     """Loss-throughput formula of an AIMD(alpha, beta) source.
 
     ``f(p) = sqrt(alpha (1 + beta) / (2 (1 - beta))) / (r sqrt(p))``
@@ -388,29 +488,16 @@ class AimdFormula(LossThroughputFormula):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if self.rtt <= 0.0:
-            raise ValueError(f"rtt must be positive, got {self.rtt}")
+        check_parameters(self)
 
     @property
     def constant(self) -> float:
         """The constant ``sqrt(alpha (1 + beta) / (2 (1 - beta)))``."""
         return math.sqrt(self.alpha * (1.0 + self.beta) / (2.0 * (1.0 - self.beta)))
 
-    def rate(self, p: ArrayLike) -> ArrayLike:
-        p_arr = _as_array(p)
-        _validate_loss_rate(p_arr)
-        result = self.constant / (self.rtt * np.sqrt(p_arr))
-        return result if isinstance(p, np.ndarray) else float(result)
-
-    def rate_derivative(self, p: ArrayLike) -> ArrayLike:
-        p_arr = _as_array(p)
-        _validate_loss_rate(p_arr)
-        result = -0.5 * self.constant / (self.rtt * p_arr**1.5)
-        return result if isinstance(p, np.ndarray) else float(result)
-
 
 @dataclass(frozen=True)
-class Msmo97Formula(LossThroughputFormula):
+class Msmo97Formula(_InverseSqrtFormula):
     """The MSMO97 (Mathis-Semke-Mahdavi-Ott) macroscopic TCP model.
 
     ``f(p) = sqrt(3 / (2 b)) / (r * sqrt(p))``
@@ -429,24 +516,11 @@ class Msmo97Formula(LossThroughputFormula):
     b: int = 1
 
     def __post_init__(self) -> None:
-        if self.rtt <= 0.0:
-            raise ValueError(f"rtt must be positive, got {self.rtt}")
         if self.b <= 0:
             raise ValueError(f"b must be positive, got {self.b}")
+        check_parameters(self)
 
     @property
     def constant(self) -> float:
         """The MSS-free Mathis constant ``sqrt(3 / (2 b))``."""
         return math.sqrt(3.0 / (2.0 * self.b))
-
-    def rate(self, p: ArrayLike) -> ArrayLike:
-        p_arr = _as_array(p)
-        _validate_loss_rate(p_arr)
-        result = self.constant / (self.rtt * np.sqrt(p_arr))
-        return result if isinstance(p, np.ndarray) else float(result)
-
-    def rate_derivative(self, p: ArrayLike) -> ArrayLike:
-        p_arr = _as_array(p)
-        _validate_loss_rate(p_arr)
-        result = -0.5 * self.constant / (self.rtt * p_arr**1.5)
-        return result if isinstance(p, np.ndarray) else float(result)

@@ -64,6 +64,8 @@ from typing import Dict, Union
 
 import numpy as np
 
+from .formulas import check_parameters
+
 ArrayLike = Union[float, np.ndarray]
 
 __all__ = ["LatencyModel", "Csa00LatencyModel"]
@@ -127,7 +129,8 @@ class Csa00LatencyModel(LatencyModel):
         Mean round-trip time in seconds.
     rto:
         Retransmission timeout in seconds; a non-positive value is
-        filled in as ``2 * rtt``.
+        filled in as ``2 * rtt``.  Like a formula, the model rejects a
+        non-finite parameter and a non-positive ``rtt`` or ``rto``.
     initial_window:
         Deterministic initial congestion window ``w1`` in packets
         (default 2; the reference implementations draw it at random,
@@ -156,10 +159,9 @@ class Csa00LatencyModel(LatencyModel):
     delayed_ack: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.rtt <= 0.0:
-            raise ValueError(f"rtt must be positive, got {self.rtt}")
         if self.rto <= 0.0:
             object.__setattr__(self, "rto", 2.0 * self.rtt)
+        check_parameters(self)
         if self.initial_window < 1 or self.initial_window != int(self.initial_window):
             raise ValueError(
                 f"initial_window must be a positive integer, got "

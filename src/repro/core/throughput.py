@@ -10,19 +10,21 @@ Palm expectations of functions of the loss-event intervals:
 * **Proposition 2** (comprehensive control, lower bound): the comprehensive
   control's throughput is at least the right-hand side above.
 
-* **Proposition 3** (comprehensive control, SQRT / PFTK-simplified)::
+* **Proposition 3** (comprehensive control)::
 
       E[X(0)] = E[theta_0] / ( E[ theta_0 / f(1/theta_hat_0) ]
                                - E[ V_0 1{theta_hat_1 > theta_hat_0} ] )
 
-  with the closed-form correction term ``V_n`` given in the paper.
+  with the correction term ``V_n`` of the paper: a closed form for SQRT
+  and PFTK-simplified, ODE (16) integrated for any other formula.
 
 The expressions are evaluated from *samples* of the joint law of
 ``(theta_0, theta_hat_0, theta_hat_1)`` in one place,
 :func:`repro.montecarlo.vectorized_analytic.basic_throughput_rows` and
 :func:`~repro.montecarlo.vectorized_analytic.comprehensive_throughput_rows`
-(a 1-D sample is one row).  This module keeps the closed-form
-Proposition 3 correction they apply, and the decomposition of
+(a 1-D sample is one row); the correction is
+:func:`repro.montecarlo.vectorized.growth_corrections`, from each
+formula's own ``growth_time``.  This module keeps the decomposition of
 Proposition 1's comment (the convexity term and the covariance term),
 because it is what Claim 1 reasons about.
 """
@@ -34,15 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .formulas import (
-    LossThroughputFormula,
-    PftkSimplifiedFormula,
-    SqrtFormula,
-)
+from .formulas import LossThroughputFormula
 
 __all__ = [
     "ThroughputDecomposition",
-    "proposition3_correction",
     "decompose_throughput",
 ]
 
@@ -54,52 +51,6 @@ def _validate_samples(intervals: np.ndarray, estimates: np.ndarray) -> None:
         raise ValueError("samples must be non-empty 1-D arrays")
     if np.any(intervals <= 0.0) or np.any(estimates <= 0.0):
         raise ValueError("intervals and estimates must be strictly positive")
-
-
-def proposition3_correction(
-    formula: LossThroughputFormula,
-    estimates_now: Sequence[float],
-    estimates_next: Sequence[float],
-    first_weight: float,
-) -> np.ndarray:
-    """Return the per-sample correction ``V_n 1{theta_hat_{n+1} > theta_hat_n}``.
-
-    ``V_n`` is defined in Proposition 3 for the SQRT (``c2 = 0``) and
-    PFTK-simplified formulas::
-
-        V_n = (1/w1) [ -2 c1 r (th_{n+1}^{1/2} - th_n^{1/2})
-                       + 2 c2 q (th_{n+1}^{-1/2} - th_n^{-1/2})
-                       + (64/5) c2 q (th_{n+1}^{-5/2} - th_n^{-5/2})
-                       + (th_{n+1} - th_n) / f(1/th_n) ]
-
-    Parameters
-    ----------
-    formula:
-        SQRT or PFTK-simplified formula.
-    estimates_now, estimates_next:
-        Samples of ``theta_hat_n`` and ``theta_hat_{n+1}``.
-    first_weight:
-        The estimator's first weight ``w_1``.
-    """
-    if not isinstance(formula, (SqrtFormula, PftkSimplifiedFormula)):
-        raise TypeError(
-            "Proposition 3 is stated for SQRT and PFTK-simplified formulas only"
-        )
-    if first_weight <= 0.0:
-        raise ValueError("first_weight must be positive")
-    now = np.asarray(estimates_now, dtype=float)
-    nxt = np.asarray(estimates_next, dtype=float)
-    _validate_samples(now, nxt)
-    c1r = formula.c1 * formula.rtt
-    c2q = formula.c2 * formula.rto if isinstance(formula, PftkSimplifiedFormula) else 0.0
-    rate_now = np.asarray(formula.rate_of_interval(now), dtype=float)
-    correction = (
-        -2.0 * c1r * (np.sqrt(nxt) - np.sqrt(now))
-        + 2.0 * c2q * (nxt**-0.5 - now**-0.5)
-        + (64.0 / 5.0) * c2q * (nxt**-2.5 - now**-2.5)
-        + (nxt - now) / rate_now
-    ) / first_weight
-    return np.where(nxt > now, correction, 0.0)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ wrappers.  Figures 3 and 4 are grids of such points, run as
 from .basic import BasicControlResult, simulate_basic_control
 from .comprehensive import ComprehensiveControlResult, simulate_comprehensive_control
 from .vectorized import (
+    growth_corrections,
     vectorized_control_summaries,
     vectorized_control_trace,
 )
@@ -20,14 +21,13 @@ from .vectorized_analytic import (
     analytic_window_estimates,
     basic_throughput_rows,
     comprehensive_throughput_rows,
-    inverse_rate_of_interval,
     stratified_representatives,
 )
 
 __all__ = [
     "vectorized_control_trace",
     "vectorized_control_summaries",
-    "inverse_rate_of_interval",
+    "growth_corrections",
     "analytic_window_estimates",
     "basic_throughput_rows",
     "comprehensive_throughput_rows",

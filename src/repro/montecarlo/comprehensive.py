@@ -6,10 +6,11 @@ sequence, a one-row call into the vectorised kernel of
 :mod:`repro.montecarlo.vectorized`, with
 :class:`~repro.core.control.ComprehensiveControl` as its test oracle.
 Proposition 3's exact throughput expression (i.i.d. loss processes,
-SQRT or PFTK-simplified formulas) is evaluated by
+any formula) is evaluated by
 ``repro.api.simulate(SimConfig(method="analytic", control="comprehensive",
 ...))`` over :func:`~repro.montecarlo.vectorized_analytic.
-comprehensive_throughput_rows`.
+comprehensive_throughput_rows`, which subtracts the same correction
+``V_0`` as the control kernel.
 """
 
 from __future__ import annotations

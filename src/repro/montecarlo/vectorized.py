@@ -6,9 +6,12 @@ evaluated in whole-array numpy passes.
 * the comprehensive control's provisional estimate
   ``max(w1 theta_n + sum_{l>=2} w_l theta_{n-l+1}, theta_hat_n)`` is the
   *same* sliding product shifted by one position, and
-* its duration correction is elementwise: Proposition 3's closed form for
-  SQRT and PFTK-simplified, otherwise ODE (16) integrated over fixed-size
-  chunks of the growing elements, so memory stays linear in run length.
+* its duration correction is elementwise, :func:`growth_corrections`:
+  Proposition 3's ``V`` from the formula's own ``growth_time`` (a closed
+  form for SQRT and PFTK-simplified, ODE (16) integrated otherwise),
+  evaluated only where the estimate grows.  The analytic Proposition 3
+  kernel of :mod:`repro.montecarlo.vectorized_analytic` subtracts the
+  same corrections, so the two paths cannot disagree on ``V``.
 
 :func:`repro.api.simulate_batch` stacks many grid points as rows of one
 interval matrix, and :func:`repro.api.simulate` is the same evaluator
@@ -30,14 +33,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import telemetry
 from ..core.control import ControlTrace
-from ..core.formulas import (
-    LossThroughputFormula,
-    PftkSimplifiedFormula,
-    SqrtFormula,
-)
+from ..core.formulas import LossThroughputFormula
 
 __all__ = [
     "sliding_estimates",
+    "growth_corrections",
     "evaluate_control_arrays",
     "summarize_rows",
     "vectorized_control_trace",
@@ -49,10 +49,6 @@ _GROWTH_EPSILON = 1e-15
 
 #: Duration floor, identical to the loop implementation's.
 _DURATION_FLOOR = 1e-12
-
-#: Growing elements integrated per pass of the generic-formula ODE
-#: fallback; bounds its ``(ode_steps, chunk)`` grids to a few MiB each.
-_ODE_CHUNK = 2048
 
 
 def _normalized_weights(weights: Sequence[float]) -> np.ndarray:
@@ -110,6 +106,33 @@ def sliding_estimates(
     return kept, estimates, candidates
 
 
+def growth_corrections(
+    formula: LossThroughputFormula,
+    estimates: np.ndarray,
+    next_estimates: np.ndarray,
+    rates: np.ndarray,
+    w1: float,
+) -> np.ndarray:
+    """Return Proposition 3's ``V 1{theta_hat' > theta_hat}`` elementwise.
+
+    ``V`` is the time the comprehensive control saves on an interval
+    whose estimate grows from ``theta_hat`` to ``theta_hat'``, where the
+    basic control keeps sending at ``rates = f(1/theta_hat)``::
+
+        V = (theta_hat' - theta_hat) / (w1 f(1/theta_hat))
+            - growth_time(theta_hat, theta_hat') / w1
+
+    Only where the estimate grows by more than the loop oracle's
+    tolerance is ``V`` evaluated; elsewhere the correction is zero.
+    """
+    grows = next_estimates > estimates + _GROWTH_EPSILON
+    lower, upper = estimates[grows], next_estimates[grows]
+    linear_time = (upper - lower) / (w1 * rates[grows])
+    corrections = np.zeros_like(estimates)
+    corrections[grows] = linear_time - formula.growth_time(lower, upper) / w1
+    return corrections
+
+
 def evaluate_control_arrays(
     formula: LossThroughputFormula,
     kept: np.ndarray,
@@ -117,7 +140,6 @@ def evaluate_control_arrays(
     candidates: Optional[np.ndarray],
     w1: float,
     comprehensive: bool = False,
-    ode_steps: int = 256,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Return ``(rates, durations)`` arrays for the requested control.
 
@@ -134,7 +156,7 @@ def evaluate_control_arrays(
         items=np.size(kept),
     ):
         return _evaluate_control_arrays(
-            formula, kept, estimates, candidates, w1, comprehensive, ode_steps
+            formula, kept, estimates, candidates, w1, comprehensive
         )
 
 
@@ -145,47 +167,18 @@ def _evaluate_control_arrays(
     candidates: Optional[np.ndarray],
     w1: float,
     comprehensive: bool,
-    ode_steps: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     rates = np.asarray(formula.rate_of_interval(estimates), dtype=float)
     durations = kept / rates
     if not comprehensive:
         return rates, durations
     assert candidates is not None
-    next_estimates = np.maximum(candidates, estimates)
-    grows = next_estimates > estimates + _GROWTH_EPSILON
-    if not np.any(grows):
-        return rates, durations
-    if isinstance(formula, (SqrtFormula, PftkSimplifiedFormula)):
-        c1r = formula.c1 * formula.rtt
-        c2q = (
-            formula.c2 * formula.rto
-            if isinstance(formula, PftkSimplifiedFormula)
-            else 0.0
-        )
-        growth_time = (
-            2.0 * c1r * (np.sqrt(next_estimates) - np.sqrt(estimates))
-            - 2.0 * c2q * (next_estimates**-0.5 - estimates**-0.5)
-            - (64.0 / 5.0) * c2q * (next_estimates**-2.5 - estimates**-2.5)
-        ) / w1
-    else:
-        # Integrate the growth phase of ODE (16) with the same trapezoid
-        # rule as the loop implementation, only where the estimate grows
-        # and one linspace axis per chunk of those elements.
-        lower, upper = estimates[grows], next_estimates[grows]
-        integrals = np.empty_like(lower)
-        for start in range(0, lower.size, _ODE_CHUNK):
-            chunk = slice(start, start + _ODE_CHUNK)
-            grid = np.linspace(lower[chunk], upper[chunk], ode_steps, axis=0)
-            inverse_rate = 1.0 / np.asarray(
-                formula.rate_of_interval(grid), dtype=float
-            )
-            integrals[chunk] = np.trapezoid(inverse_rate, grid, axis=0)
-        growth_time = np.zeros_like(next_estimates)
-        growth_time[grows] = integrals / w1
-    linear_time = (next_estimates - estimates) / (w1 * rates)
-    corrected = np.maximum(durations - (linear_time - growth_time), _DURATION_FLOOR)
-    durations = np.where(grows, corrected, durations)
+    corrections = growth_corrections(
+        formula, estimates, np.maximum(candidates, estimates), rates, w1
+    )
+    durations = durations - corrections
+    # The loop oracle's floor: a correction never takes a duration to zero.
+    np.maximum(durations, _DURATION_FLOOR, out=durations, where=corrections > 0.0)
     return rates, durations
 
 
@@ -194,7 +187,6 @@ def vectorized_control_trace(
     intervals: Sequence[float],
     weights: Sequence[float],
     comprehensive: bool = False,
-    ode_steps: int = 256,
 ) -> ControlTrace:
     """Evaluate one control run in whole-array passes.
 
@@ -211,7 +203,7 @@ def vectorized_control_trace(
     weight_array = _normalized_weights(weights)
     rates, durations = evaluate_control_arrays(
         formula, kept, estimates, candidates,
-        float(weight_array[0]), comprehensive, ode_steps,
+        float(weight_array[0]), comprehensive,
     )
     return ControlTrace(
         intervals=kept, estimates=estimates, rates=rates, durations=durations
@@ -223,7 +215,6 @@ def vectorized_control_summaries(
     intervals: np.ndarray,
     weights: Sequence[float],
     comprehensive: bool = False,
-    ode_steps: int = 256,
 ) -> Dict[str, np.ndarray]:
     """Summarise a stack of independent runs in shared passes.
 
@@ -240,7 +231,7 @@ def vectorized_control_summaries(
     weight_array = _normalized_weights(weights)
     rates, durations = evaluate_control_arrays(
         formula, kept, estimates, candidates,
-        float(weight_array[0]), comprehensive, ode_steps,
+        float(weight_array[0]), comprehensive,
     )
     return summarize_rows(formula, kept, estimates, durations)
 

@@ -12,10 +12,10 @@ in shared passes.
   reproduces ``simulate()`` to numerical precision;
 * :func:`basic_throughput_rows` / :func:`comprehensive_throughput_rows`
   evaluate Proposition 1 / Proposition 3 for every row of a
-  ``(points, samples)`` stack at once;
-* :func:`inverse_rate_of_interval` is a closed-form fast path for
-  ``g(x) = 1/f(1/x)`` that avoids the generic ``1 / rate(1/x)`` round
-  trip (and its fractional-power calls) for the registered formulas;
+  ``(points, samples)`` stack at once, for any formula: Proposition 3
+  subtracts the correction ``V 1{theta_hat_1 > theta_hat_0}`` of
+  :func:`repro.montecarlo.vectorized.growth_corrections`, the one the
+  Monte-Carlo control kernel subtracts per interval;
 * :func:`stratified_representatives` + :func:`affine_basic_throughput_rows`
   are the shared-noise fast path for the shifted-exponential (p, cv)
   grid form.
@@ -36,8 +36,9 @@ loss processes:
 ``E[g(theta_hat_0)]`` is then evaluated over *equal-probability strata*
 of the shared base sample: the sorted sample is compressed into block
 means (one representative per quantile block), and ``g`` -- smooth and
-monotone for every registered formula -- is evaluated once per
-representative instead of once per sample.  With thousands of strata the
+monotone for every registered formula, a closed form where the formula
+has one -- is evaluated once per representative instead of once per
+sample.  With thousands of strata the
 compression error is far below the Monte-Carlo noise of the sample
 itself, while the formula evaluation cost drops by the block size; the
 grid-level speedup is asserted by
@@ -51,17 +52,10 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..core.formulas import (
-    AimdFormula,
-    LossThroughputFormula,
-    PftkSimplifiedFormula,
-    PftkStandardFormula,
-    SqrtFormula,
-)
-from ..core.throughput import proposition3_correction
+from ..core.formulas import LossThroughputFormula
+from .vectorized import growth_corrections
 
 __all__ = [
-    "inverse_rate_of_interval",
     "analytic_window_estimates",
     "basic_throughput_rows",
     "comprehensive_throughput_rows",
@@ -74,41 +68,6 @@ __all__ = [
 #: the empirical distribution; at 2048 strata it is orders of magnitude
 #: below the Monte-Carlo noise of any practical sample size.
 DEFAULT_STRATA = 2048
-
-
-def inverse_rate_of_interval(
-    formula: LossThroughputFormula, x: np.ndarray
-) -> np.ndarray:
-    """Return ``g(x) = 1 / f(1/x)`` elementwise, on any array shape.
-
-    For the registered formulas the denominator of ``f`` is evaluated
-    directly in terms of ``s = x^{-1/2}`` (multiplication chains instead
-    of fractional powers and a double reciprocal), which is what makes
-    the stratified fast path formula-evaluation-cheap.  Unregistered
-    formula types fall back to ``1 / formula.rate_of_interval(x)``.
-
-    ``x`` must be strictly positive; the callers feed sampled loss-event
-    intervals and their moving averages, which are positive by
-    construction, so no validation pass is spent here.
-    """
-    x = np.asarray(x, dtype=float)
-    if isinstance(formula, SqrtFormula):
-        return formula.c1 * formula.rtt / np.sqrt(x)
-    if isinstance(formula, PftkSimplifiedFormula):
-        s = 1.0 / np.sqrt(x)
-        s3 = s * s * s
-        return formula.c1 * formula.rtt * s + formula.rto * formula.c2 * (
-            s3 + 32.0 * s3 * s3 * s
-        )
-    if isinstance(formula, PftkStandardFormula):
-        s = 1.0 / np.sqrt(x)
-        u = s * s
-        return formula.c1 * formula.rtt * s + formula.rto * np.minimum(
-            1.0, formula.c2 * s
-        ) * (u + 32.0 * u * u * u)
-    if isinstance(formula, AimdFormula):
-        return formula.rtt / (formula.constant * np.sqrt(x))
-    return 1.0 / np.asarray(formula.rate_of_interval(x), dtype=float)
 
 
 def analytic_window_estimates(
@@ -172,10 +131,9 @@ def comprehensive_throughput_rows(
 ) -> np.ndarray:
     """Proposition 3 for every row of a ``(points, samples)`` stack.
 
-    Applies the closed-form correction ``V_0 1{theta_hat_1 >
-    theta_hat_0}`` per sample (valid for SQRT / PFTK-simplified, which
-    the underlying :func:`~repro.core.throughput.proposition3_correction`
-    enforces with a ``TypeError``).
+    ``E[theta_0] / (E[theta_0 / f(1/theta_hat_0)] - E[V_0 1{theta_hat_1 >
+    theta_hat_0}])`` along the last axis, with the per-sample correction
+    of :func:`~repro.montecarlo.vectorized.growth_corrections`.
     """
     theta = np.asarray(intervals, dtype=float)
     now = np.asarray(estimates, dtype=float)
@@ -186,9 +144,7 @@ def comprehensive_throughput_rows(
         items=theta.size,
     ):
         rates = np.asarray(formula.rate_of_interval(now), dtype=float)
-        corrections = proposition3_correction(
-            formula, now.ravel(), nxt.ravel(), first_weight
-        ).reshape(now.shape)
+        corrections = growth_corrections(formula, now, nxt, rates, first_weight)
         mean_interval = theta.mean(axis=-1)
         mean_duration = (theta / rates - corrections).mean(axis=-1)
         if np.any(mean_duration <= 0.0):
@@ -248,5 +204,5 @@ def affine_basic_throughput_rows(
         estimates = (
             shifts[:, None] + scales[:, None] * representatives[None, :]
         )
-        g = inverse_rate_of_interval(formula, estimates)
+        g = formula.g(estimates)
         return 1.0 / (g @ np.asarray(probabilities, dtype=float))

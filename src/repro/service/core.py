@@ -176,7 +176,7 @@ def canonical_batch_request(config: api.BatchConfig) -> Dict[str, Any]:
         if isinstance(profile, str):
             profile = {"kind": profile}
         for length in config.history_lengths:
-            config.profile_for(int(length))
+            config.profile_for(length)
         if config.loss_processes is None:
             processes = None
             # The constructor checks p and cv independently, so each

@@ -340,6 +340,53 @@ class TestWeightProfiles:
             )
 
 
+class TestHistoryLengthIsAnInteger:
+    """A window length is an integer wherever it enters: the profile
+    config, SimConfig's shorthand, the batch axis and the weight helpers
+    share one check, which rejects rather than truncates."""
+
+    BAD = [4.5, 4.0, "4", True]
+    POINT = dict(formula="sqrt", loss_event_rate=0.1, num_events=100, seed=1)
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_profiles_and_helpers_reject_it(self, value):
+        for kind in ("tfrc", "uniform"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                api.WEIGHT_PROFILES.from_config(
+                    {"kind": kind, "history_length": value})
+        for helper in (tfrc_weights, uniform_weights):
+            with pytest.raises(ValueError, match="must be an integer"):
+                helper(value)
+
+    @pytest.mark.parametrize("value", BAD, ids=repr)
+    def test_simulate_and_batch_reject_it(self, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            api.simulate(api.SimConfig(history_length=value, **self.POINT))
+        with pytest.raises(ValueError, match="must be an integer"):
+            api.simulate_batch(api.BatchConfig(
+                formulas=["sqrt"], loss_event_rates=[0.1],
+                coefficients_of_variation=[0.9], history_lengths=[value],
+                num_events=100, seed=1))
+
+    def test_a_custom_profile_axis_is_checked_too(self):
+        config = api.BatchConfig(
+            formulas=["sqrt"], loss_event_rates=[0.1],
+            coefficients_of_variation=[0.9], history_lengths=[2.0],
+            profile={"kind": "custom", "raw_weights": [1.0, 1.0]},
+            num_events=100, seed=1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            api.simulate_batch(config)
+
+    def test_numpy_integers_still_run(self):
+        direct = api.simulate(api.SimConfig(history_length=4, **self.POINT))
+        numpy_length = api.simulate(
+            api.SimConfig(history_length=np.int64(4), **self.POINT))
+        assert numpy_length == direct
+        profile = api.WEIGHT_PROFILES.from_config(
+            {"kind": "tfrc", "history_length": np.int64(4)})
+        assert type(profile.history_length) is int
+
+
 # ----------------------------------------------------------------------
 # make_rng passthrough (shared streams)
 # ----------------------------------------------------------------------
@@ -894,18 +941,28 @@ class TestAnalyticBatch:
                 seed=1,
             ))
 
-    def test_comprehensive_analytic_requires_closed_form_formula(self):
-        with pytest.raises(TypeError):
-            api.simulate_batch(api.BatchConfig(
-                formulas=["pftk-standard"],
-                loss_event_rates=[0.1],
-                coefficients_of_variation=[0.9],
-                history_lengths=[4],
-                control="comprehensive",
-                method="analytic",
-                num_events=500,
-                seed=1,
-            ))
+    def test_comprehensive_analytic_serves_every_formula(self):
+        # Per-point noise: both controls integrate over the same draws,
+        # so Proposition 3 can only add throughput to Proposition 1
+        # (V >= 0 sample by sample), whatever the formula.
+        common = dict(
+            formulas=sorted(api.FORMULAS.kinds()),
+            loss_event_rates=[0.1],
+            coefficients_of_variation=[0.9],
+            history_lengths=[4],
+            method="analytic",
+            num_events=500,
+            seed=1,
+            share_noise=False,
+        )
+        basic = api.simulate_batch(api.BatchConfig(control="basic", **common))
+        comprehensive = api.simulate_batch(
+            api.BatchConfig(control="comprehensive", **common))
+        assert len(comprehensive) == len(common["formulas"])
+        for lower, upper in zip(basic.results, comprehensive.results):
+            assert upper.formula == lower.formula
+            assert np.isfinite(upper.throughput)
+            assert upper.throughput > lower.throughput
 
     def test_method_round_trips_and_validates(self):
         config = api.BatchConfig(
@@ -990,19 +1047,15 @@ class TestIidGuardDefault:
 # The vectorised analytic kernel helpers
 # ----------------------------------------------------------------------
 class TestVectorizedAnalyticKernel:
-    @pytest.mark.parametrize(
-        "formula",
-        [SqrtFormula(rtt=0.5), PftkSimplifiedFormula(rtt=1.0, rto=3.0),
-         PftkStandardFormula(rtt=1.0)],
-        ids=["sqrt", "pftk-simplified", "pftk-standard"],
-    )
-    def test_inverse_rate_matches_generic_form(self, formula):
-        from repro.montecarlo import inverse_rate_of_interval
-
+    @pytest.mark.parametrize("kind", sorted(api.FORMULAS.kinds()))
+    def test_inverse_rate_matches_generic_form(self, kind):
+        # Every registered formula's g -- a closed form where the formula
+        # has one -- against the generic 1 / f(1/x).
+        formula = api.FORMULAS.examples()[kind]
         x = np.geomspace(0.5, 400.0, 64)
-        fast = inverse_rate_of_interval(formula, x)
+        fast = formula.g(x)
         generic = 1.0 / np.asarray(formula.rate_of_interval(x), dtype=float)
-        assert np.allclose(fast, generic, rtol=1e-12)
+        assert np.allclose(fast, generic, rtol=1e-12, atol=0.0)
 
     def test_stratified_representatives_preserve_means(self):
         from repro.montecarlo import stratified_representatives

@@ -441,12 +441,15 @@ TYPED_POINTS = {
               "loss_probability": 0.2, "duration": 5.0},
     "dumbbell-batch": {"scenario": {"kind": "ns2", "num_connections": 1,
                                     "duration": 5.0}},
+    "montecarlo-basic": {"formula": "sqrt", "loss_event_rate": 0.1,
+                         "coefficient_of_variation": 0.9, "num_events": 100},
+    "flowsim": {"formula": "sqrt", "loss_event_rate": 0.1, "duration": 5.0},
 }
 
 
 class TestTypedRunnerParams:
-    """``audio`` and ``dumbbell-batch`` check their integer and bool
-    params instead of coercing them."""
+    """The runners check their integer and bool params instead of
+    coercing them."""
 
     @pytest.mark.parametrize("runner, name, value, expected", [
         ("audio", "history_length", 4.9, "an integer"),
@@ -455,6 +458,9 @@ class TestTypedRunnerParams:
         ("audio", "comprehensive", 0, "a bool"),
         ("dumbbell-batch", "replications", 2.7, "an integer"),
         ("dumbbell-batch", "replications", "2", "an integer"),
+        ("montecarlo-basic", "history_length", 4.9, "an integer"),
+        ("montecarlo-basic", "history_length", "4", "an integer"),
+        ("flowsim", "history_length", 4.5, "an integer"),
     ])
     def test_a_mistyped_param_is_an_error_row(self, runner, name, value, expected):
         # 4.9 ran as L = 4, 2.7 as 2 replications and "false" as the

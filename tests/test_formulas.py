@@ -1,5 +1,7 @@
 """Unit tests for the loss-throughput formulas (paper Section II-C, Fig. 1)."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from repro.api.components import FORMULAS
 from repro.core.formulas import (
     AimdFormula,
+    LossThroughputFormula,
     Msmo97Formula,
     PftkSimplifiedFormula,
     PftkStandardFormula,
@@ -15,6 +18,7 @@ from repro.core.formulas import (
     default_c1,
     default_c2,
 )
+from repro.core.shortflow import Csa00LatencyModel
 
 
 class TestConstants:
@@ -296,3 +300,76 @@ class TestLossRateDomain:
             rate = formula.rate(p)
             assert math.isfinite(rate)
             assert rate > 0.0
+
+
+class TestClosedForms:
+    """A formula's closed forms against the base class's generic ones."""
+
+    @pytest.mark.parametrize("kind", ["sqrt", "pftk-simplified"])
+    @pytest.mark.parametrize("growth", [1.001, 1.3, 2.0])
+    def test_growth_time_matches_the_trapezoid(self, kind, growth):
+        # The closed-form integral of g against the 256-point trapezoid
+        # that every other formula integrates with, from heavy loss
+        # (half a packet) to rare loss, for upper <= 2 lower.
+        formula = FORMULAS.examples()[kind]
+        lower = np.geomspace(0.5, 400.0, 41)
+        upper = growth * lower
+        closed = formula.growth_time(lower, upper)
+        generic = LossThroughputFormula.growth_time(formula, lower, upper)
+        assert np.allclose(closed, generic, rtol=1e-4, atol=0.0)
+
+    def test_inverse_sqrt_law_is_one_formula(self):
+        # SQRT at b = 1 and MSMO97 are the same law with k and scale
+        # placed differently; their rates and g agree to rounding.
+        sqrt = SqrtFormula(rtt=0.2, b=1)
+        msmo97 = Msmo97Formula(rtt=0.2, b=1)
+        p = np.geomspace(1e-4, 1.0, 50)
+        assert np.allclose(sqrt.rate(p), msmo97.rate(p), rtol=1e-14, atol=0.0)
+        assert np.allclose(sqrt.g(1.0 / p), msmo97.g(1.0 / p), rtol=1e-14, atol=0.0)
+
+
+def _parameter_names(component):
+    return [item.name for item in dataclasses.fields(component)]
+
+
+class TestParameterDomain:
+    """Every registered formula and the CSA00 latency model reject a
+    non-finite parameter: JSON decoders read NaN, Infinity and 1e999,
+    and such a parameter would yield nan rates.  (A negative ``rto``,
+    -inf included, is the fill-in sentinel for the default timeout.)"""
+
+    @pytest.mark.parametrize("kind", sorted(FORMULAS.kinds()))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_every_kind_rejects_a_non_finite_parameter(self, kind, value):
+        config = FORMULAS.to_config(FORMULAS.examples()[kind])
+        for name in _parameter_names(FORMULAS.examples()[kind]):
+            with pytest.raises(ValueError, match=name):
+                FORMULAS.from_config(dict(config, **{name: value}))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+    def test_json_non_finite_tokens_are_rejected(self, token):
+        config = json.loads('{"kind": "sqrt", "rtt": %s}' % token)
+        with pytest.raises(ValueError, match="rtt must be finite"):
+            FORMULAS.from_config(config)
+
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name)
+        for kind in sorted(FORMULAS.kinds())
+        for name in ("rtt", "c1", "c2")
+        if name in _parameter_names(FORMULAS.examples()[kind])
+    ])
+    def test_non_positive_scale_parameters_are_rejected(self, kind, name):
+        # c1 = c2 = 0 is the fill-in sentinel; a negative value survives
+        # the fill-ins and must be rejected after them.
+        formula = FORMULAS.examples()[kind]
+        config = dict(FORMULAS.to_config(formula), **{name: -1.0})
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            FORMULAS.from_config(config)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_latency_model_rejects_a_non_finite_parameter(self, value):
+        for name in _parameter_names(Csa00LatencyModel()):
+            with pytest.raises(ValueError, match=name):
+                Csa00LatencyModel(**{name: value})
+        with pytest.raises(ValueError, match="rtt must be positive"):
+            Csa00LatencyModel(rtt=0.0)

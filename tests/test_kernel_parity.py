@@ -19,13 +19,13 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.core import formulas
 from repro.core.control import BasicControl, ComprehensiveControl
 from repro.core.formulas import SqrtFormula
 from repro.lossprocess import ShiftedExponentialIntervals, make_rng
 from repro.montecarlo import (
     simulate_basic_control,
     simulate_comprehensive_control,
-    vectorized,
 )
 
 NUM_EVENTS = 1_000
@@ -97,8 +97,8 @@ def test_profile_and_process_variants(formula, control, variant):
 
 class TestOdeFallback:
     def test_chunked_integration_matches_loop_oracle(self, monkeypatch):
-        # Many chunks, the last one ragged, through the generic-formula path.
-        monkeypatch.setattr(vectorized, "_ODE_CHUNK", 37)
+        # Many chunks, the last one ragged, through the generic growth_time.
+        monkeypatch.setattr(formulas, "_ODE_CHUNK", 37)
         assert_parity(api.SimConfig(
             formula="pftk-standard", control="comprehensive",
             history_length=8, num_events=NUM_EVENTS, seed=21, **LARGE_EFFECT,

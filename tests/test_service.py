@@ -557,6 +557,59 @@ class TestHttpFrontend:
 
         run(lambda: self._with_server(body))
 
+    def test_non_finite_parameters_and_fractional_windows_are_400s(self):
+        # json.loads reads NaN, Infinity and 1e999, and canonical JSON
+        # writes each as null, so such a point would have no key of its
+        # own; a window length is an integer, never truncated.
+        async def body(service, host, port):
+            for bad in (
+                {"formula": {"kind": "sqrt", "rtt": float("nan")}},
+                {"formula": {"kind": "sqrt", "rtt": float("inf")}},
+                {"formula": {"kind": "pftk-simplified", "rto": float("nan")}},
+                {"history_length": 4.5},
+                {"history_length": "4"},
+            ):
+                status, payload = await _post_json(
+                    host, port, "/predict", dict(PREDICT_PAYLOAD, **bad)
+                )
+                assert status == 400 and "error" in payload, bad
+            status, payload = await _http_request(
+                host, port, "POST", "/predict",
+                body=b'{"formula": {"kind": "sqrt", "rtt": 1e999}, '
+                     b'"loss_event_rate": 0.05, "seed": 7}',
+            )
+            assert status == 400 and "rtt must be finite" in payload["error"]
+            status, payload = await _post_json(
+                host, port, "/predict/batch",
+                dict(BATCH_PAYLOAD, history_lengths=[2, 4.5]),
+            )
+            assert status == 400 and "must be an integer" in payload["error"]
+            assert _counter("service.computes_predict") == 0
+            assert _counter("service.computes_batch") == 0
+
+        run(lambda: self._with_server(body))
+
+    def test_analytic_comprehensive_answers_for_every_formula(self):
+        # Formulas without a closed-form Proposition 3 integrate ODE (16).
+        async def body(service, host, port):
+            analytic = dict(method="analytic", control="comprehensive")
+            for kind in ("aimd", "msmo97", "pftk-standard"):
+                status, payload = await _post_json(
+                    host, port, "/predict",
+                    dict(PREDICT_PAYLOAD, formula=kind, **analytic),
+                )
+                assert status == 200, payload
+                assert payload["result"]["throughput"] > 0.0
+            status, payload = await _post_json(
+                host, port, "/predict/batch",
+                dict(BATCH_PAYLOAD, formulas=sorted(api.FORMULAS.kinds()),
+                     **analytic),
+            )
+            assert status == 200, payload
+            assert all(row["throughput"] > 0.0 for row in payload["results"])
+
+        run(lambda: self._with_server(body))
+
     def test_analytic_request_below_the_sample_floor_is_a_400(self):
         async def body(service, host, port):
             status, payload = await _post_json(

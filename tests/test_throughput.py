@@ -1,17 +1,25 @@
 """Unit tests for the analytic throughput expressions (Propositions 1-3).
 
 Propositions 1 and 3 are evaluated on 1-D samples by the row kernels of
-:mod:`repro.montecarlo.vectorized_analytic` (a 1-D sample is one row).
+:mod:`repro.montecarlo.vectorized_analytic` (a 1-D sample is one row);
+Proposition 3's correction is
+:func:`repro.montecarlo.vectorized.growth_corrections`, which the
+Monte-Carlo control kernel subtracts too.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.control import run_basic_control, run_comprehensive_control
+from repro import api
+from repro.core.control import (
+    ComprehensiveControl,
+    run_basic_control,
+    run_comprehensive_control,
+)
 from repro.core.estimator import tfrc_weights
-from repro.core.formulas import PftkSimplifiedFormula, PftkStandardFormula, SqrtFormula
-from repro.core.throughput import decompose_throughput, proposition3_correction
+from repro.core.throughput import decompose_throughput
 from repro.lossprocess import ShiftedExponentialIntervals, make_rng
+from repro.montecarlo.vectorized import growth_corrections
 from repro.montecarlo.vectorized_analytic import (
     basic_throughput_rows,
     comprehensive_throughput_rows,
@@ -51,39 +59,43 @@ class TestProposition2:
         assert trace.throughput >= bound * (1.0 - 1e-9)
 
 
+def _corrections(formula, now, nxt, w1):
+    now, nxt = np.asarray(now, dtype=float), np.asarray(nxt, dtype=float)
+    return growth_corrections(formula, now, nxt, formula.rate_of_interval(now), w1)
+
+
 class TestProposition3:
     def test_correction_zero_when_estimate_does_not_grow(self, pftk_simplified):
-        corrections = proposition3_correction(
-            pftk_simplified,
-            estimates_now=[20.0, 30.0],
-            estimates_next=[20.0, 25.0],
-            first_weight=0.25,
-        )
+        corrections = _corrections(pftk_simplified, [20.0, 30.0], [20.0, 25.0], 0.25)
         assert np.allclose(corrections, 0.0)
 
     def test_correction_positive_when_estimate_grows(self, pftk_simplified):
         """V_n > 0 when theta_hat grows: the comprehensive control finishes
         the interval sooner than the basic control would."""
-        corrections = proposition3_correction(
-            pftk_simplified,
-            estimates_now=[20.0],
-            estimates_next=[60.0],
-            first_weight=0.25,
-        )
+        corrections = _corrections(pftk_simplified, [20.0], [60.0], 0.25)
         assert corrections[0] > 0.0
 
     def test_correction_positive_for_sqrt(self, sqrt_formula):
-        corrections = proposition3_correction(
-            sqrt_formula,
-            estimates_now=[10.0],
-            estimates_next=[50.0],
-            first_weight=0.3,
-        )
+        corrections = _corrections(sqrt_formula, [10.0], [50.0], 0.3)
         assert corrections[0] > 0.0
 
-    def test_rejects_pftk_standard(self, pftk_standard):
-        with pytest.raises(TypeError):
-            proposition3_correction(pftk_standard, [1.0], [2.0], 0.25)
+    @pytest.mark.parametrize("kind", sorted(api.FORMULAS.kinds()))
+    def test_correction_matches_the_loop_oracle(self, kind):
+        """Every formula has a correction: the loop oracle's V_n (its
+        closed form for SQRT and PFTK-simplified, ODE (16) otherwise),
+        and zero where the estimate does not grow."""
+        formula = api.FORMULAS.examples()[kind]
+        control = ComprehensiveControl(formula, weights=tfrc_weights(8))
+        w1 = float(control.estimator.weights[0])
+        now = np.array([0.7, 2.0, 20.0, 20.0, 300.0])
+        nxt = np.array([1.9, 3.0, 60.0, 19.0, 301.0])
+        expected = [
+            control._duration_correction(a, b) if b > a else 0.0
+            for a, b in zip(now, nxt)
+        ]
+        corrections = _corrections(formula, now, nxt, w1)
+        assert np.allclose(corrections, expected, rtol=1e-9, atol=0.0)
+        assert np.all(corrections[nxt > now] > 0.0)
 
     def test_throughput_at_least_proposition1(self, pftk_simplified):
         """Proposition 3's throughput >= Proposition 1's (the correction only
