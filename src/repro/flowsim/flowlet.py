@@ -11,9 +11,10 @@ with two data shapes:
   and whether the flow completed (reached its size limit or was closed
   by its generator) or was still active when the simulation ended.
 
-Both are frozen dataclasses with exact ``to_dict`` / ``from_dict`` JSON
-round-trips, mirroring the component-config contract of
-:mod:`repro.api`.
+Both are frozen, slotted dataclasses (no per-object ``__dict__``: a run
+can hold tens of thousands of records) with exact ``to_dict`` /
+``from_dict`` JSON round-trips, mirroring the component-config contract
+of :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any, Dict, Mapping, Optional
 __all__ = ["Flowlet", "FlowRecord"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flowlet:
     """One sampling interval of one flow's traffic.
 
@@ -49,7 +50,7 @@ class Flowlet:
         return cls(**dict(payload))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowRecord:
     """Per-flow summary emitted at flow completion (or simulation end).
 

@@ -36,13 +36,16 @@ The loop costs one event per tick plus one per generator arrival --
 *not* one per flow per RTT -- so event count is independent of the
 population size.
 
-Flows are managed as parallel numpy arrays (ids, start times, packets
-sent, size limits, per-flow rate sums); generators buffer their opens
-and closes between ticks and the tick applies them in a deterministic
-order: closes first (a flow closed mid-interval emits no flowlet for
-it), then size-limit completions, then newly arrived flows (first
-sampled at the *next* tick boundary).  Flowlet emission is therefore
-quantised to interval boundaries.
+Flows are managed as a table of numpy columns (ids, start times,
+packets sent, size limits, per-flow rate sums, flowlet counts), one row
+per active flow; generators buffer their opens and closes between ticks
+and the tick applies them in a deterministic order: closes first (a
+flow closed mid-interval emits no flowlet for it), then size-limit
+completions, then newly arrived flows (first sampled at the *next* tick
+boundary).  Flowlet emission is therefore quantised to interval
+boundaries.  A tick finds its closed rows with one membership test of
+the id column, and the leaving rows' records are built from their
+columns read once each.
 
 Everything :mod:`repro.api` is imported lazily inside functions: the
 ``GENERATORS`` registry imports :mod:`repro.flowsim.generators` at
@@ -53,6 +56,8 @@ time.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
+from math import isfinite
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 import numpy as np
@@ -77,7 +82,10 @@ class FlowSimConfig:
     process can be described by ``loss_event_rate`` +
     ``coefficient_of_variation``, the default TFRC weight profile by
     ``history_length`` alone, and the seed is ``None`` or a non-negative
-    integer.
+    integer.  Construction also resolves every component once -- the
+    point's, the generator and, under ``sampling="csa00"``, the latency
+    model -- so an unknown kind or a bad parameter fails here rather
+    than in the run.
     """
 
     formula: Any
@@ -106,7 +114,15 @@ class FlowSimConfig:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.interval <= 0.0:
             raise ValueError(f"interval must be positive, got {self.interval}")
-        self._point()  # SimConfig's rules check the point
+        point = self._point()  # SimConfig's rules check the point
+        # Resolve every component to check it (nothing is cached), so a
+        # bad one fails here, with the message the run would raise.
+        formula = point.resolve_formula()
+        point.resolve_loss_process()
+        point.resolve_profile()
+        self.resolve_generator()
+        if self.sampling == "csa00":
+            self.resolve_latency_model(float(formula.rtt))
 
     # ------------------------------------------------------------------
     # Component resolution (lazy api imports: see module docstring)
@@ -268,8 +284,9 @@ class FlowSimulation:
         self.history_length = int(self.weights.size)
 
         self._next_flow_id = 0
-        # Parallel arrays over the *active* flows.
-        self._active_ids: List[int] = []
+        # The flow table: one column per field, one row per *active*
+        # flow, rows in flow-id order.
+        self._ids = np.zeros(0, dtype=np.int64)
         self._starts = np.zeros(0)
         self._sent = np.zeros(0)
         self._limits = np.zeros(0)
@@ -310,42 +327,40 @@ class FlowSimulation:
     # ------------------------------------------------------------------
     # Flow table management
     # ------------------------------------------------------------------
-    def _finalize_indices(
-        self, keep: np.ndarray, end_times: Dict[int, float], completed: bool
+    def _finalize(
+        self,
+        leaving: np.ndarray,
+        end: Union[float, Dict[int, float]],
+        completed: bool,
     ) -> None:
-        """Emit records for the flows where ``keep`` is False, compact."""
-        for index in np.flatnonzero(~keep):
-            flow_id = self._active_ids[index]
-            count = int(self._flowlet_counts[index])
-            if count == 0:
-                # The flow lived for less than one interval (short
-                # on-period, or arrival in the final instant): it never
-                # reached a tick, so it contributes no flowlet and no
-                # rate sample.  Count it rather than dropping silently.
-                self.flowlets_dropped += 1
-            self.records.append(
-                FlowRecord(
-                    flow_id=flow_id,
-                    start_time=float(self._starts[index]),
-                    end_time=float(end_times.get(flow_id, self.core.now)),
-                    packets_sent=float(self._sent[index]),
-                    num_flowlets=count,
-                    mean_rate=(
-                        float(self._rate_sums[index]) / count if count else 0.0
-                    ),
-                    completed=completed,
-                    size=(
-                        None
-                        if not np.isfinite(self._limits[index])
-                        else float(self._limits[index])
-                    ),
-                )
-            )
-        self._active_ids = [
-            flow_id
-            for flow_id, kept in zip(self._active_ids, keep)
-            if kept
-        ]
+        """Emit records for the rows where ``leaving`` is True, compact.
+
+        ``end`` is the flows' end time, or a map from flow id to it.
+        """
+        ids = self._ids[leaving].tolist()
+        counts = self._flowlet_counts[leaving].tolist()
+        sums = self._rate_sums[leaving].tolist()
+        limits = self._limits[leaving].tolist()
+        if isinstance(end, dict):
+            ends = [float(end[flow_id]) for flow_id in ids]
+        else:
+            ends = repeat(float(end))
+        # A flow that never reached a tick (short on-period, or arrival
+        # in the final instant) contributes no flowlet and no rate
+        # sample.  Count it rather than dropping it silently.
+        self.flowlets_dropped += counts.count(0)
+        self.records.extend(map(
+            FlowRecord, ids, self._starts[leaving].tolist(), ends,
+            self._sent[leaving].tolist(), counts,
+            [total / count if count else 0.0
+             for total, count in zip(sums, counts)],
+            repeat(completed),
+            [limit if isfinite(limit) else None for limit in limits],
+        ))
+        if completed:
+            self.num_completed += len(ids)
+        keep = ~leaving
+        self._ids = self._ids[keep]
         self._starts = self._starts[keep]
         self._sent = self._sent[keep]
         self._limits = self._limits[keep]
@@ -353,53 +368,45 @@ class FlowSimulation:
         self._flowlet_counts = self._flowlet_counts[keep]
 
     def _apply_closes(self) -> None:
-        if not self._pending_closes:
+        closes = self._pending_closes
+        if not closes:
             return
-        keep = np.asarray(
-            [flow_id not in self._pending_closes for flow_id in self._active_ids],
-            dtype=bool,
+        closing = np.isin(
+            self._ids, np.fromiter(closes, dtype=np.int64, count=len(closes))
         )
-        closed = len(self._active_ids) - int(keep.sum())
-        self._finalize_indices(keep, self._pending_closes, completed=True)
-        self.num_completed += closed
-        # A close may target a flow still waiting in the open buffer
-        # (e.g. an on-period shorter than one interval): drop it there
-        # too, recording a zero-flowlet burst.
-        if len(self._pending_closes) > closed or self._pending_opens:
+        closed = int(np.count_nonzero(closing))
+        if closed:
+            self._finalize(closing, closes, completed=True)
+        # The other closes target flows still waiting in the open buffer
+        # (e.g. an on-period shorter than one interval), or flows that
+        # already left the table: drop the former there too, recording a
+        # zero-flowlet burst.
+        if len(closes) > closed:
             still_pending = []
             for flow_id, start, size in self._pending_opens:
-                if flow_id in self._pending_closes:
-                    self.records.append(
-                        FlowRecord(
-                            flow_id=flow_id,
-                            start_time=float(start),
-                            end_time=float(self._pending_closes[flow_id]),
-                            packets_sent=0.0,
-                            num_flowlets=0,
-                            mean_rate=0.0,
-                            completed=True,
-                            size=size,
-                        )
-                    )
+                if flow_id in closes:
+                    self.records.append(FlowRecord(
+                        flow_id, float(start), float(closes[flow_id]),
+                        0.0, 0, 0.0, True, size,
+                    ))
                     self.num_completed += 1
                     self.flowlets_dropped += 1
                 else:
                     still_pending.append((flow_id, start, size))
             self._pending_opens = still_pending
-        self._pending_closes.clear()
+        closes.clear()
 
     def _apply_opens(self) -> None:
         if not self._pending_opens:
             return
-        count = len(self._pending_opens)
-        starts = np.asarray([open_[1] for open_ in self._pending_opens])
+        opens = self._pending_opens
+        count = len(opens)
+        ids = np.asarray([open_[0] for open_ in opens], np.int64)
+        starts = np.asarray([open_[1] for open_ in opens])
         limits = np.asarray(
-            [
-                np.inf if open_[2] is None else float(open_[2])
-                for open_ in self._pending_opens
-            ]
+            [np.inf if open_[2] is None else float(open_[2]) for open_ in opens]
         )
-        self._active_ids.extend(open_[0] for open_ in self._pending_opens)
+        self._ids = np.concatenate([self._ids, ids])
         self._starts = np.concatenate([self._starts, starts])
         self._sent = np.concatenate([self._sent, np.zeros(count)])
         self._limits = np.concatenate([self._limits, limits])
@@ -437,7 +444,7 @@ class FlowSimulation:
 
     def _tick(self) -> None:
         self._apply_closes()
-        count = len(self._active_ids)
+        count = self._ids.size
         if count:
             rates = self._sample_rates(count)
             packets = rates * self.config.interval
@@ -447,26 +454,19 @@ class FlowSimulation:
             self.flowlets_emitted += count
             self.total_packets += float(packets.sum())
             if self.config.record_flowlets:
-                start = self.core.now - self.config.interval
-                self.flowlets.extend(
-                    Flowlet(
-                        flow_id=flow_id,
-                        start=start,
-                        duration=self.config.interval,
-                        rate=float(rate),
-                        packets=float(volume),
-                    )
-                    for flow_id, rate, volume in zip(
-                        self._active_ids, rates, packets
-                    )
-                )
+                self.flowlets.extend(map(
+                    Flowlet,
+                    self._ids.tolist(),
+                    repeat(self.core.now - self.config.interval),
+                    repeat(self.config.interval),
+                    rates.tolist(),
+                    packets.tolist(),
+                ))
             done = self._sent >= self._limits
             if done.any():
-                finished = int(done.sum())
-                self._finalize_indices(~done, {}, completed=True)
-                self.num_completed += finished
+                self._finalize(done, self.core.now, completed=True)
         self._apply_opens()
-        self.peak_concurrent = max(self.peak_concurrent, len(self._active_ids))
+        self.peak_concurrent = max(self.peak_concurrent, self._ids.size)
 
     # ------------------------------------------------------------------
     # Execution
@@ -477,17 +477,16 @@ class FlowSimulation:
         self.generator.install(self)
         self._apply_closes()
         self._apply_opens()
-        self.peak_concurrent = max(self.peak_concurrent, len(self._active_ids))
+        self.peak_concurrent = max(self.peak_concurrent, self._ids.size)
         self.core.schedule_periodic(config.interval, self._tick)
         self.core.run(until=config.duration)
         # End of simulation: apply buffered closes, then cut off every
         # remaining flow (completed=False -- still active at the end).
         self._apply_closes()
         self._apply_opens()
-        if self._active_ids:
-            ends = {flow_id: config.duration for flow_id in self._active_ids}
-            self._finalize_indices(
-                np.zeros(len(self._active_ids), dtype=bool), ends,
+        if self._ids.size:
+            self._finalize(
+                np.ones(self._ids.size, dtype=bool), config.duration,
                 completed=False,
             )
 

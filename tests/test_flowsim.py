@@ -8,7 +8,10 @@ simulated seconds, seconds of wall-clock).  The discrete-event core is
 the shared event loop; its contract is in ``test_engine_contract.py``.
 """
 
+import hashlib
+import pickle
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from repro.flowsim import (
     Flowlet,
     OnOffGenerator,
     PoissonArrivalsGenerator,
+    TrafficGenerator,
     read_flow_records,
     read_flowlets,
     run_flowsim,
@@ -83,6 +87,24 @@ class TestFlowSimConfig:
         assert config.resolve_formula() == expected.resolve_formula()
         assert config.resolve_loss_process() == expected.resolve_loss_process()
         assert config.resolve_profile() == expected.resolve_profile()
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"formula": "no-such"}, KeyError, "unknown formula kind 'no-such'"),
+        ({"history_length": 4.5}, ValueError,
+         "history_length must be an integer, got 4.5"),
+        ({"generator": "no-gen"}, KeyError,
+         "unknown traffic generator kind 'no-gen'"),
+        ({"sampling": "csa00",
+          "latency_model": {"kind": "csa00", "initial_window": -1}},
+         ValueError, "initial_window must be a positive integer"),
+    ])
+    def test_rejects_bad_components_at_construction(
+        self, fields, error, message
+    ):
+        # Each used to construct and fail only inside run_flowsim.
+        with pytest.raises(error, match=message):
+            FlowSimConfig(**{"formula": "sqrt", "loss_event_rate": 0.1,
+                             **fields})
 
     def test_rejects_unknown_sampling(self):
         with pytest.raises(ValueError, match="sampling"):
@@ -251,6 +273,16 @@ class TestDeterminismAndExport:
             flow_id=3, start=2.0, duration=1.0, rate=15.0, packets=15.0
         )
         assert Flowlet.from_dict(flowlet.to_dict()) == flowlet
+
+    def test_record_classes_are_slotted_and_pickle(self):
+        record = FlowRecord(3, 1.0, 9.0, 120.0, 8, 15.0, True, None)
+        flowlet = Flowlet(3, 2.0, 1.0, 15.0, 15.0)
+        for item in (record, flowlet):
+            assert not hasattr(item, "__dict__")
+            assert pickle.loads(pickle.dumps(item)) == item
+            assert type(item).from_dict(item.to_dict()) == item
+            with pytest.raises(AttributeError):
+                item.flow_id = 4
 
 
 # ----------------------------------------------------------------------
@@ -467,3 +499,200 @@ class TestFlowletsDropped:
             seed=2,
         )
         assert result.flowlets_dropped == 0
+
+
+# ----------------------------------------------------------------------
+# The columnar flow table: golden digests and tick semantics
+# ----------------------------------------------------------------------
+_PERFBENCH_POINT = {
+    "formula": {"kind": "sqrt", "rtt": 0.1},
+    "loss_event_rate": 0.1,
+    "coefficient_of_variation": 0.6,
+    "history_length": 8,
+    "duration": 100.0,
+    "interval": 1.0,
+}
+_CHURN = {"kind": "poisson-arrivals", "arrival_rate": 500.0,
+          "mean_duration": 10.0}
+_STEADY = {"kind": "fixed-population", "num_flows": 10_000}
+
+#: Name -> (run_flowsim kwargs, digest of every record, every flowlet,
+#: the summary and the event count).  The four perfbench runs carry the
+#: seeds perfbench's flowsim workload derives from workload seeds 1 and
+#: 90210.  Recorded on the per-flow flow table that preceded the
+#: columnar one; a digest that moves means a run's output moved.
+_GOLDEN = {
+    "churn-1": (dict(_PERFBENCH_POINT, generator=_CHURN,
+                     seed=214385109378366086), "e803511d82d45448"),
+    "steady-1": (dict(_PERFBENCH_POINT, generator=_STEADY,
+                      seed=4687191618655743566), "e61192535c93f3e5"),
+    "churn-90210": (dict(_PERFBENCH_POINT, generator=_CHURN,
+                         seed=6563708960529568841), "7e9565197160d4c9"),
+    "steady-90210": (dict(_PERFBENCH_POINT, generator=_STEADY,
+                          seed=330484300456082645), "9dbf385d943d867a"),
+    # On-periods mostly shorter than one interval.
+    "on-off-short": (dict(
+        formula="sqrt", loss_event_rate=0.1, duration=60.0, seed=13,
+        generator={"kind": "on-off", "num_flows": 20, "mean_on": 0.4,
+                   "mean_off": 1.5},
+    ), "05399c5de066fb23"),
+    # Integer duration and interval, recorded flowlets.
+    "on-off-long": (dict(
+        formula={"kind": "aimd", "rtt": 0.2}, loss_event_rate=0.02,
+        coefficient_of_variation=0.9, history_length=2,
+        record_flowlets=True, duration=80, interval=2, seed=17,
+        generator={"kind": "on-off", "num_flows": 30, "mean_on": 6.0,
+                   "mean_off": 3.0},
+    ), "6a740817117309b6"),
+    "size-estimator": (dict(
+        formula={"kind": "pftk-simplified", "rtt": 0.2},
+        loss_event_rate=0.05, coefficient_of_variation=0.8,
+        history_length=4, duration=60.0, seed=5,
+        generator={"kind": "poisson-arrivals", "arrival_rate": 20.0,
+                   "mean_size": 40.0},
+    ), "a9427d993541566b"),
+    "size-csa00": (dict(
+        formula={"kind": "sqrt", "rtt": 0.1}, loss_event_rate=0.05,
+        sampling="csa00", duration=60.0, interval=0.5, seed=7,
+        generator={"kind": "poisson-arrivals", "arrival_rate": 20.0,
+                   "mean_size": 40.0},
+    ), "eb20db286ef715ea"),
+    "duration-mean-flowlets": (dict(
+        formula="sqrt", loss_event_rate=0.1, sampling="mean",
+        record_flowlets=True, interval=0.7, duration=40.0, seed=11,
+        generator={"kind": "poisson-arrivals", "arrival_rate": 5.0,
+                   "mean_duration": 3.0},
+    ), "97995286176ab810"),
+}
+
+
+def _digest(result):
+    digest = hashlib.sha256()
+    for item in [*result.records, *result.flowlets]:
+        digest.update(repr(item).encode())
+    digest.update(repr(sorted(result.summary().items())).encode())
+    digest.update(repr(result.events_processed).encode())
+    return digest.hexdigest()[:16]
+
+
+class _Scripted(TrafficGenerator):
+    """Opens flows at ``opens`` (time, size) and closes them at ``closes``
+    (time, flow id).  Flows opened at time 0 join before the first tick;
+    flow ids follow the order of the opens."""
+
+    def __init__(self, opens=(), closes=()):
+        self.opens, self.closes = opens, closes
+
+    def install(self, simulation):
+        for at, size in self.opens:
+            if at == 0.0:
+                simulation.open_flow(size)
+            else:
+                simulation.core.schedule_at(
+                    at, partial(simulation.open_flow, size)
+                )
+        for at, flow_id in self.closes:
+            simulation.core.schedule_at(
+                at, partial(simulation.close_flow, flow_id)
+            )
+
+
+def _scripted_run(opens, closes, **fields):
+    return run_flowsim(**{
+        "formula": {"kind": "sqrt", "rtt": 0.1},
+        "generator": _Scripted(opens, closes),
+        "loss_event_rate": 0.1,
+        "sampling": "mean",
+        "duration": 5.0,
+        "interval": 1.0,
+        "seed": 1,
+        **fields,
+    })
+
+
+_RATE = api.FORMULAS.from_config({"kind": "sqrt", "rtt": 0.1}).rate(0.1)
+
+
+class TestFlowTable:
+    @pytest.mark.parametrize("name", sorted(_GOLDEN))
+    def test_golden_digest(self, name):
+        config, digest = _GOLDEN[name]
+        assert _digest(run_flowsim(**config)) == digest
+
+    def test_flow_ids_are_python_ints(self):
+        config, _ = _GOLDEN["on-off-long"]
+        result = run_flowsim(**config)
+        assert result.records and result.flowlets
+        assert all(type(r.flow_id) is int for r in result.records)
+        assert all(type(f.flow_id) is int for f in result.flowlets)
+
+    def test_close_of_a_flow_still_in_the_open_buffer(self):
+        result = _scripted_run(
+            opens=[(0.0, None), (2.25, None)], closes=[(2.75, 1)]
+        )
+        burst, survivor = result.records
+        assert burst == FlowRecord(1, 2.25, 2.75, 0.0, 0, 0.0, True, None)
+        assert survivor.flow_id == 0 and not survivor.completed
+        assert survivor.num_flowlets == 5
+        assert result.num_completed == 1
+        assert result.flowlets_dropped == 1
+        assert result.peak_concurrent == 1
+
+    def test_close_of_a_flow_finished_by_its_size_limit(self):
+        # Flow 0 sends its 10 packets in the first interval; the later
+        # close finds no flow and adds no record.
+        result = _scripted_run(
+            opens=[(0.0, 10.0), (0.0, None)], closes=[(2.5, 0)]
+        )
+        finished, survivor = result.records
+        assert finished == FlowRecord(
+            0, 0.0, 1.0, _RATE, 1, _RATE, True, 10.0
+        )
+        assert survivor.flow_id == 1 and not survivor.completed
+        assert result.num_flows == len(result.records) == 2
+        assert result.num_completed == 1
+        assert result.flowlets_dropped == 0
+
+    def test_several_closes_in_one_tick(self):
+        # Closes land in the table's (flow-id) order, each at its own
+        # time; a repeated close keeps the first.
+        result = _scripted_run(
+            opens=[(0.0, None)] * 5,
+            closes=[(2.2, 1), (2.5, 4), (2.9, 3), (2.95, 1)],
+        )
+        assert [r.flow_id for r in result.records] == [1, 3, 4, 0, 2]
+        closed = result.records[:3]
+        assert [r.end_time for r in closed] == [2.2, 2.9, 2.5]
+        for record in closed:
+            assert record.completed and record.num_flowlets == 2
+            assert record.mean_rate == pytest.approx(_RATE)
+        for record in result.records[3:]:
+            assert not record.completed and record.num_flowlets == 5
+        assert result.num_completed == 3
+        assert result.flowlets_emitted == 2 * 3 + 5 * 2
+
+    def test_end_of_run_cut_off(self):
+        # Integer times still give float end times.  A close and an open
+        # buffered after the last tick (at 4) are applied at the end.
+        result = _scripted_run(
+            opens=[(0.0, None)] * 3 + [(4.6, 50.0)],
+            closes=[(4.5, 2)],
+            duration=5,
+            interval=2,
+            record_flowlets=True,
+        )
+        assert [r.flow_id for r in result.records] == [2, 0, 1, 3]
+        closed, *cut = result.records
+        assert closed == FlowRecord(
+            2, 0.0, 4.5, 4 * _RATE, 2, _RATE, True, None
+        )
+        for record in cut[:2]:
+            assert type(record.end_time) is float
+            assert record.end_time == 5.0
+            assert not record.completed and record.num_flowlets == 2
+        assert cut[2] == FlowRecord(3, 4.6, 5.0, 0.0, 0, 0.0, False, 50.0)
+        assert result.flowlets_dropped == 1
+        assert result.num_completed == 1
+        assert [(f.flow_id, f.start) for f in result.flowlets] == [
+            (0, 0.0), (1, 0.0), (2, 0.0), (0, 2.0), (1, 2.0), (2, 2.0)
+        ]
