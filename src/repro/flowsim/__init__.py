@@ -4,9 +4,11 @@ Where :mod:`repro.simulator` simulates every TFRC/TCP packet through a
 dumbbell, this package emits *flowlets*: per-interval throughput draws
 taken from the registered loss-throughput formulas against the
 configured loss process (the fs-style abstraction of jsommers/fs).  A
-tick evaluates the entire flow population in one numpy pass, so event
-count grows with simulated time and arrivals -- not with flow count --
-and a 10k-concurrent-flow, 100-second scenario finishes in seconds.
+tick evaluates the entire flow population in one numpy pass, and Poisson
+arrivals are drawn a tick interval at a time, so event count grows with
+simulated time (and the events of an event-driven generator such as
+on-off) -- not with flow count -- and a 10k-concurrent-flow,
+100-second scenario finishes in seconds.
 
 Layout (one module per concern, mirroring the exemplar):
 
@@ -14,7 +16,7 @@ Layout (one module per concern, mirroring the exemplar):
   (:class:`repro.simulator.engine.EventLoop`) under ``flowsim.*``
   telemetry names;
 * :mod:`~repro.flowsim.flowlet` -- the :class:`Flowlet` /
-  :class:`FlowRecord` data model (exact JSON round-trip);
+  :class:`FlowRecord` named tuples (exact JSON round-trip);
 * :mod:`~repro.flowsim.generators` -- pluggable traffic generators
   (fixed population, Poisson arrivals, on/off), registered in
   ``repro.api.GENERATORS``;

@@ -11,22 +11,23 @@ with two data shapes:
   and whether the flow completed (reached its size limit or was closed
   by its generator) or was still active when the simulation ended.
 
-Both are frozen, slotted dataclasses (no per-object ``__dict__``: a run
-can hold tens of thousands of records) with exact ``to_dict`` /
-``from_dict`` JSON round-trips, mirroring the component-config contract
-of :mod:`repro.api`.
+Both are :class:`typing.NamedTuple` classes: a run can hold tens of
+thousands of records, and a named tuple has no per-object ``__dict__``
+and is built without a Python-level ``__init__``.  Their ``repr`` is the
+dataclass-style ``Flowlet(flow_id=3, ...)``, and they carry exact
+``to_dict`` / ``from_dict`` JSON round-trips, mirroring the
+component-config contract of :mod:`repro.api`.  Being tuples, they also
+compare equal to plain tuples of the same values.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, NamedTuple, Optional
 
 __all__ = ["Flowlet", "FlowRecord"]
 
 
-@dataclass(frozen=True, slots=True)
-class Flowlet:
+class Flowlet(NamedTuple):
     """One sampling interval of one flow's traffic.
 
     ``rate`` is the send rate (packets/second) the throughput model
@@ -43,15 +44,14 @@ class Flowlet:
     packets: float
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Flowlet":
         return cls(**dict(payload))
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
     """Per-flow summary emitted at flow completion (or simulation end).
 
     ``size`` is the flow's packet limit when it had one (``None`` for
@@ -76,7 +76,7 @@ class FlowRecord:
         return self.end_time - self.start_time
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FlowRecord":

@@ -32,20 +32,23 @@ all; such flows are counted in ``flowlets_dropped`` (and the
 ``flowsim.flowlets_dropped`` telemetry counter) rather than silently
 vanishing from the rate statistics.
 
-The loop costs one event per tick plus one per generator arrival --
-*not* one per flow per RTT -- so event count is independent of the
-population size.
+The loop costs one event per tick, plus the events an event-driven
+generator schedules (``on-off``: two per burst) -- *not* one per flow
+per RTT -- so event count is independent of the population size.
+``poisson-arrivals`` schedules none: it draws each window's arrivals in
+one block, so a Poisson run processes exactly one event per tick.
 
 Flows are managed as a table of numpy columns (ids, start times,
-packets sent, size limits, per-flow rate sums, flowlet counts), one row
-per active flow; generators buffer their opens and closes between ticks
-and the tick applies them in a deterministic order: closes first (a
-flow closed mid-interval emits no flowlet for it), then size-limit
-completions, then newly arrived flows (first sampled at the *next* tick
-boundary).  Flowlet emission is therefore quantised to interval
-boundaries.  A tick finds its closed rows with one membership test of
-the id column, and the leaving rows' records are built from their
-columns read once each.
+packets sent, size limits, end times, per-flow rate sums, flowlet
+counts), one row per flow, rows in flow-id order.  The rows of flows
+that have joined at a tick come first; flows opened since the last tick
+wait in the rows after them.  Each tick applies the generators' actions
+in a deterministic order: closes first (every row whose end time has
+come, an open-ended flow's being ``inf``; a flow closed mid-interval
+emits no flowlet for it), then size-limit completions, then the waiting
+flows join (first sampled at the *next* tick boundary).  Flowlet
+emission is therefore quantised to interval boundaries.  The records of
+leaving flows are built from their columns read once each.
 
 Everything :mod:`repro.api` is imported lazily inside functions: the
 ``GENERATORS`` registry imports :mod:`repro.flowsim.generators` at
@@ -58,7 +61,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from math import isfinite
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -260,9 +263,11 @@ class FlowSimResult:
 class FlowSimulation:
     """One flow-level run: the flow table, the tick, and the records.
 
-    Generators call :meth:`open_flow` / :meth:`close_flow`; both buffer
-    their effect until the enclosing tick so the numpy flow table is
-    only rebuilt at interval boundaries.
+    Generators open flows with :meth:`open_flow` (one, now) or
+    :meth:`open_flows` (columns of a window's arrivals) and close them
+    with :meth:`close_flow` or by an end time; every effect waits for
+    the enclosing tick, so rows only leave or join the sampled part of
+    the numpy flow table at interval boundaries.
     """
 
     def __init__(self, config: FlowSimConfig) -> None:
@@ -284,17 +289,22 @@ class FlowSimulation:
         self.history_length = int(self.weights.size)
 
         self._next_flow_id = 0
-        # The flow table: one column per field, one row per *active*
-        # flow, rows in flow-id order.
+        # The flow table: one column per field, one row per flow, rows in
+        # flow-id order.  The first ``_joined`` rows are sampled at each
+        # tick; the rest were opened since the last tick and join at the
+        # next one.
         self._ids = np.zeros(0, dtype=np.int64)
         self._starts = np.zeros(0)
         self._sent = np.zeros(0)
         self._limits = np.zeros(0)
+        self._ends = np.zeros(0)
         self._rate_sums = np.zeros(0)
         self._flowlet_counts = np.zeros(0, dtype=np.int64)
+        self._joined = 0
         # Buffered generator actions, applied at tick boundaries.
         self._pending_opens: List[tuple] = []
         self._pending_closes: Dict[int, float] = {}
+        self._windows: List[Callable[[float], None]] = []
 
         self.records: List[FlowRecord] = []
         self.flowlets: List[Flowlet] = []
@@ -313,108 +323,152 @@ class FlowSimulation:
         ``size`` is an optional packet limit: the flow completes when it
         has emitted that volume.
         """
-        if size is not None and size <= 0.0:
-            raise ValueError(f"flow size must be positive, got {size}")
+        if size is not None and not (isfinite(size) and size > 0.0):
+            raise ValueError(f"flow size must be positive and finite, got {size}")
         flow_id = self._next_flow_id
         self._next_flow_id += 1
-        self._pending_opens.append((flow_id, self.core.now, size))
+        self._pending_opens.append(
+            (flow_id, self.core.now, np.inf if size is None else size)
+        )
         return flow_id
+
+    def open_flows(
+        self,
+        starts: np.ndarray,
+        sizes: Optional[np.ndarray] = None,
+        ends: Optional[np.ndarray] = None,
+    ) -> None:
+        """Open one flow per start time; they join at the next tick boundary.
+
+        ``starts`` are arrival times in the current window, in order.
+        ``sizes`` are optional packet limits, as :meth:`open_flow`'s;
+        ``ends`` are optional end times: a flow whose end time comes by a
+        tick closes before that tick samples, like a :meth:`close_flow`
+        at that time.
+        """
+        count = len(starts)
+        if sizes is not None and not (
+            np.isfinite(sizes).all() and (sizes > 0.0).all()
+        ):
+            raise ValueError("flow sizes must be positive and finite")
+        self._flush_opens()
+        ids = np.arange(self._next_flow_id, self._next_flow_id + count)
+        self._next_flow_id += count
+        self._append(
+            ids,
+            starts,
+            np.full(count, np.inf) if sizes is None else sizes,
+            np.full(count, np.inf) if ends is None else ends,
+        )
 
     def close_flow(self, flow_id: int) -> None:
         """Close a flow now; it emits no flowlet for the current interval."""
         self._pending_closes.setdefault(flow_id, self.core.now)
 
+    def on_window(self, open_window: Callable[[float], None]) -> None:
+        """Have ``open_window(until)`` open the flows arriving before ``until``.
+
+        It is called before the first tick and after every tick's joins;
+        ``until`` is the next tick time or, after the last tick, just past
+        the run's end, since the run still takes events at its end time.
+        """
+        self._windows.append(open_window)
+
     # ------------------------------------------------------------------
     # Flow table management
     # ------------------------------------------------------------------
-    def _finalize(
+    def _append(
         self,
-        leaving: np.ndarray,
-        end: Union[float, Dict[int, float]],
-        completed: bool,
+        ids: np.ndarray,
+        starts: np.ndarray,
+        limits: np.ndarray,
+        ends: np.ndarray,
     ) -> None:
+        """Add rows, after every row of the table, that have not joined."""
+        count = len(ids)
+        self._ids = np.concatenate([self._ids, ids])
+        self._starts = np.concatenate([self._starts, starts])
+        self._sent = np.concatenate([self._sent, np.zeros(count)])
+        self._limits = np.concatenate([self._limits, limits])
+        self._ends = np.concatenate([self._ends, ends])
+        self._rate_sums = np.concatenate([self._rate_sums, np.zeros(count)])
+        self._flowlet_counts = np.concatenate(
+            [self._flowlet_counts, np.zeros(count, dtype=np.int64)]
+        )
+
+    def _flush_opens(self) -> None:
+        """Move the flows opened one at a time into the table."""
+        if self._pending_opens:
+            ids, starts, limits = zip(*self._pending_opens)
+            self._append(
+                np.array(ids, np.int64), np.array(starts, float),
+                np.array(limits, float), np.full(len(ids), np.inf),
+            )
+            self._pending_opens.clear()
+
+    def _finalize(self, leaving: np.ndarray, completed: bool) -> None:
         """Emit records for the rows where ``leaving`` is True, compact.
 
-        ``end`` is the flows' end time, or a map from flow id to it.
+        A record's end time is its row's end time.
         """
         ids = self._ids[leaving].tolist()
         counts = self._flowlet_counts[leaving].tolist()
         sums = self._rate_sums[leaving].tolist()
         limits = self._limits[leaving].tolist()
-        if isinstance(end, dict):
-            ends = [float(end[flow_id]) for flow_id in ids]
-        else:
-            ends = repeat(float(end))
         # A flow that never reached a tick (short on-period, or arrival
         # in the final instant) contributes no flowlet and no rate
         # sample.  Count it rather than dropping it silently.
         self.flowlets_dropped += counts.count(0)
-        self.records.extend(map(
-            FlowRecord, ids, self._starts[leaving].tolist(), ends,
+        self.records.extend(map(FlowRecord._make, zip(
+            ids, self._starts[leaving].tolist(), self._ends[leaving].tolist(),
             self._sent[leaving].tolist(), counts,
             [total / count if count else 0.0
              for total, count in zip(sums, counts)],
             repeat(completed),
             [limit if isfinite(limit) else None for limit in limits],
-        ))
+        )))
         if completed:
             self.num_completed += len(ids)
+        self._joined -= int(np.count_nonzero(leaving[:self._joined]))
         keep = ~leaving
         self._ids = self._ids[keep]
         self._starts = self._starts[keep]
         self._sent = self._sent[keep]
         self._limits = self._limits[keep]
+        self._ends = self._ends[keep]
         self._rate_sums = self._rate_sums[keep]
         self._flowlet_counts = self._flowlet_counts[keep]
 
     def _apply_closes(self) -> None:
-        closes = self._pending_closes
-        if not closes:
-            return
-        closing = np.isin(
-            self._ids, np.fromiter(closes, dtype=np.int64, count=len(closes))
-        )
-        closed = int(np.count_nonzero(closing))
-        if closed:
-            self._finalize(closing, closes, completed=True)
-        # The other closes target flows still waiting in the open buffer
-        # (e.g. an on-period shorter than one interval), or flows that
-        # already left the table: drop the former there too, recording a
-        # zero-flowlet burst.
-        if len(closes) > closed:
-            still_pending = []
-            for flow_id, start, size in self._pending_opens:
-                if flow_id in closes:
-                    self.records.append(FlowRecord(
-                        flow_id, float(start), float(closes[flow_id]),
-                        0.0, 0, 0.0, True, size,
-                    ))
-                    self.num_completed += 1
-                    self.flowlets_dropped += 1
-                else:
-                    still_pending.append((flow_id, start, size))
-            self._pending_opens = still_pending
-        closes.clear()
+        """Close every row, joined or waiting, whose end time has come.
 
-    def _apply_opens(self) -> None:
-        if not self._pending_opens:
-            return
-        opens = self._pending_opens
-        count = len(opens)
-        ids = np.asarray([open_[0] for open_ in opens], np.int64)
-        starts = np.asarray([open_[1] for open_ in opens])
-        limits = np.asarray(
-            [np.inf if open_[2] is None else float(open_[2]) for open_ in opens]
-        )
-        self._ids = np.concatenate([self._ids, ids])
-        self._starts = np.concatenate([self._starts, starts])
-        self._sent = np.concatenate([self._sent, np.zeros(count)])
-        self._limits = np.concatenate([self._limits, limits])
-        self._rate_sums = np.concatenate([self._rate_sums, np.zeros(count)])
-        self._flowlet_counts = np.concatenate(
-            [self._flowlet_counts, np.zeros(count, dtype=np.int64)]
-        )
-        self._pending_opens.clear()
+        The closes buffered by :meth:`close_flow` are written into the
+        end column first.  A flow keeps its earliest end time, and a
+        close of a flow that already left finds no row.
+        """
+        self._flush_opens()
+        closes = self._pending_closes
+        if closes and self._ids.size:
+            ids = np.fromiter(closes, np.int64, len(closes))
+            rows = self._ids.searchsorted(ids).clip(max=self._ids.size - 1)
+            found = self._ids[rows] == ids
+            rows = rows[found]
+            times = np.fromiter(closes.values(), float, len(closes))[found]
+            self._ends[rows] = np.minimum(self._ends[rows], times)
+        closes.clear()
+        closing = self._ends <= self.core.now
+        if closing.any():
+            self._finalize(closing, completed=True)
+
+    def _join(self) -> None:
+        """Let every waiting row join, then open the next window's flows."""
+        self._joined = self._ids.size
+        self.peak_concurrent = max(self.peak_concurrent, self._joined)
+        until = self.core.now + self.config.interval
+        if until > self.config.duration:
+            until = np.nextafter(float(self.config.duration), np.inf)
+        for open_window in self._windows:
+            open_window(until)
 
     # ------------------------------------------------------------------
     # The tick
@@ -430,10 +484,11 @@ class FlowSimulation:
             # latency; unbounded flows keep the long-flow steady state.
             nominal = float(self.process.loss_event_rate)
             rates = np.full(count, float(self.formula.rate(nominal)))
-            bounded = np.isfinite(self._limits)
+            limits = self._limits[:count]
+            bounded = np.isfinite(limits)
             if bounded.any():
                 rates[bounded] = self.latency_model.transfer_rate(
-                    self._limits[bounded], nominal
+                    limits[bounded], nominal
                 )
             return rates
         draws = self.process.sample_intervals(
@@ -444,19 +499,19 @@ class FlowSimulation:
 
     def _tick(self) -> None:
         self._apply_closes()
-        count = self._ids.size
+        count = self._joined
         if count:
             rates = self._sample_rates(count)
             packets = rates * self.config.interval
-            self._sent += packets
-            self._rate_sums += rates
-            self._flowlet_counts += 1
+            self._sent[:count] += packets
+            self._rate_sums[:count] += rates
+            self._flowlet_counts[:count] += 1
             self.flowlets_emitted += count
             self.total_packets += float(packets.sum())
             if self.config.record_flowlets:
                 self.flowlets.extend(map(
                     Flowlet,
-                    self._ids.tolist(),
+                    self._ids[:count].tolist(),
                     repeat(self.core.now - self.config.interval),
                     repeat(self.config.interval),
                     rates.tolist(),
@@ -464,9 +519,9 @@ class FlowSimulation:
                 ))
             done = self._sent >= self._limits
             if done.any():
-                self._finalize(done, self.core.now, completed=True)
-        self._apply_opens()
-        self.peak_concurrent = max(self.peak_concurrent, self._ids.size)
+                self._ends[done] = self.core.now
+                self._finalize(done, completed=True)
+        self._join()
 
     # ------------------------------------------------------------------
     # Execution
@@ -476,18 +531,17 @@ class FlowSimulation:
         config = self.config
         self.generator.install(self)
         self._apply_closes()
-        self._apply_opens()
-        self.peak_concurrent = max(self.peak_concurrent, self._ids.size)
+        self._join()
         self.core.schedule_periodic(config.interval, self._tick)
         self.core.run(until=config.duration)
-        # End of simulation: apply buffered closes, then cut off every
-        # remaining flow (completed=False -- still active at the end).
+        # End of simulation: apply buffered and due closes, then cut off
+        # every remaining flow (completed=False -- still active at the
+        # end), joined or not.
         self._apply_closes()
-        self._apply_opens()
         if self._ids.size:
+            self._ends[:] = config.duration
             self._finalize(
-                np.ones(self._ids.size, dtype=bool), config.duration,
-                completed=False,
+                np.ones(self._ids.size, dtype=bool), completed=False
             )
 
         sampled = [record for record in self.records if record.num_flowlets]

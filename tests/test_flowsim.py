@@ -4,14 +4,21 @@ Covers seed determinism of whole runs, the JSONL export round-trip, generator
 validation and behaviour, agreement between the sampled mean flow rate
 and the formula's steady-state prediction, and the ``flowsim-scale``
 campaign preset's acceptance criteria (10k concurrent flows, 100
-simulated seconds, seconds of wall-clock).  The discrete-event core is
-the shared event loop; its contract is in ``test_engine_contract.py``.
+simulated seconds, seconds of wall-clock).  ``poisson-arrivals`` draws
+each window's arrivals in one block; its oracle is a test-local copy of
+the per-arrival generator it replaced (two events and two scalar draws
+per flow), which must give the same records and leave the random
+stream at the same place.  The discrete-event core is the shared event
+loop; its contract is in ``test_engine_contract.py``.
 """
 
 import hashlib
+import json
 import pickle
 import time
+from dataclasses import dataclass
 from functools import partial
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -22,6 +29,7 @@ from repro.flowsim import (
     FixedPopulationGenerator,
     FlowRecord,
     FlowSimConfig,
+    FlowSimulation,
     Flowlet,
     OnOffGenerator,
     PoissonArrivalsGenerator,
@@ -147,6 +155,51 @@ class TestGenerators:
             OnOffGenerator(mean_on=0.0)
         with pytest.raises(ValueError):
             OnOffGenerator(mean_off=-1.0)
+
+    @pytest.mark.parametrize("config, message", [
+        # Each used to construct: the first two then ran forever, each
+        # arrival scheduling the next at delay 0.
+        ({"kind": "poisson-arrivals", "arrival_rate": float("inf"),
+          "mean_duration": 5.0}, "arrival_rate"),
+        (json.loads('{"kind": "poisson-arrivals", "arrival_rate": 1e999, '
+                    '"mean_size": 40.0}'), "arrival_rate"),
+        # ... these failed only at run time, as a negative delay ...
+        ({"kind": "poisson-arrivals", "arrival_rate": float("nan"),
+          "mean_duration": 5.0}, "arrival_rate"),
+        ({"kind": "poisson-arrivals", "arrival_rate": 2.0,
+          "mean_duration": float("nan")}, "mean_duration"),
+        ({"kind": "on-off", "mean_on": float("nan")}, "mean_on"),
+        # ... these ran unbounded flows with size=None ...
+        ({"kind": "poisson-arrivals", "arrival_rate": 2.0,
+          "mean_size": float("nan")}, "mean_size"),
+        ({"kind": "poisson-arrivals", "arrival_rate": 2.0,
+          "mean_size": float("inf")}, "mean_size"),
+        # ... and these never closed a flow or turned a source back on;
+        ({"kind": "poisson-arrivals", "arrival_rate": 2.0,
+          "mean_duration": float("inf")}, "mean_duration"),
+        ({"kind": "on-off", "mean_off": float("inf")}, "mean_off"),
+        # a count must be an integer: 2.5 was a TypeError at run time,
+        # True ran one flow.
+        ({"kind": "fixed-population", "num_flows": 2.5}, "num_flows"),
+        ({"kind": "fixed-population", "num_flows": True}, "num_flows"),
+        ({"kind": "on-off", "num_flows": 2.5}, "num_flows"),
+        ({"kind": "on-off", "num_flows": True}, "num_flows"),
+    ])
+    def test_rejects_parameters_outside_the_domain(self, config, message):
+        with pytest.raises(ValueError, match=message):
+            api.GENERATORS.from_config(config)
+
+    def test_numpy_integer_counts_pass(self):
+        assert FixedPopulationGenerator(num_flows=np.int64(3)).num_flows == 3
+        assert OnOffGenerator(num_flows=np.int32(2)).num_flows == 2
+
+    @pytest.mark.parametrize("size", [float("inf"), float("nan"), 0.0])
+    def test_open_flow_rejects_a_size_outside_the_domain(self, size):
+        simulation = FlowSimulation(FlowSimConfig(
+            formula="sqrt", loss_event_rate=0.1, duration=5.0,
+        ))
+        with pytest.raises(ValueError, match="flow size"):
+            simulation.open_flow(size)
 
     def test_generator_registry_round_trip(self):
         generator = PoissonArrivalsGenerator(
@@ -516,26 +569,28 @@ _CHURN = {"kind": "poisson-arrivals", "arrival_rate": 500.0,
           "mean_duration": 10.0}
 _STEADY = {"kind": "fixed-population", "num_flows": 10_000}
 
-#: Name -> (run_flowsim kwargs, digest of every record, every flowlet,
-#: the summary and the event count).  The four perfbench runs carry the
-#: seeds perfbench's flowsim workload derives from workload seeds 1 and
-#: 90210.  Recorded on the per-flow flow table that preceded the
-#: columnar one; a digest that moves means a run's output moved.
+#: Name -> (run_flowsim kwargs, digest of every record, every flowlet and
+#: the summary but its event count, that event count).  The four
+#: perfbench runs carry the seeds perfbench's flowsim workload derives
+#: from workload seeds 1 and 90210.  The digests were recorded on the
+#: per-arrival Poisson generator (two events per arrival) that preceded
+#: the windowed one; a digest that moves means a run's output moved.  A
+#: Poisson run processes one event per tick.
 _GOLDEN = {
     "churn-1": (dict(_PERFBENCH_POINT, generator=_CHURN,
-                     seed=214385109378366086), "e803511d82d45448"),
+                     seed=214385109378366086), "d1e062a424181fa6", 100),
     "steady-1": (dict(_PERFBENCH_POINT, generator=_STEADY,
-                      seed=4687191618655743566), "e61192535c93f3e5"),
+                      seed=4687191618655743566), "b7a0740163c046e6", 100),
     "churn-90210": (dict(_PERFBENCH_POINT, generator=_CHURN,
-                         seed=6563708960529568841), "7e9565197160d4c9"),
+                         seed=6563708960529568841), "f245643b6ebd38bb", 100),
     "steady-90210": (dict(_PERFBENCH_POINT, generator=_STEADY,
-                          seed=330484300456082645), "9dbf385d943d867a"),
+                          seed=330484300456082645), "f93885cd9120fdcc", 100),
     # On-periods mostly shorter than one interval.
     "on-off-short": (dict(
         formula="sqrt", loss_event_rate=0.1, duration=60.0, seed=13,
         generator={"kind": "on-off", "num_flows": 20, "mean_on": 0.4,
                    "mean_off": 1.5},
-    ), "05399c5de066fb23"),
+    ), "127d8b8b623d6a0c", 1297),
     # Integer duration and interval, recorded flowlets.
     "on-off-long": (dict(
         formula={"kind": "aimd", "rtt": 0.2}, loss_event_rate=0.02,
@@ -543,26 +598,26 @@ _GOLDEN = {
         record_flowlets=True, duration=80, interval=2, seed=17,
         generator={"kind": "on-off", "num_flows": 30, "mean_on": 6.0,
                    "mean_off": 3.0},
-    ), "6a740817117309b6"),
+    ), "a60f0883191298b4", 607),
     "size-estimator": (dict(
         formula={"kind": "pftk-simplified", "rtt": 0.2},
         loss_event_rate=0.05, coefficient_of_variation=0.8,
         history_length=4, duration=60.0, seed=5,
         generator={"kind": "poisson-arrivals", "arrival_rate": 20.0,
                    "mean_size": 40.0},
-    ), "a9427d993541566b"),
+    ), "4fbacf9238a83ca1", 60),
     "size-csa00": (dict(
         formula={"kind": "sqrt", "rtt": 0.1}, loss_event_rate=0.05,
         sampling="csa00", duration=60.0, interval=0.5, seed=7,
         generator={"kind": "poisson-arrivals", "arrival_rate": 20.0,
                    "mean_size": 40.0},
-    ), "eb20db286ef715ea"),
+    ), "472362eea66b79c9", 120),
     "duration-mean-flowlets": (dict(
         formula="sqrt", loss_event_rate=0.1, sampling="mean",
         record_flowlets=True, interval=0.7, duration=40.0, seed=11,
         generator={"kind": "poisson-arrivals", "arrival_rate": 5.0,
                    "mean_duration": 3.0},
-    ), "97995286176ab810"),
+    ), "c4284fe3e200956c", 57),
 }
 
 
@@ -570,9 +625,15 @@ def _digest(result):
     digest = hashlib.sha256()
     for item in [*result.records, *result.flowlets]:
         digest.update(repr(item).encode())
-    digest.update(repr(sorted(result.summary().items())).encode())
-    digest.update(repr(result.events_processed).encode())
+    digest.update(repr(sorted(_summary(result).items())).encode())
     return digest.hexdigest()[:16]
+
+
+def _summary(result):
+    """The summary but its event count, which the generator path sets."""
+    summary = result.summary()
+    del summary["events_processed"]
+    return summary
 
 
 class _Scripted(TrafficGenerator):
@@ -616,11 +677,13 @@ _RATE = api.FORMULAS.from_config({"kind": "sqrt", "rtt": 0.1}).rate(0.1)
 class TestFlowTable:
     @pytest.mark.parametrize("name", sorted(_GOLDEN))
     def test_golden_digest(self, name):
-        config, digest = _GOLDEN[name]
-        assert _digest(run_flowsim(**config)) == digest
+        config, digest, events = _GOLDEN[name]
+        result = run_flowsim(**config)
+        assert _digest(result) == digest
+        assert result.events_processed == events
 
     def test_flow_ids_are_python_ints(self):
-        config, _ = _GOLDEN["on-off-long"]
+        config, _, _ = _GOLDEN["on-off-long"]
         result = run_flowsim(**config)
         assert result.records and result.flowlets
         assert all(type(r.flow_id) is int for r in result.records)
@@ -696,3 +759,147 @@ class TestFlowTable:
         assert [(f.flow_id, f.start) for f in result.flowlets] == [
             (0, 0.0), (1, 0.0), (2, 0.0), (0, 2.0), (1, 2.0), (2, 2.0)
         ]
+
+
+# ----------------------------------------------------------------------
+# Poisson arrivals drawn per window, against the per-arrival oracle
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _PerArrival(TrafficGenerator):
+    """The per-arrival Poisson generator the windowed one replaced.
+
+    Each arrival is an event that opens its flow, draws its size or
+    lifetime (scheduling the close of a duration-bounded flow), and draws
+    the gap to the next arrival.
+    """
+
+    arrival_rate: float
+    mean_size: Optional[float] = None
+    mean_duration: Optional[float] = None
+
+    def install(self, simulation):
+        self._schedule_next_arrival(simulation)
+
+    def _schedule_next_arrival(self, simulation):
+        delay = simulation.rng.exponential(1.0 / self.arrival_rate)
+        simulation.core.schedule(delay, lambda: self._arrive(simulation))
+
+    def _arrive(self, simulation):
+        if self.mean_size is not None:
+            simulation.open_flow(size=simulation.rng.exponential(self.mean_size))
+        else:
+            flow_id = simulation.open_flow()
+            lifetime = simulation.rng.exponential(self.mean_duration)
+            simulation.core.schedule(
+                lifetime, lambda: simulation.close_flow(flow_id)
+            )
+        self._schedule_next_arrival(simulation)
+
+
+def _run_both(generator, **fields):
+    """Run ``generator`` as ``poisson-arrivals`` and as the oracle."""
+    runs = []
+    for kind in (PoissonArrivalsGenerator, _PerArrival):
+        simulation = FlowSimulation(FlowSimConfig(**{
+            "formula": {"kind": "sqrt", "rtt": 0.1},
+            "loss_event_rate": 0.1,
+            "coefficient_of_variation": 0.6,
+            "history_length": 8,
+            "record_flowlets": True,
+            "seed": 3,
+            **fields,
+            "generator": kind(**generator),
+        }))
+        result = simulation.run()
+        runs.append((result, simulation.rng.random()))
+    return runs
+
+
+class TestWindowedArrivals:
+    @pytest.mark.parametrize("generator, fields", [
+        # size-bounded, estimator sampling
+        ({"arrival_rate": 20.0, "mean_size": 40.0},
+         {"formula": {"kind": "pftk-simplified", "rtt": 0.2},
+          "duration": 30.0}),
+        # duration-bounded, mean sampling, interval 0.7 over 40 s
+        ({"arrival_rate": 5.0, "mean_duration": 3.0},
+         {"sampling": "mean", "interval": 0.7, "duration": 40.0}),
+        # size-bounded short flows at the csa00 rate
+        ({"arrival_rate": 20.0, "mean_size": 40.0},
+         {"sampling": "csa00", "interval": 0.5, "duration": 30.0}),
+        # windows of ~10k arrivals, past the first look-ahead block
+        ({"arrival_rate": 2000.0, "mean_duration": 1.0},
+         {"interval": 5.0, "duration": 15.0}),
+        # mostly empty windows
+        ({"arrival_rate": 0.05, "mean_duration": 30.0},
+         {"duration": 300.0}),
+        ({"arrival_rate": 0.05, "mean_size": 200.0},
+         {"sampling": "mean", "interval": 0.5, "duration": 300.0}),
+    ])
+    def test_matches_the_per_arrival_generator(self, generator, fields):
+        (windowed, after), (oracle, oracle_after) = _run_both(
+            generator, **fields
+        )
+        assert windowed.num_flows > 0
+        assert windowed.records == oracle.records
+        assert windowed.flowlets == oracle.flowlets
+        assert _summary(windowed) == _summary(oracle)
+        # The stream ends at the same place.
+        assert after == oracle_after
+        ticks = round(fields["duration"] / fields.get("interval", 1.0))
+        assert windowed.events_processed == ticks
+        assert oracle.events_processed >= ticks + windowed.num_flows
+
+    def test_window_and_tie_rules(self):
+        # Every draw is its scale: arrivals every 0.5 s from 0.5, each
+        # living 2.5 s, so arrivals and ends fall on tick times.
+        simulation = FlowSimulation(FlowSimConfig(
+            formula={"kind": "sqrt", "rtt": 0.1}, loss_event_rate=0.1,
+            sampling="mean", duration=5.0, interval=1.0, seed=1,
+            generator={"kind": "poisson-arrivals", "arrival_rate": 2.0,
+                       "mean_duration": 2.5},
+        ))
+        simulation.rng = _DrawsAreScales()
+        result = simulation.run()
+        records = {r.flow_id: r for r in result.records}
+        # The arrival at 5.0, the run's end, opens; 5.5 does not.
+        assert [r.start_time for r in result.records] == [
+            0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0
+        ]
+        # Flow 0 (0.5 to 3.0) joins at tick 1, is sampled at 2 and closes
+        # at 3 before the tick samples.  Flow 1 arrives at tick time 1.0,
+        # so it is in the window after tick 1: it joins at 2, is sampled
+        # at 3 and closes at 4 (its end, 3.5).
+        assert records[0] == FlowRecord(
+            0, 0.5, 3.0, _RATE, 1, _RATE, True, None
+        )
+        assert records[1] == FlowRecord(
+            1, 1.0, 3.5, _RATE, 1, _RATE, True, None
+        )
+        assert [r.num_flowlets for r in result.records] == [
+            1, 1, 1, 1, 1, 1, 1, 0, 0, 0
+        ]
+        assert [r.completed for r in result.records] == [True] * 5 + [False] * 5
+        assert [r.end_time for r in result.records[5:]] == [5.0] * 5
+        assert result.events_processed == 5
+
+    def test_scripted_close_at_a_tick_time_closes_before_it_samples(self):
+        result = _scripted_run(
+            opens=[(0.0, None), (0.0, None)], closes=[(2.0, 0)]
+        )
+        closed, survivor = result.records
+        assert closed == FlowRecord(0, 0.0, 2.0, _RATE, 1, _RATE, True, None)
+        assert survivor.num_flowlets == 5
+
+
+class _DrawsAreScales:
+    """Stands in for the run's random generator: every exponential draw
+    returns its scale."""
+
+    class bit_generator:
+        state = None
+
+    def exponential(self, scale, size=None):
+        if size is None:
+            return float(scale)
+        return np.broadcast_to(np.asarray(scale, dtype=float), size).copy()
