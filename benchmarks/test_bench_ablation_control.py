@@ -8,9 +8,9 @@ below by the basic control).  This ablation quantifies the gap across
 loss-event rates and window lengths.
 """
 
+from repro import api
 from repro.core import PftkSimplifiedFormula, SqrtFormula
 from repro.lossprocess import ShiftedExponentialIntervals
-from repro.montecarlo import simulate_basic_control, simulate_comprehensive_control
 
 from conftest import print_table
 
@@ -28,13 +28,13 @@ def generate_ablation():
                 process = ShiftedExponentialIntervals.from_loss_rate_and_cv(
                     loss_rate, 0.999
                 )
-                basic = simulate_basic_control(
-                    formula, process, num_events=NUM_EVENTS,
-                    history_length=window, seed=2400 + window,
-                )
-                comprehensive = simulate_comprehensive_control(
-                    formula, process, num_events=NUM_EVENTS,
-                    history_length=window, seed=2400 + window,
+                basic, comprehensive = (
+                    api.simulate(api.SimConfig(
+                        formula=formula, loss_process=process, control=control,
+                        num_events=NUM_EVENTS, history_length=window,
+                        seed=2400 + window,
+                    ))
+                    for control in ("basic", "comprehensive")
                 )
                 rows.append(
                     [name, window, loss_rate,

@@ -8,11 +8,9 @@ same length has (slightly) lower variance than the TFRC profile, so its
 normalized throughput should be at least as high.
 """
 
-import numpy as np
-
-from repro.core import PftkSimplifiedFormula, tfrc_weights, uniform_weights
+from repro import api
+from repro.core import PftkSimplifiedFormula
 from repro.lossprocess import ShiftedExponentialIntervals
-from repro.montecarlo import simulate_basic_control
 
 from conftest import print_table
 
@@ -28,13 +26,13 @@ def generate_ablation():
     for window in WINDOWS:
         for loss_rate in LOSS_RATES:
             process = ShiftedExponentialIntervals.from_loss_rate_and_cv(loss_rate, 0.999)
-            tfrc_result = simulate_basic_control(
-                formula, process, num_events=NUM_EVENTS,
-                weights=tfrc_weights(window), seed=2300 + window,
-            )
-            uniform_result = simulate_basic_control(
-                formula, process, num_events=NUM_EVENTS,
-                weights=uniform_weights(window), seed=2300 + window,
+            tfrc_result, uniform_result = (
+                api.simulate(api.SimConfig(
+                    formula=formula, loss_process=process,
+                    profile={"kind": kind, "history_length": window},
+                    num_events=NUM_EVENTS, seed=2300 + window,
+                ))
+                for kind in ("tfrc", "uniform")
             )
             rows.append(
                 [window, loss_rate, tfrc_result.normalized_throughput,

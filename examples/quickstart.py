@@ -23,8 +23,9 @@ Run with::
 """
 
 from repro import api
-from repro.core import evaluate_conditions, run_basic_control
+from repro.core import evaluate_conditions, tfrc_weights
 from repro.lossprocess import make_rng
+from repro.montecarlo import vectorized_control_trace
 
 FORMULA = {"kind": "pftk-simplified", "rtt": 1.0}
 LOSS_PROCESS = {
@@ -32,6 +33,9 @@ LOSS_PROCESS = {
     "loss_event_rate": 0.1,
     "coefficient_of_variation": 0.999,
 }
+NUM_EVENTS = 50_000
+HISTORY_LENGTH = 8
+SEED = 2002
 
 
 def main() -> None:
@@ -45,10 +49,10 @@ def main() -> None:
             api.SimConfig(
                 formula=FORMULA,
                 loss_process=LOSS_PROCESS,
-                history_length=8,
+                history_length=HISTORY_LENGTH,
                 control=control,
-                num_events=50_000,
-                seed=2002,
+                num_events=NUM_EVENTS,
+                seed=SEED,
             )
         )
         for control in ("basic", "comprehensive")
@@ -71,19 +75,23 @@ def main() -> None:
     # api.simulate_batch(BatchConfig(method="analytic")).
     for control in ("basic", "comprehensive"):
         prediction = api.simulate(api.SimConfig(
-            formula=FORMULA, loss_process=LOSS_PROCESS, history_length=8,
-            control=control, method="analytic", num_events=200_000,
-            seed=2002))
+            formula=FORMULA, loss_process=LOSS_PROCESS,
+            history_length=HISTORY_LENGTH, control=control,
+            method="analytic", num_events=200_000, seed=SEED))
         print("{:21s} Proposition {} prediction: x_bar/f(p) = {:.3f}".format(
             control.capitalize() + " control",
             "1" if control == "basic" else "3",
             prediction.normalized_throughput))
     print()
 
-    # The conditions report needs the per-event trajectory, so rerun the
-    # basic control over one sampled sequence.
-    basic_trace = run_basic_control(
-        formula, process.sample_intervals(50_000, make_rng(2002))
+    # The conditions report needs the per-event trajectory of the basic
+    # control run printed above: the kernel over the draw simulate()
+    # evaluated, NUM_EVENTS + L intervals from the run's seed (the first
+    # L warm up the estimator).
+    basic_trace = vectorized_control_trace(
+        formula,
+        process.sample_intervals(NUM_EVENTS + HISTORY_LENGTH, make_rng(SEED)),
+        tfrc_weights(HISTORY_LENGTH),
     )
     report = evaluate_conditions(formula, basic_trace)
     print("Theorem 1 verdict:", report.theorem1.value)

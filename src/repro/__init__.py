@@ -14,7 +14,8 @@ lossprocess
 palm
     Palm-calculus estimators and statistics helpers.
 montecarlo
-    The paper's numerical experiments (Figures 3 and 4).
+    The kernels of the paper's numerical experiments (Figures 3 and 4);
+    a point runs through ``api.simulate``.
 simulator
     A packet-level discrete-event simulator (ns-2 substitute) with
     DropTail/RED queues, TCP, TFRC, and probe sources.

@@ -17,7 +17,6 @@ from .few_flows import (
     simulate_aimd_on_link,
     simulate_equation_based_on_link,
 )
-from .phases import PhaseStudyPoint, phase_study, switching_sweep
 from .many_sources import (
     Claim3Result,
     CongestionModel,
@@ -46,9 +45,6 @@ __all__ = [
     "claim4_prediction",
     "simulate_aimd_on_link",
     "simulate_equation_based_on_link",
-    "PhaseStudyPoint",
-    "phase_study",
-    "switching_sweep",
     "PairBreakdown",
     "pair_breakdowns",
     "aggregate_breakdown",

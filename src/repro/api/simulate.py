@@ -1,13 +1,18 @@
 """The ``simulate()`` facade: typed configs in, typed results out.
 
-One entry point covers the package's Monte-Carlo evaluation paths:
+These two functions are the package's only way to evaluate the basic
+and comprehensive controls over a sampled loss process; the per-event
+loops of :mod:`repro.core.control` are the test oracle, and
+:mod:`repro.montecarlo` holds only the kernels beneath:
 
 * :func:`simulate` takes a :class:`SimConfig` (or its dict/JSON form) and
   evaluates it as a one-row batch: the grid evaluator behind
   :func:`simulate_batch`, with one formula, one window and one loss
   model, sampled with the config's own seed.  That covers the basic /
   comprehensive control simulation and the Proposition 1/3 analytic
-  integration, over *any* registered loss process and weight profile;
+  integration, over *any* registered loss process and weight profile
+  (a phased loss process of the paper's Section III-B.2 is the
+  ``two-phase`` kind like any other);
 * :func:`simulate_batch` takes a :class:`BatchConfig` describing a whole
   grid of (formula, p, cv, L) -- or (formula, loss process, L) -- points
   and evaluates it in shared numpy passes through
@@ -56,9 +61,6 @@ from .. import telemetry
 from ..core.estimator import check_history_length
 from ..lossprocess.base import check_seed, derive_point_seed, make_rng
 from ..lossprocess.iid import ShiftedExponentialIntervals
-# Unused here; bound so perfbench's traced pass can still wrap them by name.
-from ..montecarlo.basic import simulate_basic_control  # noqa: F401
-from ..montecarlo.comprehensive import simulate_comprehensive_control  # noqa: F401
 from ..montecarlo.vectorized import (
     evaluate_control_arrays,
     sliding_estimates,
@@ -237,9 +239,11 @@ class SimResult:
 
     ``loss_event_rate`` is the nominal (model) rate; for Monte-Carlo runs
     ``empirical_loss_event_rate`` is the rate observed in the sampled
-    sequence and is what ``normalized_throughput`` divides by, matching
-    the scalar entry points.  Analytic results have no per-event trace,
-    so their covariance and estimator-cv fields are ``nan``.
+    sequence and is what ``normalized_throughput`` divides by.  Figure
+    10's normalised covariance ``cov[theta_0, theta_hat_0] p^2`` is
+    ``interval_estimate_covariance * empirical_loss_event_rate**2``.
+    Analytic results have no per-event trace, so their covariance and
+    estimator-cv fields are ``nan``.
     """
 
     control: str
@@ -297,6 +301,21 @@ def simulate(config: Union[SimConfig, Mapping[str, Any]]) -> SimResult:
             shared=False,
         )
         return result
+
+
+# perfbench's traced pass wraps these two names as attributes of this
+# module, and its tests install the wrappers, so they must exist; they
+# are not API (not in __all__).  The benchmark change that moves
+# perfbench onto telemetry spans (ROADMAP, measurement-stack item)
+# deletes them.
+def simulate_basic_control(**fields: Any) -> SimResult:
+    """``simulate(SimConfig(control="basic", **fields))``."""
+    return simulate(SimConfig(control="basic", **fields))
+
+
+def simulate_comprehensive_control(**fields: Any) -> SimResult:
+    """``simulate(SimConfig(control="comprehensive", **fields))``."""
+    return simulate(SimConfig(control="comprehensive", **fields))
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,12 @@ __all__ = [
 #: Most (size or lifetime, gap) pairs one look-ahead block draws.
 _MAX_BLOCK = 4096
 
+#: Most arrivals one ``poisson-arrivals`` window may expect,
+#: ``arrival_rate`` times the window's length.  A limit, like the
+#: service's ``MAX_BATCH_ROWS``, not an option: a finite but huge rate
+#: would otherwise draw block after block without leaving its window.
+MAX_WINDOW_ARRIVALS = 10**7
+
 
 def _check_positive(name: str, value: float) -> None:
     if not (isfinite(value) and value > 0.0):
@@ -89,7 +95,15 @@ def _window_arrivals(
     pairs drawn again, so ``rng`` ends where drawing the pairs one
     arrival at a time would leave it.  Arrival times are sums in arrival
     order, as an event clock adds each gap to the previous arrival.
+    A window expecting more than :data:`MAX_WINDOW_ARRIVALS` arrivals is
+    refused before any draw.
     """
+    expected = rate * (until - first)
+    if expected > MAX_WINDOW_ARRIVALS:
+        raise ValueError(
+            f"a window expects {expected:.3g} arrivals (arrival_rate x "
+            f"interval), more than the limit of {MAX_WINDOW_ARRIVALS}"
+        )
     state = rng.bit_generator.state
     count, last = 0, first
     while last < until:

@@ -73,6 +73,11 @@ __all__ = ["FlowSimConfig", "FlowSimResult", "FlowSimulation", "run_flowsim"]
 
 _SAMPLINGS = ("estimator", "mean", "csa00")
 
+#: Most ticks one run may take, ``duration / interval``.  A limit, like
+#: the service's ``MAX_BATCH_ROWS``, not an option: a tiny interval
+#: would otherwise construct and then never finish.
+MAX_TICKS = 10**7
+
 
 @dataclass
 class FlowSimConfig:
@@ -113,10 +118,15 @@ class FlowSimConfig:
                 "latency_model only applies to sampling='csa00' (got "
                 f"sampling={self.sampling!r})"
             )
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.interval <= 0.0:
-            raise ValueError(f"interval must be positive, got {self.interval}")
+        for name in ("duration", "interval"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.duration / self.interval > MAX_TICKS:
+            raise ValueError(
+                f"duration / interval is {self.duration / self.interval:.3g} "
+                f"ticks, more than the limit of {MAX_TICKS}"
+            )
         point = self._point()  # SimConfig's rules check the point
         # Resolve every component to check it (nothing is cached), so a
         # bad one fails here, with the message the run would raise.

@@ -51,10 +51,13 @@ class ShiftedExponentialIntervals(LossProcess):
     rate: float
 
     def __post_init__(self) -> None:
-        if self.shift < 0.0:
-            raise ValueError(f"shift must be non-negative, got {self.shift}")
-        if self.rate <= 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        # Each check states the range to hold: a nan fails any comparison.
+        if not 0.0 <= self.shift < math.inf:
+            raise ValueError(
+                f"shift must be non-negative and finite, got {self.shift}"
+            )
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     # ------------------------------------------------------------------
     # Construction helpers mirroring the paper's parameterisation
@@ -137,8 +140,8 @@ class DeterministicIntervals(LossProcess):
     value: float
 
     def __post_init__(self) -> None:
-        if self.value <= 0.0:
-            raise ValueError(f"value must be positive, got {self.value}")
+        if not 0.0 < self.value < math.inf:
+            raise ValueError(f"value must be positive and finite, got {self.value}")
 
     @property
     def mean_interval(self) -> float:
@@ -167,10 +170,10 @@ class GammaIntervals(LossProcess):
     cv: float
 
     def __post_init__(self) -> None:
-        if self.mean <= 0.0:
-            raise ValueError(f"mean must be positive, got {self.mean}")
-        if self.cv <= 0.0:
-            raise ValueError(f"cv must be positive, got {self.cv}")
+        for name in ("mean", "cv"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def mean_interval(self) -> float:
@@ -205,10 +208,10 @@ class LognormalIntervals(LossProcess):
     cv: float
 
     def __post_init__(self) -> None:
-        if self.mean <= 0.0:
-            raise ValueError(f"mean must be positive, got {self.mean}")
-        if self.cv <= 0.0:
-            raise ValueError(f"cv must be positive, got {self.cv}")
+        for name in ("mean", "cv"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def mean_interval(self) -> float:
@@ -246,8 +249,8 @@ class EmpiricalIntervals(LossProcess):
         values = np.asarray(list(observations), dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("observations must be a non-empty 1-D sequence")
-        if np.any(values <= 0.0):
-            raise ValueError("observations must be strictly positive")
+        if not np.all((values > 0.0) & (values < np.inf)):
+            raise ValueError("observations must be strictly positive and finite")
         self._values = values
 
     @property

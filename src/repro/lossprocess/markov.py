@@ -66,8 +66,8 @@ class MarkovModulatedIntervals(LossProcess):
             raise ValueError("phase_means length must match the matrix dimension")
         if np.any(matrix < 0.0) or not np.allclose(matrix.sum(axis=1), 1.0):
             raise ValueError("transition_matrix must be row-stochastic")
-        if np.any(means <= 0.0):
-            raise ValueError("phase_means must be strictly positive")
+        if not np.all((means > 0.0) & (means < np.inf)):
+            raise ValueError("phase_means must be strictly positive and finite")
         if not 0.0 < phase_cv <= 1.0:
             raise ValueError("phase_cv must be in (0, 1]")
         self._matrix = matrix

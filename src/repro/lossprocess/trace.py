@@ -37,8 +37,8 @@ class TraceIntervals(LossProcess):
         values = np.asarray(list(intervals), dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("intervals must be a non-empty 1-D sequence")
-        if np.any(values <= 0.0):
-            raise ValueError("intervals must be strictly positive")
+        if not np.all((values > 0.0) & (values < np.inf)):
+            raise ValueError("intervals must be strictly positive and finite")
         self._values = values
 
     @property

@@ -14,14 +14,15 @@ evaluated in whole-array numpy passes.
   same corrections, so the two paths cannot disagree on ``V``.
 
 :func:`repro.api.simulate_batch` stacks many grid points as rows of one
-interval matrix, and :func:`repro.api.simulate` is the same evaluator
-over a one-row grid.  The ``simulate_basic_control`` /
-``simulate_comprehensive_control`` wrappers and
-:func:`vectorized_control_trace` (the phase study of
-:mod:`repro.analysis.phases`) make one-run calls.  The per-event loops
-of :mod:`repro.core.control` are the reference semantics and the test
-oracle: same warm-up convention (the first ``L`` intervals seed the
-estimator and are excluded from the trace), equal to numerical precision.
+interval matrix, and :func:`repro.api.simulate` -- the one way to run
+the control over a sampled loss process -- is the same evaluator over a
+one-row grid.  :func:`vectorized_control_trace` returns one run's
+per-event trajectory, the :class:`~repro.core.control.ControlTrace`
+that :func:`repro.core.conditions.evaluate_conditions` reads.  The
+per-event loops of :mod:`repro.core.control` are the reference
+semantics and the test oracle: same warm-up convention (the first ``L``
+intervals seed the estimator and are excluded from the trace), equal to
+numerical precision.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "evaluate_control_arrays",
     "summarize_rows",
     "vectorized_control_trace",
-    "vectorized_control_summaries",
 ]
 
 #: Growth-activation tolerance, identical to the loop implementation's.
@@ -208,32 +208,6 @@ def vectorized_control_trace(
     return ControlTrace(
         intervals=kept, estimates=estimates, rates=rates, durations=durations
     )
-
-
-def vectorized_control_summaries(
-    formula: LossThroughputFormula,
-    intervals: np.ndarray,
-    weights: Sequence[float],
-    comprehensive: bool = False,
-) -> Dict[str, np.ndarray]:
-    """Summarise a stack of independent runs in shared passes.
-
-    ``intervals`` has shape ``(runs, num_events + L)``; each row is one
-    independent interval sequence.  Returns per-row arrays with the same
-    statistics the scalar Monte-Carlo entry points report:
-    ``throughput``, ``normalized_throughput``, ``loss_event_rate``,
-    ``interval_estimate_covariance``, ``estimator_cv``.
-    """
-    array = np.asarray(intervals, dtype=float)
-    if array.ndim != 2:
-        raise ValueError("intervals must be a 2-D (runs, events) array")
-    kept, estimates, candidates = sliding_estimates(array, weights)
-    weight_array = _normalized_weights(weights)
-    rates, durations = evaluate_control_arrays(
-        formula, kept, estimates, candidates,
-        float(weight_array[0]), comprehensive,
-    )
-    return summarize_rows(formula, kept, estimates, durations)
 
 
 def summarize_rows(

@@ -22,7 +22,6 @@ from .statistics import (
     correlation,
     covariance,
     mean_confidence_interval,
-    normalized_interval_covariance,
     split_into_bins,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "autocovariance",
     "autocorrelation",
     "coefficient_of_variation",
-    "normalized_interval_covariance",
     "split_into_bins",
     "BinnedEstimate",
     "binned_estimates",

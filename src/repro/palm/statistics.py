@@ -1,8 +1,9 @@
 """Statistical helpers: covariance, autocovariance, binning, intervals.
 
 These utilities back the empirical evaluation machinery: the covariance
-conditions (C1), (C2), the normalised covariance plotted in Figure 10,
-the per-bin estimates used by the lab/Internet experiment methodology
+conditions (C1), (C2) (Figure 10's normalised covariance is
+:meth:`repro.core.estimator.EstimatorTrace.normalized_covariance`), the
+per-bin estimates used by the lab/Internet experiment methodology
 (Section V-A.3 computes estimates over 6 consecutive bins of an
 experiment), and simple confidence intervals on the resulting binned
 estimates.
@@ -21,7 +22,6 @@ __all__ = [
     "autocovariance",
     "autocorrelation",
     "coefficient_of_variation",
-    "normalized_interval_covariance",
     "split_into_bins",
     "BinnedEstimate",
     "binned_estimates",
@@ -94,18 +94,6 @@ def coefficient_of_variation(values: Sequence[float]) -> float:
     if mean == 0.0:
         raise ValueError("mean is zero; coefficient of variation undefined")
     return float(np.std(array) / mean)
-
-
-def normalized_interval_covariance(
-    intervals: Sequence[float], estimates: Sequence[float]
-) -> float:
-    """Return ``cov[theta_0, theta_hat_0] * p^2`` (Figure 10's quantity)."""
-    interval_array = np.asarray(intervals, dtype=float)
-    mean_interval = float(np.mean(interval_array))
-    if mean_interval <= 0.0:
-        raise ValueError("intervals must have a positive mean")
-    loss_event_rate = 1.0 / mean_interval
-    return covariance(intervals, estimates) * loss_event_rate**2
 
 
 def split_into_bins(values: Sequence[float], num_bins: int) -> List[np.ndarray]:

@@ -9,6 +9,7 @@ vectorised control kernel against the loop implementations.
 
 import ast
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 
@@ -29,7 +30,9 @@ from repro.core.formulas import (
 from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.lossprocess import ShiftedExponentialIntervals, make_rng
 from repro.montecarlo.vectorized import (
-    vectorized_control_summaries,
+    evaluate_control_arrays,
+    sliding_estimates,
+    summarize_rows,
     vectorized_control_trace,
 )
 from repro.simulator.scenarios import _build_queue
@@ -311,6 +314,49 @@ class TestScenarioBuilds:
 
 
 # ----------------------------------------------------------------------
+# Loss-process parameter domain
+# ----------------------------------------------------------------------
+#: (JSON config with one parameter left as ``%s``, the name its error
+#: names), for every parameter of the kinds whose checks a nan or an
+#: infinity used to pass.
+NON_FINITE_LOSS_PROCESSES = {
+    "shifted-exponential-shift": (
+        '{"kind": "shifted-exponential", "shift": %s, "rate": 0.1}', "shift"),
+    "shifted-exponential-rate": (
+        '{"kind": "shifted-exponential", "shift": 1.0, "rate": %s}', "rate"),
+    "deterministic": ('{"kind": "deterministic", "value": %s}', "value"),
+    "gamma-mean": ('{"kind": "gamma", "mean": %s, "cv": 1.5}', "mean"),
+    "gamma-cv": ('{"kind": "gamma", "mean": 20.0, "cv": %s}', "cv"),
+    "lognormal-mean": ('{"kind": "lognormal", "mean": %s, "cv": 0.7}', "mean"),
+    "lognormal-cv": ('{"kind": "lognormal", "mean": 10.0, "cv": %s}', "cv"),
+    "empirical": (
+        '{"kind": "empirical", "observations": [3.0, %s, 5.0]}',
+        "observations"),
+    "markov-modulated": (
+        '{"kind": "markov-modulated", "transition_matrix": [[0.9, 0.1], '
+        '[0.2, 0.8]], "phase_means": [50.0, %s]}', "phase_means"),
+    "two-phase-good": (
+        '{"kind": "two-phase", "good_mean": %s, "bad_mean": 4.0, '
+        '"switch_probability": 0.1}', "phase_means"),
+    "two-phase-bad": (
+        '{"kind": "two-phase", "good_mean": 60.0, "bad_mean": %s, '
+        '"switch_probability": 0.1}', "phase_means"),
+    "trace": ('{"kind": "trace", "intervals": [4.0, %s, 6.0]}', "intervals"),
+}
+
+
+class TestLossProcessDomain:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_LOSS_PROCESSES))
+    def test_non_finite_parameter_is_rejected(self, case, token):
+        # json.loads reads NaN, Infinity and 1e999; each used to build a
+        # process that failed, or ran to nan, inside the compute.
+        template, name = NON_FINITE_LOSS_PROCESSES[case]
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            api.LOSS_PROCESSES.from_config(json.loads(template % token))
+
+
+# ----------------------------------------------------------------------
 # Weight profiles
 # ----------------------------------------------------------------------
 class TestWeightProfiles:
@@ -448,7 +494,11 @@ class TestVectorizedKernel:
             0.05, 0.8
         ).sample_intervals(2_000 + 8, make_rng(9))
         matrix = np.vstack([intervals, other])
-        summaries = vectorized_control_summaries(formula, matrix, weights)
+        kept, estimates, candidates = sliding_estimates(matrix, weights)
+        _, durations = evaluate_control_arrays(
+            formula, kept, estimates, candidates, float(weights[0])
+        )
+        summaries = summarize_rows(formula, kept, estimates, durations)
         for row, sequence in enumerate((intervals, other)):
             trace = BasicControl(formula, weights=weights).run(sequence)
             assert np.isclose(
@@ -470,21 +520,43 @@ class TestVectorizedKernel:
 # The simulate() facade
 # ----------------------------------------------------------------------
 class TestSimulateFacade:
-    def test_montecarlo_matches_direct_entry_point(self):
-        from repro.montecarlo import simulate_basic_control
-
+    @pytest.mark.parametrize("control", ["basic", "comprehensive"])
+    def test_montecarlo_matches_direct_kernel_call(self, control):
+        """simulate() is the seeded draw of num_events + L intervals run
+        through the three kernel passes, bit for bit, and so is the
+        throughput of vectorized_control_trace over that draw (the
+        quickstart's theorem report); the two delegates kept in
+        repro.api.simulate return simulate()'s result."""
+        # The package re-exports the function under the module's name.
+        facade = importlib.import_module("repro.api.simulate")
         formula = PftkSimplifiedFormula(rtt=1.0)
         process = ShiftedExponentialIntervals.from_loss_rate_and_cv(0.1, 0.9)
-        direct = simulate_basic_control(
-            formula, process, num_events=2_000, history_length=8, seed=13
+        weights = tfrc_weights(8)
+        intervals = process.sample_intervals(2_000 + 8, make_rng(13))
+        kept, estimates, candidates = sliding_estimates(intervals, weights)
+        _, durations = evaluate_control_arrays(
+            formula, kept, estimates, candidates, float(weights[0]),
+            comprehensive=control == "comprehensive",
         )
-        via_api = api.simulate(api.SimConfig(
+        direct = summarize_rows(formula, kept, estimates, durations)
+        fields = dict(
             formula={"kind": "pftk-simplified", "rtt": 1.0},
             loss_event_rate=0.1, coefficient_of_variation=0.9,
             history_length=8, num_events=2_000, seed=13,
-        ))
-        assert via_api.normalized_throughput == direct.normalized_throughput
-        assert via_api.throughput == direct.throughput
+        )
+        via_api = api.simulate(api.SimConfig(control=control, **fields))
+        assert via_api.normalized_throughput == direct["normalized_throughput"]
+        assert via_api.throughput == direct["throughput"]
+        assert via_api.empirical_loss_event_rate == direct["loss_event_rate"]
+        assert via_api.interval_estimate_covariance == (
+            direct["interval_estimate_covariance"])
+        assert via_api.estimator_cv == direct["estimator_cv"]
+        trace = vectorized_control_trace(
+            formula, intervals, weights, comprehensive=control == "comprehensive"
+        )
+        assert trace.throughput == via_api.throughput
+        delegate = getattr(facade, f"simulate_{control}_control")
+        assert delegate(**fields) == via_api
 
     def test_analytic_dispatch_agrees_with_montecarlo(self):
         base = dict(formula="pftk-simplified", loss_event_rate=0.1,

@@ -25,6 +25,7 @@ import pytest
 
 from repro import api
 from repro.experiments import ExperimentRunner, preset
+from repro.flowsim import generators
 from repro.flowsim import (
     FixedPopulationGenerator,
     FlowRecord,
@@ -40,6 +41,7 @@ from repro.flowsim import (
     write_flow_records,
     write_flowlets,
 )
+from repro.flowsim.run import MAX_TICKS
 
 
 # ----------------------------------------------------------------------
@@ -120,6 +122,26 @@ class TestFlowSimConfig:
                 formula="sqrt", loss_event_rate=0.1, sampling="bogus"
             )
 
+    @pytest.mark.parametrize("fields, message", [
+        # Each used to construct: the first never ended, the second ran
+        # and emitted no flowlet, the two nans failed only at run time.
+        ({"duration": float("inf")}, "duration must be positive and finite"),
+        ({"interval": float("inf")}, "interval must be positive and finite"),
+        ({"duration": float("nan")}, "duration must be positive and finite"),
+        ({"interval": float("nan")}, "interval must be positive and finite"),
+        # ... and this one needed 1e301 ticks.
+        ({"duration": 10.0, "interval": 1e-300}, "more than the limit"),
+        ({"duration": MAX_TICKS + 1.0, "interval": 1.0}, "more than the limit"),
+    ])
+    def test_rejects_a_run_outside_the_domain(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            FlowSimConfig(formula="sqrt", loss_event_rate=0.1, **fields)
+
+    def test_the_tick_limit_is_inclusive(self):
+        config = FlowSimConfig(formula="sqrt", loss_event_rate=0.1,
+                               duration=float(MAX_TICKS), interval=1.0)
+        assert config.duration / config.interval == MAX_TICKS
+
     def test_config_dict_round_trip(self):
         config = FlowSimConfig(
             formula={"kind": "sqrt", "rtt": 0.1},
@@ -188,6 +210,35 @@ class TestGenerators:
     def test_rejects_parameters_outside_the_domain(self, config, message):
         with pytest.raises(ValueError, match=message):
             api.GENERATORS.from_config(config)
+
+    def test_a_huge_arrival_rate_fails_before_drawing(self):
+        # 1e300 arrivals/s is finite, so construction accepts it; its
+        # first window used to draw block after block of ~1e-300 s gaps
+        # and never end.
+        config = FlowSimConfig(
+            formula="sqrt", loss_event_rate=0.1, duration=10.0, seed=1,
+            generator={"kind": "poisson-arrivals", "arrival_rate": 1e300,
+                       "mean_duration": 5.0},
+        )
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="more than the limit"):
+            run_flowsim(config)
+        assert time.perf_counter() - started < 1.0
+
+    def test_the_window_limit_bounds_expected_arrivals(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_WINDOW_ARRIVALS", 1000)
+
+        def run(arrival_rate):
+            return run_flowsim(FlowSimConfig(
+                formula="sqrt", loss_event_rate=0.1, duration=2.0, seed=3,
+                generator={"kind": "poisson-arrivals",
+                           "arrival_rate": arrival_rate, "mean_size": 5.0},
+            ))
+
+        # 900 per one-second window runs; 1100 expects ~1099 > 1000.
+        assert run(900.0).num_flows > 1000
+        with pytest.raises(ValueError, match="more than the limit of 1000"):
+            run(1100.0)
 
     def test_numpy_integer_counts_pass(self):
         assert FixedPopulationGenerator(num_flows=np.int64(3)).num_flows == 3

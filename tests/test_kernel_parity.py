@@ -23,15 +23,10 @@ from repro.core import formulas
 from repro.core.control import BasicControl, ComprehensiveControl
 from repro.core.formulas import SqrtFormula
 from repro.lossprocess import ShiftedExponentialIntervals, make_rng
-from repro.montecarlo import (
-    simulate_basic_control,
-    simulate_comprehensive_control,
-)
 
 NUM_EVENTS = 1_000
 LARGE_EFFECT = {"loss_event_rate": 0.3, "coefficient_of_variation": 0.999}
 CONTROLS = ["basic", "comprehensive"]
-SCALAR_ENTRY_POINTS = [simulate_basic_control, simulate_comprehensive_control]
 
 VARIANTS = {
     "uniform": dict(profile={"kind": "uniform", "history_length": 4},
@@ -131,26 +126,32 @@ class UnboundedSqrt(SqrtFormula):
 class TestErrorsUnchanged:
     process = ShiftedExponentialIntervals.from_loss_rate_and_cv(0.1, 0.9)
 
-    @pytest.mark.parametrize("run", SCALAR_ENTRY_POINTS)
-    def test_too_few_events(self, run):
+    def simulate(self, control, formula=None, **fields):
+        return api.simulate(api.SimConfig(
+            formula=SqrtFormula() if formula is None else formula,
+            loss_process=self.process, control=control, seed=1, **fields,
+        ))
+
+    @pytest.mark.parametrize("control", CONTROLS)
+    def test_too_few_events(self, control):
         with pytest.raises(ValueError, match="at least 10"):
-            run(SqrtFormula(), self.process, num_events=9, seed=1)
+            self.simulate(control, num_events=9)
         with pytest.raises(ValueError, match="at least 10"):
             api.simulate({"formula": "sqrt", "loss_event_rate": 0.1,
                           "num_events": 9, "seed": 1})
 
-    @pytest.mark.parametrize("run", SCALAR_ENTRY_POINTS)
-    def test_weights_and_history_length_are_exclusive(self, run):
-        with pytest.raises(ValueError, match="either weights or history_length"):
-            run(SqrtFormula(), self.process, num_events=50,
-                weights=[1.0, 1.0], history_length=2, seed=1)
+    def test_weights_and_history_length_are_exclusive(self):
+        # SimConfig checks the pair before the control matters.
+        with pytest.raises(ValueError, match="either profile or history_length"):
+            self.simulate("basic", num_events=50, history_length=2,
+                          profile={"kind": "custom", "raw_weights": [1.0, 1.0]})
 
     @pytest.mark.parametrize("weights", [[1.0, 0.0], [2.0, -1.0, 1.0]])
-    @pytest.mark.parametrize("run", SCALAR_ENTRY_POINTS)
-    def test_non_positive_weights(self, run, weights):
+    @pytest.mark.parametrize("control", CONTROLS)
+    def test_non_positive_weights(self, control, weights):
         with pytest.raises(ValueError, match="strictly positive"):
-            run(SqrtFormula(), self.process, num_events=50, weights=weights,
-                seed=1)
+            self.simulate(control, num_events=50,
+                          profile={"kind": "custom", "raw_weights": weights})
         with pytest.raises(ValueError, match="strictly positive"):
             BasicControl(SqrtFormula(), weights=weights)
 
@@ -161,6 +162,4 @@ class TestErrorsUnchanged:
         with pytest.raises(ValueError, match="zero total duration"):
             _ = BasicControl(UnboundedSqrt()).run(intervals).throughput
         with pytest.raises(ValueError, match="zero total duration"):
-            simulate_basic_control(
-                UnboundedSqrt(), self.process, num_events=50, seed=1
-            )
+            self.simulate("basic", formula=UnboundedSqrt(), num_events=50)

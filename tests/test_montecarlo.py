@@ -1,17 +1,22 @@
-"""Unit tests for the Monte-Carlo numerical experiments (Figures 3 and 4)."""
+"""Unit tests for the Monte-Carlo numerical experiments (Figures 3 and 4).
 
-import numpy as np
+Every point runs through the one Monte-Carlo front door,
+:func:`repro.api.simulate`, over an i.i.d. loss process.
+"""
+
 import pytest
 
 from repro import api
-from repro.core.formulas import PftkSimplifiedFormula, SqrtFormula
 from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.experiments.registry import FIGURE3_CV
 from repro.lossprocess import DeterministicIntervals, ShiftedExponentialIntervals
-from repro.montecarlo import (
-    simulate_basic_control,
-    simulate_comprehensive_control,
-)
+
+
+def simulate(formula, process, control="basic", **fields):
+    """One Monte-Carlo point of ``formula`` over ``process``."""
+    return api.simulate(api.SimConfig(
+        formula=formula, loss_process=process, control=control, **fields,
+    ))
 
 
 def analytic_throughput(formula, process, num_events, seed=None, control="basic"):
@@ -27,7 +32,7 @@ class TestBasicControlMonteCarlo:
         """For i.i.d. intervals the sequential simulation and the direct
         Monte-Carlo evaluation of Proposition 1 converge to the same value."""
         process = ShiftedExponentialIntervals.from_loss_rate_and_cv(0.1, 0.999)
-        simulated = simulate_basic_control(
+        simulated = simulate(
             pftk_simplified, process, num_events=60_000, history_length=8, seed=1
         )
         analytic = analytic_throughput(
@@ -37,48 +42,54 @@ class TestBasicControlMonteCarlo:
 
     def test_deterministic_process_reaches_formula(self, pftk_simplified):
         process = DeterministicIntervals(25.0)
-        result = simulate_basic_control(
+        result = simulate(
             pftk_simplified, process, num_events=500, history_length=8, seed=3
         )
         assert result.normalized_throughput == pytest.approx(1.0, rel=1e-9)
         assert result.estimator_cv == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_event_rate_matches_process(self, sqrt_formula):
+        """The rate observed in the sampled sequence, not the nominal one
+        (``SimResult.loss_event_rate``), which would pass trivially."""
         process = ShiftedExponentialIntervals.from_loss_rate_and_cv(0.05, 0.9)
-        result = simulate_basic_control(
+        result = simulate(
             sqrt_formula, process, num_events=50_000, history_length=4, seed=4
         )
-        assert result.loss_event_rate == pytest.approx(0.05, rel=0.03)
+        assert result.empirical_loss_event_rate != result.loss_event_rate
+        assert result.empirical_loss_event_rate == pytest.approx(0.05, rel=0.03)
 
     def test_weights_and_history_length_are_exclusive(self, sqrt_formula):
         process = DeterministicIntervals(10.0)
         with pytest.raises(ValueError):
-            simulate_basic_control(
+            simulate(
                 sqrt_formula, process, num_events=100,
-                weights=[0.5, 0.5], history_length=2,
+                profile={"kind": "custom", "raw_weights": [0.5, 0.5]},
+                history_length=2,
             )
 
     def test_minimum_events_enforced(self, sqrt_formula):
         process = DeterministicIntervals(10.0)
         with pytest.raises(ValueError):
-            simulate_basic_control(sqrt_formula, process, num_events=5)
+            simulate(sqrt_formula, process, num_events=5)
 
 
 class TestComprehensiveControlMonteCarlo:
     def test_comprehensive_above_basic(self, pftk_simplified):
         process = ShiftedExponentialIntervals.from_loss_rate_and_cv(0.1, 0.999)
-        basic = simulate_basic_control(
+        basic = simulate(
             pftk_simplified, process, num_events=40_000, history_length=8, seed=5
         )
-        comprehensive = simulate_comprehensive_control(
-            pftk_simplified, process, num_events=40_000, history_length=8, seed=5
+        comprehensive = simulate(
+            pftk_simplified, process, "comprehensive",
+            num_events=40_000, history_length=8, seed=5,
         )
         assert comprehensive.normalized_throughput > basic.normalized_throughput
 
     def test_analytic_comprehensive_close_to_simulation(self, pftk_simplified):
         process = ShiftedExponentialIntervals.from_loss_rate_and_cv(0.1, 0.999)
-        simulated = simulate_comprehensive_control(
-            pftk_simplified, process, num_events=60_000, history_length=8, seed=6
+        simulated = simulate(
+            pftk_simplified, process, "comprehensive",
+            num_events=60_000, history_length=8, seed=6,
         )
         analytic = analytic_throughput(
             pftk_simplified, process, num_events=200_000, seed=7,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.estimator import EstimatorTrace
 from repro.palm import (
     autocorrelation,
     autocovariance,
@@ -15,7 +16,6 @@ from repro.palm import (
     intensity,
     length_biased_average,
     mean_confidence_interval,
-    normalized_interval_covariance,
     palm_inversion_throughput,
     split_into_bins,
     time_average_piecewise_constant,
@@ -94,13 +94,15 @@ class TestStatistics:
         with pytest.raises(ValueError):
             coefficient_of_variation([-1.0, 1.0])
 
-    def test_normalized_interval_covariance_scale_invariance(self, rng):
+    def test_normalized_covariance_scale_invariance(self, rng):
         """cov * p^2 is invariant to rescaling the intervals, which is why
         the paper plots it across experiments with very different p."""
         intervals = rng.exponential(10.0, size=20_000)
         estimates = intervals + rng.normal(scale=1.0, size=20_000)
-        value_small = normalized_interval_covariance(intervals, estimates)
-        value_large = normalized_interval_covariance(10.0 * intervals, 10.0 * estimates)
+        value_small = EstimatorTrace(intervals, estimates).normalized_covariance()
+        value_large = EstimatorTrace(
+            10.0 * intervals, 10.0 * estimates
+        ).normalized_covariance()
         assert value_small == pytest.approx(value_large, rel=1e-9)
 
 

@@ -589,6 +589,37 @@ class TestHttpFrontend:
 
         run(lambda: self._with_server(body))
 
+    def test_non_finite_loss_process_parameters_are_400s(self):
+        # Each used to fail inside the compute, as a 500; NaN and
+        # Infinity also shared one key, canonical JSON writing both as
+        # null.
+        point = dict(PREDICT_PAYLOAD, loss_event_rate=None,
+                     coefficient_of_variation=None)
+
+        async def body(service, host, port):
+            for loss_process in (
+                {"kind": "deterministic", "value": float("nan")},
+                {"kind": "deterministic", "value": float("inf")},
+                {"kind": "two-phase", "good_mean": float("inf"),
+                 "bad_mean": 4.0, "switch_probability": 0.1},
+            ):
+                status, payload = await _post_json(
+                    host, port, "/predict", dict(point, loss_process=loss_process)
+                )
+                assert status == 400 and "finite" in payload["error"], loss_process
+            batch = {
+                "formulas": ["sqrt"], "num_events": NUM_EVENTS, "seed": 9,
+                "loss_processes": [
+                    GILBERT, {"kind": "trace", "intervals": [4.0, float("inf")]},
+                ],
+            }
+            status, payload = await _post_json(host, port, "/predict/batch", batch)
+            assert status == 400 and "finite" in payload["error"]
+            assert _counter("service.computes_predict") == 0
+            assert _counter("service.computes_batch") == 0
+
+        run(lambda: self._with_server(body))
+
     def test_analytic_comprehensive_answers_for_every_formula(self):
         # Formulas without a closed-form Proposition 3 integrate ODE (16).
         async def body(service, host, port):
