@@ -17,24 +17,22 @@ of loss-event intervals, the induced durations ``S_n``, rates ``X_n``, and
 the long-run throughput ``E[theta_0] / E[S_0]`` (Palm inversion formula),
 which is the quantity all of the paper's conservativeness results are about.
 
-For the comprehensive control with the SQRT or PFTK-simplified formulas the
-interval duration has the closed form of Proposition 3; for other formulas a
-numerically integrated fallback is provided.
+For the comprehensive control the interval duration subtracts Proposition
+3's correction, with the growth phase of ODE (16) integrated by a quadrature
+of its own: these loops are the test oracle of the kernels in
+:mod:`repro.montecarlo`, and share no closed form with them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .estimator import MovingAverageEstimator, tfrc_weights
-from .formulas import (
-    LossThroughputFormula,
-    PftkSimplifiedFormula,
-    SqrtFormula,
-)
+from .formulas import LossThroughputFormula, PftkStandardFormula
 
 __all__ = [
     "ControlTrace",
@@ -224,22 +222,10 @@ class ComprehensiveControl(BasicControl):
     the estimator would increase, which is why the comprehensive control's
     throughput is lower-bounded by the basic control's (Proposition 2).
 
-    For SQRT and PFTK-simplified formulas the duration uses the exact
-    closed form from the proof of Proposition 3; otherwise the rate-growth
-    ODE (16) is integrated numerically.
+    The duration subtracts Proposition 3's correction, with the growth
+    phase of ODE (16) integrated by :func:`_inverse_rate_integral`, a
+    quadrature that shares no closed form with the formulas it checks.
     """
-
-    def __init__(
-        self,
-        formula: LossThroughputFormula,
-        weights: Optional[Sequence[float]] = None,
-        initial_interval: float = 1.0,
-        ode_steps: int = 256,
-    ) -> None:
-        super().__init__(formula, weights=weights, initial_interval=initial_interval)
-        if ode_steps < 2:
-            raise ValueError("ode_steps must be at least 2")
-        self.ode_steps = int(ode_steps)
 
     # ------------------------------------------------------------------
     # Duration of one loss-event interval
@@ -265,35 +251,6 @@ class ComprehensiveControl(BasicControl):
     def _duration_correction(self, estimate: float, next_estimate: float) -> float:
         """Return ``V_n`` such that ``S_n = theta_n/f(1/theta_hat_n) - V_n``.
 
-        The closed form (Proposition 3) is available for SQRT and
-        PFTK-simplified; for other formulas the ODE (16) is integrated.
-        """
-        if isinstance(self.formula, (SqrtFormula, PftkSimplifiedFormula)):
-            return self._closed_form_correction(estimate, next_estimate)
-        return self._numerical_correction(estimate, next_estimate)
-
-    def _closed_form_correction(self, estimate: float, next_estimate: float) -> float:
-        formula = self.formula
-        w1 = float(self.estimator.weights[0])
-        c1r = formula.c1 * formula.rtt
-        if isinstance(formula, PftkSimplifiedFormula):
-            c2q = formula.c2 * formula.rto
-        else:
-            c2q = 0.0
-        growth_time = (
-            2.0 * c1r * (np.sqrt(next_estimate) - np.sqrt(estimate))
-            - 2.0 * c2q * (next_estimate**-0.5 - estimate**-0.5)
-            - (64.0 / 5.0) * c2q * (next_estimate**-2.5 - estimate**-2.5)
-        ) / w1
-        linear_time = (next_estimate - estimate) / (
-            w1 * self.rate_for_estimate(estimate)
-        )
-        # V_n = (theta_hat_{n+1} - theta_hat_n) / (w1 f(1/theta_hat_n)) - B_n
-        return linear_time - growth_time
-
-    def _numerical_correction(self, estimate: float, next_estimate: float) -> float:
-        """Integrate the growth phase of the ODE (16) for a generic formula.
-
         During the growth phase the provisional estimate sweeps from
         ``theta_hat_n`` to ``theta_hat_{n+1}`` and the instantaneous rate is
         ``f(1/y)`` where ``y`` is the provisional estimate.  The elapsed
@@ -302,9 +259,7 @@ class ComprehensiveControl(BasicControl):
         the same packets, and the correction is the difference.
         """
         w1 = float(self.estimator.weights[0])
-        grid = np.linspace(estimate, next_estimate, self.ode_steps)
-        inverse_rate = 1.0 / np.asarray(self.formula.rate_of_interval(grid))
-        growth_time = float(np.trapezoid(inverse_rate, grid)) / w1
+        growth_time = _inverse_rate_integral(self.formula, estimate, next_estimate) / w1
         linear_time = (next_estimate - estimate) / (
             w1 * self.rate_for_estimate(estimate)
         )
@@ -346,6 +301,41 @@ class ComprehensiveControl(BasicControl):
         return ControlTrace(
             intervals=kept, estimates=estimates, rates=rates, durations=durations
         )
+
+
+def _inverse_rate_integral(
+    formula: LossThroughputFormula, lower: float, upper: float
+) -> float:
+    """Return ``integral_lower^upper dy / f(1/y)`` by Gauss-Legendre quadrature.
+
+    The 16-point rule runs on geometric panels, each at most a factor of 2
+    wide, so it resolves ``1/f(1/y)`` near ``y = 0`` as well as far from
+    it; PFTK-standard's ``min`` term puts a kink at ``y = c2^2``, which is
+    made a panel edge.  Only ``formula.rate_of_interval`` is evaluated: no
+    closed form of the formula enters, so the kernels' ``growth_time`` is
+    checked against an independent computation.
+    """
+    panels = max(1, int(np.ceil(np.log2(upper / lower))))
+    edges = np.geomspace(lower, upper, panels + 1)
+    if isinstance(formula, PftkStandardFormula):
+        switch = formula.c2 * formula.c2
+        if lower < switch < upper:
+            edges = np.sort(np.append(edges, switch))
+    rule_nodes, rule_weights = _gauss_legendre_rule()
+    half_widths = 0.5 * np.diff(edges)[:, None]
+    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half_widths * rule_nodes
+    inverse_rates = 1.0 / formula.rate_of_interval(nodes)
+    return float(np.sum(half_widths * rule_weights * inverse_rates))
+
+
+@functools.cache
+def _gauss_legendre_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the oracle's 16-point rule on ``[-1, 1]``.
+
+    Built on first use: importing :mod:`numpy.polynomial` costs every
+    process about 2 MB, and only the oracle needs it.
+    """
+    return np.polynomial.legendre.leggauss(16)
 
 
 def run_basic_control(

@@ -31,17 +31,18 @@ mappings used throughout the analysis:
   interval in packets (the quantity the sender actually plugs in),
 * ``g(x) = 1 / f(1/x)``       -- the functional whose convexity governs
   conservativeness (Theorem 1),
-* first and second derivatives of ``f`` and ``g`` (used by the bound (10)
-  and by the convexity diagnostics in :mod:`repro.core.convexity`),
+* ``rate_derivative(p)``      -- ``f'(p)``, used by the bound (10),
 * ``growth_time(lower, upper)`` -- the integral of ``g`` over
   ``[lower, upper]``: the time ODE (16) takes to grow the comprehensive
   control's estimate, from which Proposition 3's correction follows.
 
-Each formula class carries its own closed forms (``_g``,
-``growth_time``) and inherits the generic ones, so no kernel dispatches
-on a formula's type.  A formula rejects a non-finite parameter, and a
-non-positive ``rtt``, ``rto``, ``c1`` or ``c2`` once the defaults are
-filled in.
+Each formula class carries its own closed forms: ``_g``, and
+``growth_time``, which the base class leaves abstract.  So every formula
+has one Proposition 3 integral, and no kernel dispatches on a formula's
+type.  The convexity of ``g`` (condition (F1)) is checked on grids by
+:mod:`repro.core.convexity`.  A formula rejects a non-finite parameter,
+and a non-positive ``rtt``, ``rto``, ``c1`` or ``c2`` once the defaults
+are filled in.
 
 Constants follow the paper: ``c1 = sqrt(2 b / 3)`` and
 ``c2 = (3 / 2) * sqrt(3 b / 2)`` with ``b`` the number of packets covered by
@@ -93,13 +94,6 @@ def default_c2(b: int = 2) -> float:
         raise ValueError(f"b must be positive, got {b}")
     return 1.5 * math.sqrt(3.0 * b / 2.0)
 
-
-#: Trapezoid points of the generic ``growth_time``, as in the loop oracle.
-_ODE_STEPS = 256
-
-#: Elements per pass of the generic ``growth_time``: bounds its
-#: ``(_ODE_STEPS, chunk)`` grids to a few MiB each.
-_ODE_CHUNK = 2048
 
 #: Parameters that must be positive once the defaults are filled in.
 _POSITIVE_PARAMETERS = ("rtt", "rto", "c1", "c2")
@@ -201,87 +195,14 @@ class LossThroughputFormula(abc.ABC):
         """``g`` on a positive array; formulas with a direct form override it."""
         return 1.0 / self.rate(1.0 / x)
 
+    @abc.abstractmethod
     def growth_time(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """Return the integral of ``g`` from ``lower`` to ``upper``, elementwise.
 
         ``w1`` times the time ODE (16) takes to grow the comprehensive
-        control's estimate from ``lower`` to ``upper`` (1-D arrays).  The
-        generic form is the loop oracle's ``_ODE_STEPS``-point trapezoid,
-        ``_ODE_CHUNK`` elements at a time; closed forms override it.
+        control's estimate from ``lower`` to ``upper`` (1-D arrays): the
+        closed form of Proposition 3's correction.
         """
-        integrals = np.empty_like(lower)
-        for start in range(0, lower.size, _ODE_CHUNK):
-            chunk = slice(start, start + _ODE_CHUNK)
-            grid = np.linspace(lower[chunk], upper[chunk], _ODE_STEPS, axis=0)
-            # g as the loop oracle evaluates it, not _g, which differs in
-            # the last bits: values stay equal to those stores already hold.
-            inverse_rate = 1.0 / self.rate_of_interval(grid)
-            integrals[chunk] = np.trapezoid(inverse_rate, grid, axis=0)
-        return integrals
-
-    def g_second_derivative(self, x: ArrayLike, step: float = 1e-4) -> ArrayLike:
-        """Numerically estimate ``g''(x)`` with a central difference.
-
-        A positive value indicates local convexity of ``g`` at ``x``
-        (condition (F1)).
-        """
-        x_arr = _as_array(x)
-        h = np.maximum(step * np.abs(x_arr), 1e-8)
-        second = (self.g(x_arr + h) - 2.0 * self.g(x_arr) + self.g(x_arr - h)) / h**2
-        return second if isinstance(x, np.ndarray) else float(second)
-
-    def rate_second_derivative(self, p: ArrayLike, step: float = 1e-6) -> ArrayLike:
-        """Numerically estimate ``f''(p)`` with a central difference.
-
-        A negative value indicates local concavity of ``f`` at ``p``
-        (condition (F2)); a positive value indicates strict convexity (F2c).
-        """
-        p_arr = _as_array(p)
-        h = np.maximum(step * np.abs(p_arr), 1e-10)
-        second = (
-            self.rate(p_arr + h) - 2.0 * self.rate(p_arr) + self.rate(p_arr - h)
-        ) / h**2
-        return second if isinstance(p, np.ndarray) else float(second)
-
-    # ------------------------------------------------------------------
-    # Inversion
-    # ------------------------------------------------------------------
-    def loss_rate_for_rate(
-        self,
-        target_rate: float,
-        lower: float = 1e-12,
-        upper: float = 1.0,
-        tolerance: float = 1e-12,
-        max_iterations: int = 200,
-    ) -> float:
-        """Invert the formula: find ``p`` such that ``f(p) = target_rate``.
-
-        All the formulas in this module are strictly decreasing in ``p``, so
-        a bisection on ``(lower, upper]`` converges.  Used e.g. by the fixed
-        capacity analysis of Claim 4.
-        """
-        if target_rate <= 0.0:
-            raise ValueError("target_rate must be positive")
-        low, high = lower, upper
-        rate_low = float(self.rate(low))
-        rate_high = float(self.rate(high))
-        if target_rate > rate_low:
-            raise ValueError(
-                f"target_rate {target_rate} exceeds the formula's maximum "
-                f"{rate_low} on the search interval"
-            )
-        if target_rate < rate_high:
-            return upper
-        for _ in range(max_iterations):
-            mid = 0.5 * (low + high)
-            rate_mid = float(self.rate(mid))
-            if abs(rate_mid - target_rate) <= tolerance * target_rate:
-                return mid
-            if rate_mid > target_rate:
-                low = mid
-            else:
-                high = mid
-        return 0.5 * (low + high)
 
 
 class _InverseSqrtFormula(LossThroughputFormula):
@@ -315,6 +236,10 @@ class _InverseSqrtFormula(LossThroughputFormula):
     def _g(self, x: np.ndarray) -> np.ndarray:
         return self.scale / (self.constant * np.sqrt(x))
 
+    def growth_time(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Proposition 3's closed form ``2 (scale / k) (sqrt(upper) - sqrt(lower))``."""
+        return 2.0 * (self.scale / self.constant) * (np.sqrt(upper) - np.sqrt(lower))
+
 
 @dataclass(frozen=True)
 class SqrtFormula(_InverseSqrtFormula):
@@ -340,11 +265,6 @@ class SqrtFormula(_InverseSqrtFormula):
     @property
     def scale(self) -> float:
         return self.c1 * self.rtt
-
-    def growth_time(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        """Proposition 3's closed form: ``2 c1 r (sqrt(upper) - sqrt(lower))``."""
-        c1r = self.c1 * self.rtt
-        return 2.0 * c1r * (np.sqrt(upper) - np.sqrt(lower))
 
 
 @dataclass(frozen=True)
@@ -422,6 +342,25 @@ class PftkStandardFormula(_PftkFormula):
         return self.c1 * self.rtt * s + self.rto * np.minimum(1.0, self.c2 * s) * (
             u + 32.0 * u * u * u
         )
+
+    def growth_time(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Proposition 3's closed form: ``F(upper) - F(lower)``.
+
+        ``g`` switches branch at ``x = c2^2``, where ``c2 x^{-1/2}`` reaches
+        one.  Below it ``F(x) = 2 c1 r sqrt(x) + q (ln x - 16 x^-2)``;
+        above it ``F(x) = 2 c1 r sqrt(x) - q c2 (2 x^-1/2 + (64/5) x^-5/2)``
+        plus the constant that makes ``F`` continuous at ``c2^2``.
+        """
+        c1r, q, c2 = self.c1 * self.rtt, self.rto, self.c2
+        switch = c2 * c2
+        join = q * (2.0 * math.log(c2) + 2.0 - (16.0 / 5.0) / (switch * switch))
+
+        def antiderivative(x: np.ndarray) -> np.ndarray:
+            below = q * (np.log(x) - 16.0 / (x * x))
+            above = join - q * c2 * (2.0 / np.sqrt(x) + (64.0 / 5.0) * x**-2.5)
+            return 2.0 * c1r * np.sqrt(x) + np.where(x < switch, below, above)
+
+        return antiderivative(upper) - antiderivative(lower)
 
 
 @dataclass(frozen=True)

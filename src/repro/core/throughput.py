@@ -15,8 +15,9 @@ Palm expectations of functions of the loss-event intervals:
       E[X(0)] = E[theta_0] / ( E[ theta_0 / f(1/theta_hat_0) ]
                                - E[ V_0 1{theta_hat_1 > theta_hat_0} ] )
 
-  with the correction term ``V_n`` of the paper: a closed form for SQRT
-  and PFTK-simplified, ODE (16) integrated for any other formula.
+  with the correction term ``V_n`` of the paper, from the closed-form
+  integral of ``g`` over the growth phase of ODE (16) that every formula
+  carries (``growth_time``).
 
 The expressions are evaluated from *samples* of the joint law of
 ``(theta_0, theta_hat_0, theta_hat_1)`` in one place,

@@ -174,6 +174,10 @@ class GammaIntervals(LossProcess):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.mean * self.cv * self.cv):
+            raise ValueError(
+                f"cv must give a finite scale mean*cv**2, got {self.cv}"
+            )
 
     @property
     def mean_interval(self) -> float:
@@ -212,6 +216,8 @@ class LognormalIntervals(LossProcess):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.cv * self.cv):
+            raise ValueError(f"cv must give a finite cv**2, got {self.cv}")
 
     @property
     def mean_interval(self) -> float:

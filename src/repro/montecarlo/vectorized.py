@@ -7,11 +7,11 @@ evaluated in whole-array numpy passes.
   ``max(w1 theta_n + sum_{l>=2} w_l theta_{n-l+1}, theta_hat_n)`` is the
   *same* sliding product shifted by one position, and
 * its duration correction is elementwise, :func:`growth_corrections`:
-  Proposition 3's ``V`` from the formula's own ``growth_time`` (a closed
-  form for SQRT and PFTK-simplified, ODE (16) integrated otherwise),
-  evaluated only where the estimate grows.  The analytic Proposition 3
-  kernel of :mod:`repro.montecarlo.vectorized_analytic` subtracts the
-  same corrections, so the two paths cannot disagree on ``V``.
+  Proposition 3's ``V`` from the formula's own closed-form
+  ``growth_time``, evaluated only where the estimate grows.  The
+  analytic Proposition 3 kernel of
+  :mod:`repro.montecarlo.vectorized_analytic` subtracts the same
+  corrections, so the two paths cannot disagree on ``V``.
 
 :func:`repro.api.simulate_batch` stacks many grid points as rows of one
 interval matrix, and :func:`repro.api.simulate` -- the one way to run
@@ -22,7 +22,8 @@ that :func:`repro.core.conditions.evaluate_conditions` reads.  The
 per-event loops of :mod:`repro.core.control` are the reference
 semantics and the test oracle: same warm-up convention (the first ``L``
 intervals seed the estimator and are excluded from the trace), equal to
-numerical precision.
+numerical precision.  The oracle integrates Proposition 3's growth phase
+with a quadrature of its own, so it checks the closed forms too.
 """
 
 from __future__ import annotations

@@ -355,6 +355,19 @@ class TestLossProcessDomain:
         with pytest.raises(ValueError, match=f"{name} must be .*finite"):
             api.LOSS_PROCESSES.from_config(json.loads(template % token))
 
+    def test_huge_cv_is_rejected_where_its_square_overflows(self):
+        # A finite cv whose derived parameters are not (gamma's scale
+        # mean*cv**2, lognormal's cv**2) used to construct, then raise
+        # OverflowError or fail on an infinite scale inside the compute.
+        for kind, cv in (("gamma", 1e154), ("gamma", 1e200), ("lognormal", 1e200)):
+            with pytest.raises(ValueError, match="cv must give a finite"):
+                api.LOSS_PROCESSES.from_config({"kind": kind, "mean": 10.0, "cv": cv})
+        process = api.LOSS_PROCESSES.from_config(
+            {"kind": "lognormal", "mean": 10.0, "cv": 1e154})
+        result = api.simulate(api.SimConfig(
+            formula="sqrt", loss_process=process, num_events=100, seed=1))
+        assert 0.0 < result.normalized_throughput < 1.0
+
 
 # ----------------------------------------------------------------------
 # Weight profiles

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api.components import FORMULAS
+from repro.core.control import _inverse_rate_integral
 from repro.core.formulas import (
     AimdFormula,
     LossThroughputFormula,
@@ -150,37 +151,6 @@ class TestDerivedMappings:
         with pytest.raises(ValueError):
             formula.rate_of_interval(0.0)
 
-    def test_g_second_derivative_positive_for_sqrt(self):
-        """For SQRT, g(x) = 1/f(1/x) = c1 r / sqrt(x) is convex (condition F1)."""
-        formula = SqrtFormula(rtt=1.0)
-        expected = 0.75 * formula.c1 * formula.rtt * 10.0 ** (-2.5)
-        assert formula.g_second_derivative(10.0) == pytest.approx(expected, rel=1e-3)
-        assert formula.g_second_derivative(10.0) > 0.0
-
-    def test_g_second_derivative_positive_for_pftk_at_small_interval(self):
-        formula = PftkSimplifiedFormula(rtt=1.0)
-        # Heavy loss region (small interval): strongly convex g.
-        assert formula.g_second_derivative(2.0) > 0.0
-
-
-class TestInversion:
-    def test_loss_rate_for_rate_round_trips(self):
-        formula = PftkSimplifiedFormula(rtt=1.0)
-        p = 0.07
-        rate = formula.rate(p)
-        assert formula.loss_rate_for_rate(rate) == pytest.approx(p, rel=1e-6)
-
-    def test_loss_rate_for_rate_rejects_unreachable_rate(self):
-        formula = SqrtFormula(rtt=1.0)
-        too_fast = formula.rate(1e-12) * 10.0
-        with pytest.raises(ValueError):
-            formula.loss_rate_for_rate(too_fast)
-
-    def test_loss_rate_for_rate_rejects_non_positive(self):
-        formula = SqrtFormula(rtt=1.0)
-        with pytest.raises(ValueError):
-            formula.loss_rate_for_rate(0.0)
-
 
 class TestAimdFormula:
     def test_constant_matches_paper(self):
@@ -302,21 +272,56 @@ class TestLossRateDomain:
             assert rate > 0.0
 
 
-class TestClosedForms:
-    """A formula's closed forms against the base class's generic ones."""
+#: Every registered formula, and a PFTK-standard whose branch switch
+#: ``c2^2`` moves from 6.75 to 3.375.
+GROWTH_FORMULAS = dict(
+    FORMULAS.examples(),
+    **{"pftk-standard-moved-switch": PftkStandardFormula(rtt=0.2, rto=1.0, b=1)},
+)
 
-    @pytest.mark.parametrize("kind", ["sqrt", "pftk-simplified"])
-    @pytest.mark.parametrize("growth", [1.001, 1.3, 2.0])
-    def test_growth_time_matches_the_trapezoid(self, kind, growth):
-        # The closed-form integral of g against the 256-point trapezoid
-        # that every other formula integrates with, from heavy loss
-        # (half a packet) to rare loss, for upper <= 2 lower.
-        formula = FORMULAS.examples()[kind]
-        lower = np.geomspace(0.5, 400.0, 41)
-        upper = growth * lower
+
+def _growth_intervals():
+    """``(lower, upper)`` pairs: from 0.004 packets with ratios up to 1e4,
+    pairs on both sides of and straddling each PFTK switch, and tiny
+    growths."""
+    lower = np.geomspace(0.004, 500.0, 13)
+    ratios = np.array([1.001, 1.3, 2.0, np.e**2, 1e2, 1e4])
+    grid = np.stack(np.broadcast_arrays(lower[:, None], np.outer(lower, ratios)))
+    extra = np.array([
+        (6.0, 7.0), (6.74, 6.76), (1.0, 10.0), (6.75, 8.0), (5.0, 6.75),
+        (3.3, 3.45), (3.0, 4.0), (300.0, 301.0), (0.5, 0.5005),
+    ]).T
+    return np.concatenate([grid.reshape(2, -1), extra], axis=1)
+
+
+class TestClosedForms:
+    """A formula's closed forms against independent computations."""
+
+    @pytest.mark.parametrize("name", sorted(GROWTH_FORMULAS))
+    def test_growth_time_matches_the_oracle_quadrature(self, name):
+        # Proposition 3's closed-form integral of g against the loop
+        # oracle's Gauss-Legendre quadrature of 1/f(1/y).
+        formula = GROWTH_FORMULAS[name]
+        lower, upper = _growth_intervals()
         closed = formula.growth_time(lower, upper)
-        generic = LossThroughputFormula.growth_time(formula, lower, upper)
-        assert np.allclose(closed, generic, rtol=1e-4, atol=0.0)
+        quadrature = [
+            _inverse_rate_integral(formula, a, b) for a, b in zip(lower, upper)
+        ]
+        assert np.allclose(closed, quadrature, rtol=1e-12, atol=0.0)
+
+    def test_growth_time_is_abstract(self):
+        # A formula without Proposition 3's integral cannot be built.
+        class NoIntegral(LossThroughputFormula):
+            rtt = 1.0
+
+            def rate(self, p):
+                return 1.0 / np.sqrt(p)
+
+            def rate_derivative(self, p):
+                return -0.5 / p**1.5
+
+        with pytest.raises(TypeError, match="growth_time"):
+            NoIntegral()
 
     def test_inverse_sqrt_law_is_one_formula(self):
         # SQRT at b = 1 and MSMO97 are the same law with k and scale

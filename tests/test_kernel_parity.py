@@ -7,9 +7,11 @@ call into :mod:`repro.montecarlo.vectorized`.  The per-event loops
 semantics.  Every case replays the facade's draw (same seed, one
 ``sample_intervals(num_events + L)`` call) through the loop and requires
 all five reported statistics to agree at rtol 1e-9: in the regime where
-the paper's effect is large (cv = 0.999, p = 0.3), for both
-Proposition-3 closed forms and the ODE fallback (pftk-standard), for
-parametric and custom weight profiles, and under a correlated process.
+the paper's effect is large (cv = 0.999, p = 0.3), for every registered
+formula, for parametric and custom weight profiles, and under a
+correlated process.  The kernel's Proposition 3 correction comes from
+each formula's closed-form ``growth_time``, the loop's from its own
+Gauss-Legendre quadrature, so the two share no integral.
 """
 
 import dataclasses
@@ -19,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core import formulas
 from repro.core.control import BasicControl, ComprehensiveControl
 from repro.core.formulas import SqrtFormula
 from repro.lossprocess import ShiftedExponentialIntervals, make_rng
@@ -72,7 +73,7 @@ def assert_parity(config):
 
 @pytest.mark.parametrize("history_length", [1, 2, 8])
 @pytest.mark.parametrize("control", CONTROLS)
-@pytest.mark.parametrize("formula", ["sqrt", "pftk-simplified", "pftk-standard"])
+@pytest.mark.parametrize("formula", sorted(api.FORMULAS.kinds()))
 def test_formula_control_window_matrix(formula, control, history_length):
     assert_parity(api.SimConfig(
         formula=formula, history_length=history_length, control=control,
@@ -82,7 +83,7 @@ def test_formula_control_window_matrix(formula, control, history_length):
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("control", CONTROLS)
-@pytest.mark.parametrize("formula", ["pftk-simplified", "pftk-standard"])
+@pytest.mark.parametrize("formula", sorted(api.FORMULAS.kinds()))
 def test_profile_and_process_variants(formula, control, variant):
     assert_parity(api.SimConfig(
         formula=formula, control=control, num_events=NUM_EVENTS, seed=12,
@@ -90,15 +91,7 @@ def test_profile_and_process_variants(formula, control, variant):
     ))
 
 
-class TestOdeFallback:
-    def test_chunked_integration_matches_loop_oracle(self, monkeypatch):
-        # Many chunks, the last one ragged, through the generic growth_time.
-        monkeypatch.setattr(formulas, "_ODE_CHUNK", 37)
-        assert_parity(api.SimConfig(
-            formula="pftk-standard", control="comprehensive",
-            history_length=8, num_events=NUM_EVENTS, seed=21, **LARGE_EFFECT,
-        ))
-
+class TestDefaultPoint:
     def test_default_point_memory_is_bounded(self):
         config = api.SimConfig(
             formula="pftk-standard", control="comprehensive", seed=3,

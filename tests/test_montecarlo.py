@@ -4,6 +4,7 @@ Every point runs through the one Monte-Carlo front door,
 :func:`repro.api.simulate`, over an i.i.d. loss process.
 """
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -111,12 +112,13 @@ class TestComprehensiveControlMonteCarlo:
     @pytest.mark.parametrize(
         "point", sorted(ONE_V0_POINTS),
         ids=lambda point: "p{}-cv{}-L{}".format(*point))
-    def test_analytic_comprehensive_matches_simulation_without_closed_form(
+    def test_analytic_comprehensive_matches_simulation_beyond_pftk_simplified(
         self, point
     ):
-        """Proposition 3 for formulas without a closed form: the analytic
+        """Proposition 3 for aimd, msmo97 and pftk-standard: the analytic
         and the Monte-Carlo comprehensive control subtract the same V_0,
-        from ODE (16), and converge to the same throughput."""
+        from each formula's closed-form growth_time, and converge to the
+        same throughput."""
         p, cv, history_length = point
         tolerances = self.ONE_V0_POINTS[point]
         common = dict(
@@ -135,6 +137,22 @@ class TestComprehensiveControlMonteCarlo:
             assert actual.throughput == pytest.approx(
                 expected.throughput, rel=tolerances[kind]
             ), kind
+
+    @pytest.mark.parametrize("method", ["montecarlo", "analytic"])
+    def test_inverse_sqrt_laws_are_scale_invariant(self, method):
+        """sqrt, aimd, msmo97 and sqrt at another rtt are one law
+        k / (scale sqrt(p)) up to the constant factor, which normalising
+        by f(p) divides out.  With exact Proposition 3 integrals their
+        comprehensive points on common draws agree to rounding."""
+        batch = api.simulate_batch(api.BatchConfig(
+            formulas=["sqrt", "aimd", "msmo97", {"kind": "sqrt", "rtt": 0.2}],
+            loss_event_rates=[0.01, 0.1, 0.4], coefficients_of_variation=[0.999],
+            history_lengths=[1], control="comprehensive", method=method, seed=5,
+        ))
+        for p in (0.01, 0.1, 0.4):
+            values = [r.normalized_throughput for r in batch.select(loss_event_rate=p)]
+            assert len(values) == 4
+            assert np.allclose(values, values[0], rtol=1e-12, atol=0.0), (p, values)
 
 
 def run_sweep(formula, grid, seed, **base):

@@ -69,13 +69,6 @@ class TestFormulaProperties:
             formula = factory(rtt)
             assert formula.g(x) * formula.rate_of_interval(x) == pytest.approx(1.0)
 
-    @given(p=loss_rates, rtt=rtts)
-    @settings(max_examples=40, deadline=None)
-    def test_inversion_round_trip(self, p, rtt):
-        formula = PftkSimplifiedFormula(rtt=rtt)
-        rate = formula.rate(p)
-        assert formula.loss_rate_for_rate(rate) == pytest.approx(p, rel=1e-4)
-
 
 class TestEstimatorProperties:
     @given(history=interval_lists, window=window_lengths)

@@ -602,6 +602,10 @@ class TestHttpFrontend:
                 {"kind": "deterministic", "value": float("inf")},
                 {"kind": "two-phase", "good_mean": float("inf"),
                  "bad_mean": 4.0, "switch_probability": 0.1},
+                # Finite, but cv**2 overflows: these raised OverflowError
+                # inside the compute.
+                {"kind": "gamma", "mean": 10.0, "cv": 1e200},
+                {"kind": "lognormal", "mean": 10.0, "cv": 1e200},
             ):
                 status, payload = await _post_json(
                     host, port, "/predict", dict(point, loss_process=loss_process)
@@ -621,7 +625,7 @@ class TestHttpFrontend:
         run(lambda: self._with_server(body))
 
     def test_analytic_comprehensive_answers_for_every_formula(self):
-        # Formulas without a closed-form Proposition 3 integrate ODE (16).
+        # Every formula carries its closed-form Proposition 3 integral.
         async def body(service, host, port):
             analytic = dict(method="analytic", control="comprehensive")
             for kind in ("aimd", "msmo97", "pftk-standard"):

@@ -81,9 +81,10 @@ class TestProposition3:
 
     @pytest.mark.parametrize("kind", sorted(api.FORMULAS.kinds()))
     def test_correction_matches_the_loop_oracle(self, kind):
-        """Every formula has a correction: the loop oracle's V_n (its
-        closed form for SQRT and PFTK-simplified, ODE (16) otherwise),
-        and zero where the estimate does not grow."""
+        """Every formula has a correction: the loop oracle's V_n (ODE
+        (16) integrated by its own quadrature, against the formula's
+        closed-form growth_time), and zero where the estimate does not
+        grow."""
         formula = api.FORMULAS.examples()[kind]
         control = ComprehensiveControl(formula, weights=tfrc_weights(8))
         w1 = float(control.estimator.weights[0])
